@@ -165,6 +165,20 @@ def lambert_series(b: list[Fraction], order: int, alternating: bool = False) -> 
     return Series(coeffs)
 
 
+def binomial_factor(sign: int, m: int, exponent: Fraction, order: int) -> Series:
+    """(1 - sign*t^m)^exponent to ``order``, from the generalised binomial series.
+
+    The coefficient of t^(m*j) is C(exponent, j) * (-sign)^j; this holds for
+    integer, negative and fractional exponents alike.
+    """
+    coeffs = [Fraction(0)] * (order + 1)
+    term = Fraction(1)
+    for j in range(order // m + 1):
+        coeffs[m * j] = term
+        term = term * (exponent - j) * -sign / (j + 1)
+    return Series(coeffs)
+
+
 def product_check(target: Series, b: list[Fraction], alternating: bool = False) -> bool:
     """Verify target = t * prod_{m<=M} (1 - (+-t)^m)^(m*b_m) mod t^(M+1).
 
@@ -177,15 +191,16 @@ def product_check(target: Series, b: list[Fraction], alternating: bool = False) 
         raise ValueError("target order too small for the product test")
     prod = Series.one(M)
     for m in range(1, M + 1):
-        sign = (-1) ** m if alternating else 1
-        base = Series.one(M) - Series.monomial(sign, m, M)
-        prod = prod * base ** (m * b[m - 1])
+        if b[m - 1]:
+            sign = (-1) ** m if alternating else 1
+            prod = prod * binomial_factor(sign, m, m * b[m - 1], M)
     if prod.zshift(1).truncate(M) != target.truncate(M):
         return False
+    # The Lambert identity 1 + theta(log u) = lam for u = target/t, in the
+    # form u + theta(u) = lam * u, which needs no logarithm since u is a unit.
     unit = target.truncate(M).shift_down(1)
-    dlog = unit.log().theta() + 1
     lam = lambert_series(b, M - 1, alternating) if M > 1 else Series.one(0)
-    return dlog.truncate(M - 1) == lam
+    return unit + unit.theta() == lam * unit
 
 
 def g0_expansions(md: MirrorData, count: int) -> tuple[list[Fraction], list[Fraction]]:
@@ -358,11 +373,11 @@ def integrality_report(model: Model, order: int) -> IntegralityReport:
         "proposition_qQ_integral": (
             md.q.coeff(1) == 1
             and md.Q.coeff(1) == 1
-            and _all_integer(md.q.coeffs)
-            and _all_integer(md.Q.coeffs)
+            and md.q.denominator == 1
+            and md.Q.denominator == 1
         ),
         "conjecture1_root_integral": (
-            _all_integer(root_q.coeffs) and _all_integer(root_Q.coeffs)
+            root_q.denominator == 1 and root_Q.denominator == 1
         ),
     }
     return IntegralityReport(

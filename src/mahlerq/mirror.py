@@ -297,13 +297,16 @@ def mahler_measure(model: Model, psi, order: int) -> MahlerMeasure:
         raise ConvergenceError(
             f"z = {z} lies outside the disk of convergence (need |z| < 1/{C})"
         )
+    # Horner on f's integer numerators with z = p/s:
+    # acc = sum_m f_m * p^m * s^(order-m), so f(z) = acc / (s^order * den).
     f = f_series(model, order)
-    fz = Fraction(0)
-    for c in reversed(f.coeffs):
-        fz = fz * z + c
-    log_m = (
-        math.log(psi.numerator) - math.log(psi.denominator) - float(fz) / k
-    )
+    p, s = z.numerator, z.denominator
+    acc, s_power = 0, 1
+    for c in reversed(f.numerators):
+        acc = acc * p + c * s_power
+        s_power *= s
+    fz = acc / (s**order * f.denominator)  # int true division rounds correctly
+    log_m = math.log(psi.numerator) - math.log(psi.denominator) - fz / k
     # Tail: for m > N the term ratio alpha_{m+1} z / alpha_m is bounded by
     # rho = C*|z| * prod_j max(1, (N+a_j)/(N+1-b_j)), each factor being
     # monotone in m toward 1.

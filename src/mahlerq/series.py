@@ -1,7 +1,21 @@
 """Exact truncated formal power series over arbitrary-precision rationals.
 
-A :class:`Series` of order ``N`` holds the coefficients of ``z^0 .. z^N``
-as :class:`fractions.Fraction` values and is exact modulo ``z^(N+1)``.
+A :class:`Series` of order ``N`` is exact modulo ``z^(N+1)``.  It stores
+the coefficients of ``z^0 .. z^N`` as one tuple of Python int numerators
+over one positive int denominator, the layout of FLINT's ``fmpq_poly``.
+The pair is kept in reduced form: the gcd of the denominator and all
+numerators is 1, so equal series have equal pairs.  Arithmetic runs on the
+ints and normalises once per operation rather than once per coefficient.
+
+The series of the mirror-map pipeline (the period ``g0``, the maps ``Q``
+and ``q``, their reversions, ``exp(-m*phi)``) have integer coefficients,
+which is the integrality this engine exists to test, so the denominator is
+almost always 1 and a product is a plain integer convolution.  The
+``invert``/``exp``/``log`` recurrences carry integer numerators over a
+running denominator and rescale only when a division does not come out
+exact.  :attr:`Series.coeffs` and :meth:`Series.coeff` still hand out
+:class:`fractions.Fraction` values.
+
 The kernel never extends precision on its own: binary operations on
 mismatched orders truncate to the smaller order, so the working order is
 chosen once at pipeline entry.  Every value is immutable after
@@ -17,13 +31,11 @@ object is ever needed.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Union
+from math import gcd, lcm
+from operator import mul
+from typing import Iterable, Sequence, Union
 
-Rational = Fraction
 Scalar = Union[int, Fraction]
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def as_rational(value: Scalar) -> Fraction:
@@ -35,31 +47,74 @@ def as_rational(value: Scalar) -> Fraction:
     raise TypeError(f"exact scalar required, got {type(value).__name__}")
 
 
+def _convolve(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
+    """Coefficients 0..n of the product of two int sequences of length > n."""
+    rb = b[n::-1]
+    return [sum(map(mul, a[: k + 1], rb[n - k :])) for k in range(n + 1)]
+
+
+def _append_quotient(values: list[int], divisor: int, value: int, den: int) -> int:
+    """Append ``value / divisor`` to int numerators over ``den``.
+
+    ``divisor`` is positive.  When the division is not exact, every stored
+    numerator and the denominator are multiplied by the missing factor
+    first.  Returns the new denominator.
+    """
+    q, r = divmod(value, divisor)
+    if r:
+        g = gcd(value, divisor)
+        s = divisor // g
+        values[:] = [x * s for x in values]
+        den *= s
+        q = value // g
+    values.append(q)
+    return den
+
+
 class Series:
     """Truncated power series ``c_0 + c_1 z + ... + c_N z^N`` (exact mod z^(N+1))."""
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_num", "_den")
 
     def __init__(self, coeffs: Iterable[Scalar], order: int | None = None):
-        cs = [as_rational(c) for c in coeffs]
+        cs = list(coeffs)
+        for c in cs:
+            if not isinstance(c, (int, Fraction)):
+                raise TypeError(f"exact scalar required, got {type(c).__name__}")
         if order is not None:
             if order < 0:
                 raise ValueError("order must be nonnegative")
             del cs[order + 1 :]
-            cs.extend([_ZERO] * (order + 1 - len(cs)))
+            cs.extend([0] * (order + 1 - len(cs)))
         if not cs:
             raise ValueError("a series needs at least its constant coefficient")
-        self._coeffs = tuple(cs)
+        # The lcm of reduced denominators leaves the pair in reduced form.
+        den = lcm(*(c.denominator for c in cs))
+        self._num = tuple(c.numerator * (den // c.denominator) for c in cs)
+        self._den = den
+
+    @classmethod
+    def _from_ints(cls, nums: Sequence[int], den: int = 1) -> "Series":
+        """Wrap int numerators over a positive denominator, reducing the pair."""
+        if den != 1:
+            g = gcd(den, *nums)
+            if g != 1:
+                nums = [x // g for x in nums]
+                den //= g
+        s = object.__new__(cls)
+        s._num = tuple(nums)
+        s._den = den
+        return s
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def zero(cls, order: int) -> "Series":
-        return cls([_ZERO], order)
+        return cls([0], order)
 
     @classmethod
     def one(cls, order: int) -> "Series":
-        return cls([_ONE], order)
+        return cls([1], order)
 
     @classmethod
     def constant(cls, value: Scalar, order: int) -> "Series":
@@ -70,23 +125,34 @@ class Series:
         """The series ``z``."""
         if order < 1:
             raise ValueError("identity needs order >= 1")
-        return cls([_ZERO, _ONE], order)
+        return cls([0, 1], order)
 
     @classmethod
     def monomial(cls, value: Scalar, degree: int, order: int) -> "Series":
         if not 0 <= degree <= order:
             raise ValueError("monomial degree beyond order")
-        return cls([_ZERO] * degree + [value], order)
+        return cls([0] * degree + [value], order)
 
     # -- basic accessors ----------------------------------------------
 
     @property
     def order(self) -> int:
-        return len(self._coeffs) - 1
+        return len(self._num) - 1
+
+    @property
+    def numerators(self) -> tuple[int, ...]:
+        """Integer numerators over :attr:`denominator`, in reduced form."""
+        return self._num
+
+    @property
+    def denominator(self) -> int:
+        """Common positive denominator; 1 exactly when all coefficients are integers."""
+        return self._den
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        return self._coeffs
+        d = self._den
+        return tuple(Fraction(x, d) for x in self._num)
 
     def coeff(self, m: int) -> Fraction:
         """Coefficient of ``z^m``; asking beyond the truncation order is an error."""
@@ -94,32 +160,34 @@ class Series:
             raise IndexError(
                 f"coefficient z^{m} beyond truncation order {self.order}"
             )
-        return self._coeffs[m]
-
-    __getitem__ = coeff
+        return Fraction(self._num[m], self._den)
 
     def valuation(self) -> int | None:
         """Index of the first nonzero coefficient, or None for the zero series."""
-        for m, c in enumerate(self._coeffs):
+        for m, c in enumerate(self._num):
             if c:
                 return m
         return None
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self._coeffs)
+        return not any(self._num)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Series) and self._coeffs == other._coeffs
+        return (
+            isinstance(other, Series)
+            and self._den == other._den
+            and self._num == other._num
+        )
 
     def __hash__(self) -> int:
-        return hash(self._coeffs)
+        return hash((self._num, self._den))
 
     def __repr__(self) -> str:
-        return f"Series({[str(c) for c in self._coeffs]})"
+        return f"Series({[str(c) for c in self.coeffs]})"
 
     def __str__(self) -> str:
         terms = []
-        for m, c in enumerate(self._coeffs):
+        for m, c in enumerate(self.coeffs):
             if c == 0:
                 continue
             if m == 0:
@@ -139,48 +207,48 @@ class Series:
             raise ValueError("truncate cannot extend a series")
         if order == self.order:
             return self
-        return Series(self._coeffs[: order + 1])
+        return Series._from_ints(self._num[: order + 1], self._den)
 
     def zshift(self, n: int = 1) -> "Series":
         """Multiply by ``z^n``, raising the order by ``n`` (no information lost)."""
         if n < 0:
             raise ValueError("zshift amount must be nonnegative")
-        return Series((_ZERO,) * n + self._coeffs)
+        return Series._from_ints((0,) * n + self._num, self._den)
 
     def shift_down(self, n: int) -> "Series":
         """Divide by ``z^n``; the first ``n`` coefficients must vanish."""
         if n < 0 or n > self.order:
             raise ValueError("shift_down amount out of range")
-        if any(self._coeffs[:n]):
+        if any(self._num[:n]):
             raise ValueError("shift_down needs a zero of that order")
-        return Series(self._coeffs[n:])
+        return Series._from_ints(self._num[n:], self._den)
 
     # -- ring operations ----------------------------------------------
 
-    def _common(self, other: "Series") -> tuple[int, tuple, tuple]:
-        n = min(self.order, other.order)
-        return n, self._coeffs[: n + 1], other._coeffs[: n + 1]
-
-    def __add__(self, other):
+    def _linear(self, other, sign: int) -> "Series":
+        # self + sign*other on a common denominator
         if isinstance(other, (int, Fraction)):
             other = Series.constant(other, self.order)
         elif not isinstance(other, Series):
             return NotImplemented
-        _, a, b = self._common(other)
-        return Series([x + y for x, y in zip(a, b)])
+        n = min(self.order, other.order)
+        a, da, b, db = self._num, self._den, other._num, other._den
+        den = lcm(da, db)
+        sa, sb = den // da, sign * (den // db)
+        return Series._from_ints(
+            [x * sa + y * sb for x, y in zip(a[: n + 1], b[: n + 1])], den
+        )
+
+    def __add__(self, other):
+        return self._linear(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Series([-c for c in self._coeffs])
+        return Series._from_ints([-x for x in self._num], self._den)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Series.constant(other, self.order)
-        elif not isinstance(other, Series):
-            return NotImplemented
-        _, a, b = self._common(other)
-        return Series([x - y for x, y in zip(a, b)])
+        return self._linear(other, -1)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
@@ -188,19 +256,15 @@ class Series:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             c = as_rational(other)
-            return Series([c * x for x in self._coeffs])
+            return Series._from_ints(
+                [c.numerator * x for x in self._num], c.denominator * self._den
+            )
         if not isinstance(other, Series):
             return NotImplemented
-        n, a, b = self._common(other)
-        out = [_ZERO] * (n + 1)
-        for i, ai in enumerate(a):
-            if not ai:
-                continue
-            for j in range(n + 1 - i):
-                bj = b[j]
-                if bj:
-                    out[i + j] += ai * bj
-        return Series(out)
+        n = min(self.order, other.order)
+        return Series._from_ints(
+            _convolve(self._num, other._num, n), self._den * other._den
+        )
 
     __rmul__ = __mul__
 
@@ -215,19 +279,22 @@ class Series:
         return NotImplemented
 
     def invert(self) -> "Series":
-        """Multiplicative inverse; needs a nonzero constant term."""
-        a = self._coeffs
-        if a[0] == 0:
+        """Multiplicative inverse; needs a nonzero constant term.
+
+        With a = self's numerators, B = 1/a obeys a_0*B_m = -sum_{j=1..m}
+        a_j*B_{m-j}; the inverse of a/den is den*B.
+        """
+        a = self._num
+        a0 = a[0]
+        if a0 == 0:
             raise ValueError("series with zero constant term is not invertible")
-        inv0 = 1 / a[0]
-        out = [inv0]
+        sign = 1 if a0 > 0 else -1
+        out, den = [sign], abs(a0)  # B_0 = 1/a0
         for m in range(1, self.order + 1):
-            acc = _ZERO
-            for j in range(1, m + 1):
-                if a[j]:
-                    acc += a[j] * out[m - j]
-            out.append(-inv0 * acc)
-        return Series(out)
+            acc = sum(map(mul, a[1 : m + 1], out[m - 1 :: -1]))
+            den = _append_quotient(out, abs(a0), -sign * acc, den)
+        d = self._den
+        return Series._from_ints([d * x for x in out], den)
 
     # -- transcendental operations ------------------------------------
 
@@ -237,34 +304,35 @@ class Series:
         Uses the recurrence m*E_m = sum_{j=1..m} j*a_j*E_{m-j} coming
         from theta(E) = theta(a)*E.
         """
-        a = self._coeffs
-        if a[0] != 0:
+        if self._num[0] != 0:
             raise ValueError("exp needs a zero constant term")
-        out = [_ONE]
+        ta = self.theta()
+        t, dt = ta._num, ta._den
+        out, den = [1], 1
         for m in range(1, self.order + 1):
-            acc = _ZERO
-            for j in range(1, m + 1):
-                if a[j]:
-                    acc += j * a[j] * out[m - j]
-            out.append(acc / m)
-        return Series(out)
+            acc = sum(map(mul, t[1 : m + 1], out[m - 1 :: -1]))
+            den = _append_quotient(out, m * dt, acc, den)
+        return Series._from_ints(out, den)
 
     def log(self) -> "Series":
         """Logarithm of a series with constant term 1; result has constant term 0.
 
-        Recurrence: L_m = a_m - (1/m) * sum_{j=1..m-1} j*L_j*a_{m-j}.
+        Recurrence: L_m = a_m - (1/m) * sum_{j=1..m-1} j*L_j*a_{m-j}, run on
+        T_m = m*L_m so that the division by m happens once, at the end.
         """
-        a = self._coeffs
-        if a[0] != 1:
+        a, da = self._num, self._den
+        if a[0] != da:
             raise ValueError("log needs constant term 1")
-        out = [_ZERO]
-        for m in range(1, self.order + 1):
-            acc = _ZERO
-            for j in range(1, m):
-                if out[j] and a[m - j]:
-                    acc += j * out[j] * a[m - j]
-            out.append(a[m] - acc / m)
-        return Series(out)
+        N = self.order
+        out, den = [0], 1  # T_0 = 0
+        for m in range(1, N + 1):
+            acc = sum(map(mul, out[1:m], a[m - 1 : 0 : -1]))
+            den = _append_quotient(out, da, m * a[m] * den - acc, den)
+        scale = lcm(*range(1, N + 1))
+        return Series._from_ints(
+            [0] + [t * (scale // m) for m, t in enumerate(out[1:], start=1)],
+            den * scale,
+        )
 
     def __pow__(self, exponent):
         """Integer powers by repeated squaring; fractional powers as exp(e*log).
@@ -278,7 +346,7 @@ class Series:
             if e.denominator == 1:
                 e = e.numerator
             else:
-                if self._coeffs[0] != 1:
+                if self._num[0] != self._den:
                     raise ValueError("fractional power needs constant term 1")
                 return (e * self.log()).exp()
         if e < 0:
@@ -296,26 +364,38 @@ class Series:
 
     def theta(self) -> "Series":
         """Euler operator z*d/dz: multiplies coefficient m by m."""
-        return Series([m * c for m, c in enumerate(self._coeffs)])
+        return Series._from_ints([m * c for m, c in enumerate(self._num)], self._den)
 
     def derivative(self) -> "Series":
         """Ordinary derivative d/dz; the order drops by one."""
         if self.order == 0:
             return Series.zero(0)
-        return Series([m * self._coeffs[m] for m in range(1, self.order + 1)])
+        a = self._num
+        return Series._from_ints([m * a[m] for m in range(1, len(a))], self._den)
 
     # -- composition and reversion -------------------------------------
 
     def compose(self, inner: "Series") -> "Series":
-        """Substitute ``inner`` (constant term 0) into self, by Horner evaluation."""
-        if inner.coeff(0) != 0:
+        """Substitute ``inner`` (constant term 0) into self, by Horner evaluation.
+
+        S_m = f_m + g*S_(m+1) runs on numerators: with g = G/d,
+        H_m = f_m*d^(N-m) + G*H_(m+1) and S_m = H_m/d^(N-m).  S_m is later
+        multiplied by g^m, which has valuation >= m, so it is only needed
+        mod z^(N-m+1).
+        """
+        if inner._num[0] != 0:
             raise ValueError("composition needs inner constant term 0")
         n = min(self.order, inner.order)
-        g = inner.truncate(n)
-        acc = Series.constant(self._coeffs[n], n)
+        f, g, d = self._num, inner._num, inner._den
+        acc = [f[n]]
+        scale = 1
         for m in range(n - 1, -1, -1):
-            acc = acc * g + self._coeffs[m]
-        return acc
+            scale *= d
+            k = n - m  # acc holds H_(m+1) mod z^k
+            acc = [f[m] * scale] + [
+                sum(map(mul, g[1 : j + 1], acc[j - 1 :: -1])) for j in range(1, k + 1)
+            ]
+        return Series._from_ints(acc, scale * self._den)
 
     def revert(self) -> "Series":
         """Compositional inverse of a series with f(0)=0, f'(0)!=0.
@@ -327,18 +407,20 @@ class Series:
         full order.
         """
         N = self.order
-        if N < 1 or self._coeffs[0] != 0:
+        a = self._num
+        if N < 1 or a[0] != 0:
             raise ValueError("reversion needs f(0) = 0 and order >= 1")
-        if self._coeffs[1] == 0:
+        if a[1] == 0:
             raise ValueError("reversion needs f'(0) != 0")
-        g = Series([_ZERO, 1 / self._coeffs[1]])
+        g = Series([0, Fraction(self._den, a[1])])
         if N == 1:
             return g
         fprime = self.derivative()
         prec = 1
         while prec < N:
             prec = min(2 * prec, N)
-            gt = Series(g._coeffs, prec)  # zero-extend; the step repairs the tail
+            # zero-extend; the step repairs the tail
+            gt = Series._from_ints(g._num + (0,) * (prec - g.order), g._den)
             err = self.truncate(prec).compose(gt) - Series.identity(prec)
             val = err.valuation()
             if val is None:
@@ -367,10 +449,13 @@ def lagrange_coeffs(phi: Series, count: int) -> list[Fraction]:
             f"phi order {phi.order} too small for {count} coefficients"
         )
     kernel = phi.theta() + 1
+    kn, kd = kernel.numerators, kernel.denominator
     out = []
     for m in range(1, count + 1):
-        factor = (phi * (-m)).exp()
-        out.append((kernel * factor).coeff(m - 1))
+        # Only z^(m-1) of the product is read, so both factors stop there.
+        factor = (phi.truncate(m - 1) * (-m)).exp()
+        dot = sum(map(mul, kn[:m], factor.numerators[::-1]))
+        out.append(Fraction(dot, kd * factor.denominator))
     return out
 
 

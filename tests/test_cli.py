@@ -3,7 +3,9 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
+import mahlerq
 from mahlerq.cli import main
 
 
@@ -226,10 +228,13 @@ class TestMeasure:
 
 class TestConsoleEntry:
     def test_module_invocation(self):
+        # Run from the directory holding the package under test, so that the
+        # child imports it whether or not the package is installed.
         proc = subprocess.run(
             [sys.executable, "-m", "mahlerq", "--version"],
             capture_output=True,
             text=True,
+            cwd=Path(mahlerq.__file__).resolve().parents[1],
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == "0.1.0"

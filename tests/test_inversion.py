@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from mahlerq.inversion import binomial_factor
 from mahlerq import (
     ConsistencyError,
     MirrorData,
@@ -112,10 +113,36 @@ class TestProductCheck:
     def test_detects_wrong_exponents(self):
         md = MirrorData.build(M333, 7)
         u = u_series(md, 6)
-        b = lambert_invert(u)
-        b[2] += 1
         Qq = md.Q.compose(md.zq).truncate(6)
-        assert not product_check(Qq, b)
+        for alternating in (False, True):
+            b = lambert_invert(u, alternating=alternating)
+            b[2] += 1
+            assert not product_check(Qq, b, alternating=alternating)
+
+
+class TestBinomialFactor:
+    """The closed-form factors of product_check against Series powers."""
+
+    M = 10
+
+    def power(self, sign, m, e):
+        return (Series.one(self.M) - Series.monomial(sign, m, self.M)) ** e
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("m", [1, 3])
+    @pytest.mark.parametrize("e", [0, 5, -7, F(-9, 2), F(1, 3)])
+    def test_matches_power(self, sign, m, e):
+        assert binomial_factor(sign, m, e, self.M) == self.power(sign, m, e)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_largest_exponent_of_2_3_7_42(self, sign):
+        md = MirrorData.build(Model.from_kvector((2, 3, 7, 42)), self.M + 1)
+        b = lambert_invert(u_series(md, self.M))
+        m, e = max(
+            ((m, m * bm) for m, bm in enumerate(b, start=1)), key=lambda p: abs(p[1])
+        )
+        assert abs(e) > 10**6
+        assert binomial_factor(sign, m, e, self.M) == self.power(sign, m, e)
 
 
 class TestG0Expansions:
