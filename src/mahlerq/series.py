@@ -288,11 +288,11 @@ class Series:
         a0 = a[0]
         if a0 == 0:
             raise ValueError("series with zero constant term is not invertible")
-        sign = 1 if a0 > 0 else -1
-        out, den = [sign], abs(a0)  # B_0 = 1/a0
+        sign, size = (1, a0) if a0 > 0 else (-1, -a0)
+        out, den = [sign], size  # B_0 = 1/a0
         for m in range(1, self.order + 1):
             acc = sum(map(mul, a[1 : m + 1], out[m - 1 :: -1]))
-            den = _append_quotient(out, abs(a0), -sign * acc, den)
+            den = _append_quotient(out, size, -sign * acc, den)
         d = self._den
         return Series._from_ints([d * x for x in out], den)
 

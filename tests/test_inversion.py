@@ -5,7 +5,6 @@ from fractions import Fraction as F
 
 import pytest
 
-from mahlerq.inversion import binomial_factor
 from mahlerq import (
     ConsistencyError,
     MirrorData,
@@ -21,6 +20,7 @@ from mahlerq import (
     u_series,
     v_series,
 )
+from mahlerq.inversion import binomial_factor
 
 M22 = Model.from_kvector((2, 2))
 M333 = Model.from_kvector((3, 3, 3))
