@@ -16,7 +16,6 @@ import json
 import os
 import sys
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
@@ -344,6 +343,10 @@ def cmd_batch(args) -> int:
 
     if todo:
         if args.jobs > 1:
+            # Imported here: the pool pulls in multiprocessing, socket and
+            # logging, which no other command needs.
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=args.jobs) as pool:
                 results = list(pool.map(_batch_compute, todo))
         else:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .series import Series, lagrange_coeffs
-from .mirror import MirrorData
+from .mirror import MirrorData, alpha
 from .weights import Model
 
 
@@ -326,6 +326,13 @@ def integrality_report(model: Model, order: int) -> IntegralityReport:
     if order < 1:
         raise ValueError("order must be at least 1")
     md = MirrorData.build(model, order + 1)
+    # The periods come from a running ratio of exact int divisions; its last
+    # coefficient is checked against the closed factorial form.
+    if md.g0.coeff(md.order) != alpha(model, md.order):
+        raise ConsistencyError(
+            f"running-ratio and closed-form periods disagree for model "
+            f"{model.name} at m={md.order}"
+        )
     u = u_series(md, order)
     v = v_series(md, order)
     table = LambertTable(

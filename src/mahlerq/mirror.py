@@ -13,6 +13,12 @@ a caller-chosen truncation order:
 plus the operator itself in reduced, local and unreduced normal forms,
 and a numeric evaluation of the logarithmic Mahler measure of
 psi - P(x)/(k*x_1...x_{n-1}) through the same series data.
+
+The period coefficients alpha_m = (km)!/prod_i (w_i m)! that every series
+here is built from come from one running ratio alpha_m / alpha_(m-1), an
+exact int division per coefficient (:func:`period_coefficients`);
+:func:`alpha` keeps the closed factorial form as an independent oracle.
+The Mahler measure sums f(z) exactly by binary splitting and rounds once.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from .series import LogSeries, Series, as_rational
 from .weights import Model
@@ -58,24 +65,31 @@ def multinomial_diag(kv, m: int) -> Fraction:
     return Fraction(math.factorial(m), den)
 
 
-def _harmonic_bracket(model: Model, j: int) -> Fraction:
-    # sum_{a<k} 1/(j - a/k) - sum_i sum_{a<w_i} 1/(j - a/w_i)
-    k, w = model.k, model.w
-    total = sum(Fraction(k, j * k - a) for a in range(k))
-    for wi in w:
-        total -= sum(Fraction(wi, j * wi - a) for a in range(wi))
-    return total
-
-
 def gamma(model: Model, m: int) -> Fraction:
-    """Coefficient of z^m in the logarithmic tail h(z).
-
-    Closed form: gamma_m = alpha_m * sum_{j=1..m} [harmonic bracket at j].
-    """
+    """Coefficient of z^m in the logarithmic tail h(z), read off h_series."""
     if m < 1:
         raise ValueError("index must be positive")
-    acc = sum(_harmonic_bracket(model, j) for j in range(1, m + 1))
-    return alpha(model, m) * acc
+    return h_series(model, m).coeff(m)
+
+
+def period_coefficients(model: Model, order: int) -> list[int]:
+    """alpha_0..alpha_order by the running ratio alpha_m / alpha_(m-1).
+
+    alpha_m = alpha_(m-1) * prod_(a=1..k) (k(m-1)+a)
+                          / prod_i prod_(b=1..w_i) (w_i(m-1)+b),
+    and the quotient is the integer alpha_m, so each division is exact.
+    """
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+    k, w = model.k, model.w
+    value = 1
+    out = [value]
+    for m in range(order):
+        num = math.prod(range(k * m + 1, k * m + k + 1))
+        den = math.prod(math.prod(range(wi * m + 1, wi * m + wi + 1)) for wi in w)
+        value = value * num // den
+        out.append(value)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -83,21 +97,28 @@ def gamma(model: Model, m: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 def g0_series(model: Model, order: int) -> Series:
-    return Series([alpha(model, m) for m in range(order + 1)])
+    return Series._from_ints(period_coefficients(model, order))
 
 
 def f_series(model: Model, order: int) -> Series:
-    return Series(
-        [Fraction(0)] + [alpha(model, m) / m for m in range(1, order + 1)]
-    )
+    alphas = period_coefficients(model, order)
+    den = math.lcm(*range(1, order + 1))
+    nums = [0] + [alphas[m] * (den // m) for m in range(1, order + 1)]
+    return Series._from_ints(nums, den)
 
 
 def h_series(model: Model, order: int) -> Series:
+    """gamma_m = alpha_m * sum_(j=1..m) [harmonic bracket at j], where the
+    bracket is sum_(a<k) 1/(j - a/k) - sum_i sum_(a<w_i) 1/(j - a/w_i)."""
+    k, w = model.k, model.w
+    alphas = period_coefficients(model, order)
     coeffs = [Fraction(0)]
     acc = Fraction(0)
-    for m in range(1, order + 1):
-        acc += _harmonic_bracket(model, m)
-        coeffs.append(alpha(model, m) * acc)
+    for j in range(1, order + 1):
+        acc += sum(Fraction(k, j * k - a) for a in range(k))
+        for wi in w:
+            acc -= sum(Fraction(wi, j * wi - a) for a in range(wi))
+        coeffs.append(alphas[j] * acc)
     return Series(coeffs)
 
 
@@ -263,6 +284,30 @@ class MirrorData:
 # numeric Mahler measure
 # ---------------------------------------------------------------------------
 
+def binary_splitting_sum(coeffs: Sequence[int], p: int, s: int) -> int:
+    """Exact sum_m coeffs[m] * p^m * s^(N-m) with N = len(coeffs) - 1.
+
+    This is s^N times the value at z = p/s of the polynomial with the
+    given coefficients.  Binary splitting (Haible & Papanikolaou 1998):
+    a block [lo, hi) is the triple T = sum_(lo<=m<hi) coeffs[m] p^(m-lo)
+    s^(hi-1-m), P = p^(hi-lo), Q = s^(hi-lo), and adjacent blocks combine
+    as T = T_L Q_R + P_L T_R.  The products stay balanced, where a Horner
+    loop would multiply each coefficient by a full power of s.
+    """
+    if not coeffs:
+        raise ValueError("need at least one coefficient")
+
+    def split(lo: int, hi: int) -> tuple[int, int, int]:
+        if hi - lo == 1:
+            return coeffs[lo], p, s
+        mid = (lo + hi) // 2
+        t_left, p_left, q_left = split(lo, mid)
+        t_right, p_right, q_right = split(mid, hi)
+        return t_left * q_right + p_left * t_right, p_left * p_right, q_left * q_right
+
+    return split(0, len(coeffs))[0]
+
+
 @dataclass(frozen=True)
 class MahlerMeasure:
     """Numeric value of the logarithmic Mahler measure at a real parameter."""
@@ -279,10 +324,13 @@ class MahlerMeasure:
 def mahler_measure(model: Model, psi, order: int) -> MahlerMeasure:
     """Evaluate m(F_psi) = log(psi) - f(z)/k at z = (k*psi)^(-k).
 
-    The series is summed exactly in rational arithmetic and converted to
-    floating point at the very end.  Valid strictly inside the disk
+    With z = p/s and f's int numerators c_m over the denominator d, the
+    integer sum_m c_m p^m s^(N-m) is formed exactly by binary splitting and
+    divided once by s^N * d; that int true division is the only rounding,
+    so the float is f(z) correctly rounded.  Valid strictly inside the disk
     |z| * C < 1, where C = k^k/prod w_i^{w_i} is the growth rate of the
-    period coefficients; psi must be a positive real (exact) number.
+    period coefficients; psi must be a positive real (exact) number.  The
+    tail bound is a geometric series on the last summed term f_N z^N.
     """
     psi = as_rational(psi)
     if psi <= 0:
@@ -297,14 +345,9 @@ def mahler_measure(model: Model, psi, order: int) -> MahlerMeasure:
         raise ConvergenceError(
             f"z = {z} lies outside the disk of convergence (need |z| < 1/{C})"
         )
-    # Horner on f's integer numerators with z = p/s:
-    # acc = sum_m f_m * p^m * s^(order-m), so f(z) = acc / (s^order * den).
     f = f_series(model, order)
     p, s = z.numerator, z.denominator
-    acc, s_power = 0, 1
-    for c in reversed(f.numerators):
-        acc = acc * p + c * s_power
-        s_power *= s
+    acc = binary_splitting_sum(f.numerators, p, s)
     fz = acc / (s**order * f.denominator)  # int true division rounds correctly
     log_m = math.log(psi.numerator) - math.log(psi.denominator) - fz / k
     # Tail: for m > N the term ratio alpha_{m+1} z / alpha_m is bounded by
@@ -317,7 +360,7 @@ def mahler_measure(model: Model, psi, order: int) -> MahlerMeasure:
     if rho >= 1:
         tail = math.inf
     else:
-        t_last = alpha(model, N) * z**N / N
+        t_last = f.coeff(N) * z**N  # the last summed term, alpha_N z^N / N
         tail = float(t_last * rho / (1 - rho)) / k
     return MahlerMeasure(
         model_name=model.name,

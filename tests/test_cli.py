@@ -238,3 +238,20 @@ class TestConsoleEntry:
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == "0.1.0"
+
+    def test_pool_is_not_imported_at_start_up(self):
+        # Only `batch --jobs N` with N > 1 needs the process pool.
+        proc = subprocess.run(
+            [
+                sys.executable,
+                "-S",
+                "-c",
+                "import mahlerq.cli, sys; "
+                "print('concurrent.futures.process' in sys.modules)",
+            ],
+            capture_output=True,
+            text=True,
+            cwd=Path(mahlerq.__file__).resolve().parents[1],
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"

@@ -25,6 +25,8 @@ from mahlerq import (
     pf_apply,
     pf_operator,
 )
+from mahlerq.mirror import binary_splitting_sum, period_coefficients
+from mahlerq.weights import enumerate_solutions
 
 M22 = Model.from_kvector((2, 2))
 M333 = Model.from_kvector((3, 3, 3))
@@ -47,6 +49,46 @@ class TestAlpha:
         for model in (M22, M333, M244, M236):
             for m in range(12):
                 assert alpha(model, m).denominator == 1
+
+
+class TestPeriodCoefficients:
+    MODELS = [Model.from_kvector(kv) for n in (2, 3, 4) for kv in enumerate_solutions(n)]
+
+    @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.name)
+    def test_running_ratio_equals_closed_form(self, model):
+        expected = [alpha(model, m) for m in range(61)]
+        assert period_coefficients(model, 60) == expected
+        assert period_coefficients(model, 0) == expected[:1]
+        assert period_coefficients(model, 1) == expected[:2]
+
+    def test_every_n_le_4_model_is_covered(self):
+        assert len(self.MODELS) == 18
+
+    def test_values_are_ints(self):
+        assert all(type(a) is int for a in period_coefficients(M236, 12))
+
+    def test_rejects_negative_order(self):
+        with pytest.raises(ValueError):
+            period_coefficients(M22, -1)
+
+
+class TestBinarySplittingSum:
+    NUMERATORS = [7, 0, -3, 12, 0, 0, -25, 1, 9]
+
+    @pytest.mark.parametrize("length", range(1, 10))
+    @pytest.mark.parametrize("p, s", [(1, 1), (2, 7), (-5, 3), (3, 1)])
+    def test_equals_fraction_sum(self, length, p, s):
+        nums = self.NUMERATORS[:length]
+        den, z, n = 6, F(p, s), length - 1
+        expected = sum(F(c, den) * z**m for m, c in enumerate(nums))
+        assert F(binary_splitting_sum(nums, p, s), s**n * den) == expected
+
+    def test_all_zero(self):
+        assert binary_splitting_sum([0, 0, 0, 0], 5, 3) == 0
+
+    def test_rejects_empty(self):
+        with pytest.raises(ValueError):
+            binary_splitting_sum([], 1, 2)
 
 
 class TestMultinomialDiag:
@@ -115,6 +157,12 @@ class TestGamma:
                 ) * alpha(model, m)
                 prev = ratio * prev + correction
                 assert gamma(model, m) == prev, (model.name, m)
+
+    def test_gamma_is_h_coefficient(self):
+        h = h_series(M236, 6)
+        assert [gamma(M236, m) for m in range(1, 7)] == list(h.coeffs[1:])
+        with pytest.raises(ValueError):
+            gamma(M236, 0)
 
     def test_initial_value_formula(self):
         # gamma_1 == alpha_1 * sum_j (1/a_j - 1/(1-b_j))
@@ -259,6 +307,48 @@ class TestMahlerMeasure:
         oracle = value / (2 * math.pi)
         assert err < 1e-9
         assert abs(mahler_measure(M22, 2, 64).log_measure - oracle) < 1e-7
+
+    @pytest.mark.parametrize(
+        "kv, psi", [((3, 3, 3), 2), ((2, 4, 4), 1), ((2, 3, 6), 1)], ids=str
+    )
+    def test_torus_integral_oracle(self, kv, psi):
+        # m(F_psi) = (2 pi)^-2 * integral over the torus of
+        # log|psi - (x1^k1 + x2^k2 + 1) / (k x1 x2)|, with k = lcm of the parts.
+        from scipy.integrate import dblquad
+
+        model = Model.from_kvector(kv)
+        k, (k1, k2, _) = model.k, kv
+
+        def integrand(t2, t1):
+            x1, x2 = complex(math.cos(t1), math.sin(t1)), complex(math.cos(t2), math.sin(t2))
+            return math.log(abs(psi - (x1**k1 + x2**k2 + 1) / (k * x1 * x2)))
+
+        value, err = dblquad(integrand, 0, 2 * math.pi, 0, 2 * math.pi)
+        scale = 4 * math.pi**2
+        result = mahler_measure(model, psi, 200)
+        assert err / scale < 1e-8
+        assert abs(result.log_measure - value / scale) <= (
+            result.tail_bound + err / scale + 1e-12
+        )
+
+    @pytest.mark.parametrize(
+        "kv, psi, order",
+        [((2, 2), F(9, 8), 40), ((3, 3, 3), F(41, 40), 120), ((2, 3, 6), F(1, 2), 60),
+         ((4, 4, 4, 4), F(3, 2), 30), ((2, 3, 7, 42), F(3, 40), 20)],
+        ids=str,
+    )
+    def test_tail_bound_matches_closed_form(self, kv, psi, order):
+        # The bound from the old formula, with alpha_N in closed form.
+        model = Model.from_kvector(kv)
+        z = 1 / (model.k * F(psi)) ** model.k
+        op = pf_operator(model)
+        rho = op.constant * z
+        for aj, bj in zip(op.a, op.b):
+            rho *= max(F(1), (order + aj) / (order + 1 - bj))
+        t_last = alpha(model, order) * z**order / order
+        expected = float(t_last * rho / (1 - rho)) / model.k
+        assert 0 < expected < math.inf
+        assert mahler_measure(model, psi, order).tail_bound == expected
 
     def test_large_psi_asymptotic(self):
         result = mahler_measure(M22, 1000, 16)
