@@ -326,8 +326,9 @@ def integrality_report(model: Model, order: int) -> IntegralityReport:
     if order < 1:
         raise ValueError("order must be at least 1")
     md = MirrorData.build(model, order + 1)
-    # The periods come from a running ratio of exact int divisions; its last
-    # coefficient is checked against the closed factorial form.
+    # The periods come from a running ratio of int floor divisions, which a
+    # wrong ratio would corrupt silently; check the last against the closed
+    # factorial form.
     if md.g0.coeff(md.order) != alpha(model, md.order):
         raise ConsistencyError(
             f"running-ratio and closed-form periods disagree for model "

@@ -182,6 +182,18 @@ class TestFormatRational:
 
 
 class TestReport:
+    def test_wrong_period_recurrence_raises_consistency_fault(self, monkeypatch):
+        import mahlerq.mirror as mirror
+
+        exact = mirror.period_coefficients
+
+        def off_by_one(model, order):
+            return [a + (m == order) for m, a in enumerate(exact(model, order))]
+
+        monkeypatch.setattr(mirror, "period_coefficients", off_by_one)
+        with pytest.raises(ConsistencyError, match="closed-form periods"):
+            integrality_report(M333, 6)
+
     def test_structure_and_schema(self):
         rep = integrality_report(M333, 6)
         payload = rep.to_json_dict()
