@@ -5,19 +5,21 @@ follow a fixed contract so the tool stays scriptable: 0 success, 2 for
 usage or validation problems, 3 for an internal-consistency fault (two
 independent computation routes disagreed), 4 when an evaluation point
 falls outside the disk of convergence.
+
+Every command runs in a fresh process, so the module imports only the
+standard-library modules the commands need; ``csv`` and the process pool
+are imported where they are used.  ``batch`` writes its cache entries with
+:func:`write_atomic` (a sibling temporary file, then ``os.replace``).
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import os
 import sys
-import tempfile
 from fractions import Fraction
-from pathlib import Path
 
 from . import __version__
 from .inversion import (
@@ -124,6 +126,8 @@ def render_enumerate(n: int, fmt: str) -> str:
         payload = [Model.from_kvector(kv).to_json_dict() for kv in sols]
         return json.dumps(payload, indent=2)
     if fmt == "csv":
+        import csv  # only --format csv needs it
+
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["k", "lcm", "w", "aut"])
@@ -187,6 +191,8 @@ def _row_flags(row: dict) -> str:
 
 
 def render_report_csv(report: IntegralityReport) -> str:
+    import csv  # only --format csv needs it
+
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["m", "b", "bhat", "c", "chat", "b_over_m", "chat_over_m", "flags"])
@@ -240,13 +246,20 @@ def report_json_text(report: IntegralityReport) -> str:
 # cache
 # ---------------------------------------------------------------------------
 
-def cache_path(cache_dir: Path, model: Model, order: int) -> Path:
+def cache_path(cache_dir: str, model: Model, order: int) -> str:
     safe = model.name.replace(",", "-").replace(":", "_")
-    return cache_dir / f"{safe}__order{order}__v{__version__}.json"
+    return os.path.join(cache_dir, f"{safe}__order{order}__v{__version__}.json")
 
 
-def write_atomic(path: Path, text: str) -> None:
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+def write_atomic(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` through a sibling temporary file and a rename.
+
+    Readers see the old file or the whole new one, never a partial write.
+    The temporary name carries the process id, and O_EXCL refuses to reuse
+    a file that is already there; the file is created with mode 0600.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600)
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
@@ -255,6 +268,12 @@ def write_atomic(path: Path, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def batch_workers(jobs: int, pending: int) -> int:
+    """Worker processes for ``pending`` reports: at most ``jobs``, one per CPU
+    and one per report."""
+    return min(jobs, os.cpu_count() or 1, pending)
 
 
 def _batch_compute(spec: tuple[tuple[int, ...], int]) -> str:
@@ -300,7 +319,7 @@ def cmd_verify(args) -> int:
     else:
         print(render_report_table(report))
     if args.out:
-        write_atomic(Path(args.out), report_json_text(report))
+        write_atomic(args.out, report_json_text(report))
     return 0
 
 
@@ -317,14 +336,14 @@ def cmd_batch(args) -> int:
         raise ValueError("need --n at least 2")
     if args.order < 1 or args.jobs < 1:
         raise ValueError("--order and --jobs must be positive")
-    cache_dir = Path(
+    cache_dir = os.path.expanduser(
         args.cache or os.environ.get("MAHLER_CACHE") or DEFAULT_CACHE
-    ).expanduser()
+    )
     try:
-        cache_dir.mkdir(parents=True, exist_ok=True)
-        probe = cache_dir / ".write-probe"
-        probe.touch()
-        probe.unlink()
+        os.makedirs(cache_dir, exist_ok=True)
+        probe = os.path.join(cache_dir, ".write-probe")
+        open(probe, "a").close()
+        os.unlink(probe)
     except OSError as exc:
         raise ValueError(f"cache directory {cache_dir} is not writable: {exc}")
 
@@ -335,19 +354,21 @@ def cmd_batch(args) -> int:
     for kv in sols:
         model = Model.from_kvector(kv)
         path = cache_path(cache_dir, model, args.order)
-        if path.exists():
-            texts[kv.parts] = path.read_text()
+        if os.path.exists(path):
+            with open(path) as handle:
+                texts[kv.parts] = handle.read()
             cached += 1
         else:
             todo.append((kv.parts, args.order))
 
     if todo:
-        if args.jobs > 1:
+        workers = batch_workers(args.jobs, len(todo))
+        if workers > 1:
             # Imported here: the pool pulls in multiprocessing, socket and
             # logging, which no other command needs.
             from concurrent.futures import ProcessPoolExecutor
 
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 results = list(pool.map(_batch_compute, todo))
         else:
             results = [_batch_compute(spec) for spec in todo]

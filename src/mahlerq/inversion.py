@@ -20,7 +20,8 @@ diagnostic rather than returning data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Sequence
 from fractions import Fraction
 
 from .series import Series, lagrange_coeffs
@@ -128,7 +129,7 @@ def v_series(md: MirrorData, count: int) -> list[Fraction]:
 # Moebius / Lambert inversion
 # ---------------------------------------------------------------------------
 
-def lambert_invert(u: list[Fraction], alternating: bool = False) -> list[Fraction]:
+def lambert_invert(u: Sequence[Fraction], alternating: bool = False) -> list[Fraction]:
     """Invert 1 + sum u_m t^m into Lambert-series coefficients.
 
     Plain:        b_m = -(1/m^2) sum_{d|m} mu(m/d) u_d
@@ -226,48 +227,43 @@ def format_rational(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-@dataclass(frozen=True)
-class LambertTable:
-    """u, v and their four Moebius inversions, m = 1..order."""
+class LambertTable(namedtuple("LambertTable", "order u v b bhat c chat")):
+    """u, v and their four Moebius inversions, m = 1..order.
 
-    order: int
-    u: tuple[Fraction, ...]
-    v: tuple[Fraction, ...]
-    b: tuple[Fraction, ...]
-    bhat: tuple[Fraction, ...]
-    c: tuple[Fraction, ...]
-    chat: tuple[Fraction, ...]
+    Built from u and v alone: b, bhat, c and chat are derived once here.
+    """
 
-    def __post_init__(self):
-        rows = (self.u, self.v, self.b, self.bhat, self.c, self.chat)
-        if any(len(r) != self.order for r in rows):
-            raise ValueError("all columns must have length equal to order")
-        u, v = list(self.u), list(self.v)
-        if (
-            tuple(lambert_invert(u)) != self.b
-            or tuple(lambert_invert(u, alternating=True)) != self.bhat
-            or tuple(lambert_invert(v)) != self.c
-            or tuple(lambert_invert(v, alternating=True)) != self.chat
-        ):
-            raise ValueError("columns do not satisfy their defining Moebius sums")
+    __slots__ = ()
+
+    def __new__(cls, u, v):
+        u, v = tuple(u), tuple(v)
+        if len(u) != len(v):
+            raise ValueError("u and v must have the same length")
+        return super().__new__(
+            cls,
+            len(u),
+            u,
+            v,
+            tuple(lambert_invert(u)),
+            tuple(lambert_invert(u, alternating=True)),
+            tuple(lambert_invert(v)),
+            tuple(lambert_invert(v, alternating=True)),
+        )
+
+    def __getnewargs__(self):
+        return self.u, self.v
 
 
-@dataclass(frozen=True)
-class IntegralityReport:
+class IntegralityReport(namedtuple(
+    "IntegralityReport", "model order table g0_in_q g0_in_Q z_in_q z_in_Q checks"
+)):
     """Computed table plus cross-checks for one model at one order.
 
     Per-row verdicts (integrality, divisibility) are always derived from
     the stored exact values on demand, never stored separately.
     """
 
-    model: Model
-    order: int
-    table: LambertTable
-    g0_in_q: tuple[Fraction, ...]
-    g0_in_Q: tuple[Fraction, ...]
-    z_in_q: tuple[Fraction, ...]
-    z_in_Q: tuple[Fraction, ...]
-    checks: dict
+    __slots__ = ()
 
     def rows(self) -> list[dict]:
         t = self.table
@@ -336,15 +332,7 @@ def integrality_report(model: Model, order: int) -> IntegralityReport:
         )
     u = u_series(md, order)
     v = v_series(md, order)
-    table = LambertTable(
-        order=order,
-        u=tuple(u),
-        v=tuple(v),
-        b=tuple(lambert_invert(u)),
-        bhat=tuple(lambert_invert(u, alternating=True)),
-        c=tuple(lambert_invert(v)),
-        chat=tuple(lambert_invert(v, alternating=True)),
-    )
+    table = LambertTable(u, v)
 
     # z as a series in q and in Q: reversion cross-checked against the
     # closed Lagrange form before anything is reported.

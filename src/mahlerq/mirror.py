@@ -24,10 +24,9 @@ The Mahler measure sums f(z) exactly by binary splitting and rounds once.
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 from .series import LogSeries, Series, as_rational
 from .weights import Model
@@ -122,19 +121,28 @@ def h_series(model: Model, order: int) -> Series:
     return Series(coeffs)
 
 
+def _local_map(f: Series) -> Series:
+    # Q = z * exp(f), one order above the f it is given.
+    return f.exp().zshift(1)
+
+
+def _mirror_map(h: Series, g0: Series) -> Series:
+    # q = z * exp(h/g0), one order above the h and g0 it is given.
+    return (h / g0).exp().zshift(1)
+
+
 def local_mirror_map(model: Model, order: int) -> Series:
     """Q(z) = z * exp(f(z)); the top coefficient only needs f below order."""
     if order < 1:
         raise ValueError("maps need order >= 1")
-    return f_series(model, order - 1).exp().zshift(1)
+    return _local_map(f_series(model, order - 1))
 
 
 def mirror_map(model: Model, order: int) -> Series:
     """q(z) = z * exp(h(z)/g0(z))."""
     if order < 1:
         raise ValueError("maps need order >= 1")
-    phi = h_series(model, order - 1) / g0_series(model, order - 1)
-    return phi.exp().zshift(1)
+    return _mirror_map(h_series(model, order - 1), g0_series(model, order - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -144,31 +152,29 @@ def mirror_map(model: Model, order: int) -> Series:
 FORMS = ("reduced", "local", "unreduced")
 
 
-@dataclass(frozen=True)
-class PFOperator:
+class PFOperator(namedtuple("PFOperator", "constant a b form")):
     """Operator prod_j (theta - b_j) - C * z * prod_j (theta + a_j).
 
     The constant is C = k^k / prod_i w_i^{w_i}; in the reduced form the
     parameter multisets {1 - a_j} and {b_j} are disjoint.
     """
 
-    constant: Fraction
-    a: tuple[Fraction, ...]
-    b: tuple[Fraction, ...]
-    form: str
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.form not in FORMS:
-            raise ValueError(f"unknown operator form {self.form!r}")
-        if self.form == "reduced":
-            if len(self.a) != len(self.b):
+    def __new__(cls, constant: Fraction, a: tuple[Fraction, ...],
+                b: tuple[Fraction, ...], form: str):
+        if form not in FORMS:
+            raise ValueError(f"unknown operator form {form!r}")
+        if form == "reduced":
+            if len(a) != len(b):
                 raise ValueError("reduced form needs equally many a and b")
-            if any(not (0 < aj <= 1) for aj in self.a):
+            if any(not (0 < aj <= 1) for aj in a):
                 raise ValueError("reduced a parameters must lie in (0, 1]")
-            if any(not (0 <= bj < 1) for bj in self.b):
+            if any(not (0 <= bj < 1) for bj in b):
                 raise ValueError("reduced b parameters must lie in [0, 1)")
-            if set(1 - aj for aj in self.a) & set(self.b):
+            if set(1 - aj for aj in a) & set(b):
                 raise ValueError("reduced parameter multisets must be disjoint")
+        return super().__new__(cls, constant, a, b, form)
 
 
 def pf_operator(model: Model, form: str = "reduced") -> PFOperator:
@@ -237,33 +243,28 @@ def pf_apply(op: PFOperator, phi: LogSeries | Series, model: Model | None = None
 _SERIES_KEYS = ("g0", "h", "f", "Q", "q", "zq", "zQ")
 
 
-@dataclass(frozen=True)
-class MirrorData:
+class MirrorData(namedtuple("MirrorData", "model order g0 h f Q q zq zQ")):
     """All per-model series at one truncation order.
 
     zq and zQ are the reversions of q and Q: z as a series in the mirror
     coordinate and in the local coordinate respectively.
     """
 
-    model: Model
-    order: int
-    g0: Series
-    h: Series
-    f: Series
-    Q: Series
-    q: Series
-    zq: Series
-    zQ: Series
+    __slots__ = ()
 
     @classmethod
     def build(cls, model: Model, order: int) -> "MirrorData":
+        """Each period series is built once, at ``order``; the maps read its
+        truncation to order - 1, which in reduced form equals the series
+        built at that order."""
         if order < 1:
             raise ValueError("order must be at least 1")
         g0 = g0_series(model, order)
         h = h_series(model, order)
         f = f_series(model, order)
-        Q = local_mirror_map(model, order)
-        q = mirror_map(model, order)
+        below = order - 1
+        Q = _local_map(f.truncate(below))
+        q = _mirror_map(h.truncate(below), g0.truncate(below))
         return cls(model, order, g0, h, f, Q, q, q.revert(), Q.revert())
 
     def series(self, key: str) -> Series:
@@ -308,17 +309,16 @@ def binary_splitting_sum(coeffs: Sequence[int], p: int, s: int) -> int:
     return split(0, len(coeffs))[0]
 
 
-@dataclass(frozen=True)
-class MahlerMeasure:
-    """Numeric value of the logarithmic Mahler measure at a real parameter."""
+class MahlerMeasure(namedtuple(
+    "MahlerMeasure", "model_name psi z order log_measure measure tail_bound"
+)):
+    """Numeric value of the logarithmic Mahler measure at a real parameter.
 
-    model_name: str
-    psi: Fraction
-    z: Fraction
-    order: int
-    log_measure: float   # m(F_psi)
-    measure: float       # M(F_psi) = exp(m)
-    tail_bound: float    # upper estimate of the truncation error on m
+    ``log_measure`` is m(F_psi), ``measure`` is M(F_psi) = exp(m) and
+    ``tail_bound`` is an upper estimate of the truncation error on m.
+    """
+
+    __slots__ = ()
 
 
 def mahler_measure(model: Model, psi, order: int) -> MahlerMeasure:

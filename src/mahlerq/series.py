@@ -30,15 +30,13 @@ object is ever needed.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, Sequence, Union
-
-Scalar = Union[int, Fraction]
 
 
-def as_rational(value: Scalar) -> Fraction:
+def as_rational(value: int | Fraction) -> Fraction:
     """Coerce an exact scalar.  Floats are rejected: no inexact mode exists."""
     if isinstance(value, Fraction):
         return value
@@ -76,7 +74,7 @@ class Series:
 
     __slots__ = ("_num", "_den")
 
-    def __init__(self, coeffs: Iterable[Scalar], order: int | None = None):
+    def __init__(self, coeffs: Iterable[int | Fraction], order: int | None = None):
         cs = list(coeffs)
         for c in cs:
             if not isinstance(c, (int, Fraction)):
@@ -117,7 +115,7 @@ class Series:
         return cls([1], order)
 
     @classmethod
-    def constant(cls, value: Scalar, order: int) -> "Series":
+    def constant(cls, value: int | Fraction, order: int) -> "Series":
         return cls([value], order)
 
     @classmethod
@@ -128,7 +126,7 @@ class Series:
         return cls([0, 1], order)
 
     @classmethod
-    def monomial(cls, value: Scalar, degree: int, order: int) -> "Series":
+    def monomial(cls, value: int | Fraction, degree: int, order: int) -> "Series":
         if not 0 <= degree <= order:
             raise ValueError("monomial degree beyond order")
         return cls([0] * degree + [value], order)
@@ -500,7 +498,7 @@ class LogSeries:
     def __sub__(self, other: "LogSeries") -> "LogSeries":
         return LogSeries(self.regular - other.regular, self.logpart - other.logpart)
 
-    def __mul__(self, scalar: Scalar) -> "LogSeries":
+    def __mul__(self, scalar: int | Fraction) -> "LogSeries":
         c = as_rational(scalar)
         return LogSeries(self.regular * c, self.logpart * c)
 

@@ -10,20 +10,23 @@ hypersurfaces whose exponent vector is supplied by hand.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable
 from fractions import Fraction
-from typing import Iterable
 
 
-@dataclass(frozen=True)
 class KVector:
-    """Non-decreasing tuple of integers >= 2 whose reciprocals sum to 1."""
+    """Non-decreasing tuple of integers >= 2 whose reciprocals sum to 1.
 
-    parts: tuple[int, ...]
+    An immutable value: equal parts mean equal vectors with equal hashes.
+    It is a slotted class rather than a named tuple because it iterates
+    over its parts, while a named tuple pickles by iterating over its fields.
+    """
+
+    __slots__ = ("parts",)
 
     def __init__(self, parts: Iterable[int]):
-        object.__setattr__(self, "parts", tuple(int(p) for p in parts))
-        p = self.parts
+        p = tuple(int(x) for x in parts)
         if len(p) < 2:
             raise ValueError("a weight system needs at least two parts")
         if p[0] < 2:
@@ -32,6 +35,27 @@ class KVector:
             raise ValueError("parts must be non-decreasing")
         if sum(Fraction(1, k) for k in p) != 1:
             raise ValueError(f"reciprocals of {p} do not sum to 1")
+        object.__setattr__(self, "parts", p)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return KVector, (self.parts,)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not KVector:
+            return NotImplemented
+        return self.parts == other.parts
+
+    def __hash__(self) -> int:
+        return hash(self.parts)
+
+    def __repr__(self) -> str:
+        return f"KVector(parts={self.parts!r})"
 
     @property
     def n(self) -> int:
@@ -44,27 +68,26 @@ class KVector:
         return ",".join(str(p) for p in self.parts)
 
 
-@dataclass(frozen=True)
-class Model:
-    """A degree k with weights (w_1..w_n), sum w_i = k; optionally from a KVector."""
+class Model(namedtuple("Model", "k w kvec name")):
+    """A degree k with weights (w_1..w_n), sum w_i = k; optionally from a KVector.
 
-    k: int
-    w: tuple[int, ...]
-    kvec: KVector | None = None
-    name: str = ""
+    An empty name is replaced by the k-vector, or by "k:w_1,..,w_n".
+    """
 
-    def __post_init__(self):
-        if self.k < 1 or any(wi < 1 for wi in self.w):
+    __slots__ = ()
+
+    def __new__(cls, k: int, w: tuple[int, ...], kvec: KVector | None = None,
+                name: str = ""):
+        if k < 1 or any(wi < 1 for wi in w):
             raise ValueError("degree and weights must be positive")
-        if sum(self.w) != self.k:
-            raise ValueError(f"weights {self.w} do not sum to degree {self.k}")
-        if not self.name:
-            object.__setattr__(self, "name", self._default_name())
-
-    def _default_name(self) -> str:
-        if self.kvec is not None:
-            return str(self.kvec)
-        return f"{self.k}:" + ",".join(str(wi) for wi in self.w)
+        if sum(w) != k:
+            raise ValueError(f"weights {w} do not sum to degree {k}")
+        if not name:
+            if kvec is not None:
+                name = str(kvec)
+            else:
+                name = f"{k}:" + ",".join(str(wi) for wi in w)
+        return super().__new__(cls, k, w, kvec, name)
 
     @classmethod
     def from_kvector(cls, kv: KVector | Iterable[int], name: str = "") -> "Model":

@@ -1,12 +1,16 @@
 """End-to-end tests of the command-line interface and its exit-code contract."""
 
 import json
+import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import mahlerq
-from mahlerq.cli import main
+from mahlerq.cli import batch_workers, main, write_atomic
 
 
 def run_cli(*argv, capsys=None):
@@ -199,8 +203,54 @@ class TestBatch:
         cache = tmp_path / "cache"
         run_cli("batch", "--n", "3", "--order", "5", "--cache", str(cache), capsys=capsys)
         model = Model.from_kvector((2, 4, 4))
-        cached = cache_path(cache, model, 5).read_text()
+        cached = Path(cache_path(cache, model, 5)).read_text()
         assert cached == report_json_text(integrality_report(model, 5))
+
+
+class TestWriteAtomic:
+    def test_replaces_an_existing_file(self, tmp_path):
+        target = tmp_path / "report.json"
+        target.write_text("old contents")
+        write_atomic(str(target), "new contents\n")
+        assert target.read_text() == "new contents\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+    def test_file_mode_is_0600(self, tmp_path):
+        target = tmp_path / "report.json"
+        write_atomic(str(target), "{}")
+        assert stat.S_IMODE(target.stat().st_mode) == 0o600
+
+    def test_failed_rename_leaves_no_temporary_file(self, tmp_path, monkeypatch):
+        target = tmp_path / "report.json"
+        target.write_text("old contents")
+
+        def refuse(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="rename refused"):
+            write_atomic(str(target), "new contents")
+        assert list(tmp_path.glob("*.tmp")) == []
+        assert target.read_text() == "old contents"
+
+
+class TestBatchWorkers:
+    @pytest.mark.parametrize(
+        "jobs, cpus, pending, expected",
+        [
+            (4, 2, 14, 2),
+            (2, 8, 14, 2),
+            (8, 8, 3, 3),
+            (4, 8, 1, 1),
+            (4, None, 14, 1),
+            (1, 8, 14, 1),
+        ],
+    )
+    def test_clamped_to_cpus_and_pending_reports(
+        self, monkeypatch, jobs, cpus, pending, expected
+    ):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert batch_workers(jobs, pending) == expected
 
 
 class TestMeasure:
@@ -240,18 +290,33 @@ class TestConsoleEntry:
         assert proc.stdout.strip() == "0.1.0"
 
     def test_pool_is_not_imported_at_start_up(self):
-        # Only `batch --jobs N` with N > 1 needs the process pool.
+        # Only `batch --jobs N` with N > 1 needs the process pool, and only
+        # `--format csv` needs csv.  Each command runs in a fresh process,
+        # so every module imported at start-up is paid for by every run.
+        unneeded = [
+            "concurrent.futures.process",
+            "dataclasses",
+            "typing",
+            "pathlib",
+            "tempfile",
+            "csv",
+            "inspect",
+            "ast",
+        ]
         proc = subprocess.run(
             [
                 sys.executable,
                 "-S",
                 "-c",
-                "import mahlerq.cli, sys; "
-                "print('concurrent.futures.process' in sys.modules)",
+                "import json, sys, mahlerq.cli\n"
+                f"loaded = [m for m in {unneeded!r} if m in sys.modules]\n"
+                "print(json.dumps([loaded, len(sys.modules)]))",
             ],
             capture_output=True,
             text=True,
             cwd=Path(mahlerq.__file__).resolve().parents[1],
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        loaded, module_count = json.loads(proc.stdout)
+        assert loaded == []
+        assert module_count <= 75

@@ -1,12 +1,12 @@
 """Tests for the change of variables, Moebius/Lambert inversion and reports."""
 
-import dataclasses
 from fractions import Fraction as F
 
 import pytest
 
 from mahlerq import (
     ConsistencyError,
+    LambertTable,
     MirrorData,
     Model,
     Series,
@@ -64,7 +64,7 @@ class TestUV:
     def test_tampered_data_raises_consistency_fault(self):
         md = MirrorData.build(M333, 6)
         bad_q = md.q + Series.monomial(1, 3, md.q.order)
-        tampered = dataclasses.replace(md, q=bad_q)
+        tampered = md._replace(q=bad_q)
         with pytest.raises(ConsistencyError):
             v_series(tampered, 5)
 
@@ -87,6 +87,21 @@ class TestLambert:
         b = lambert_invert(u, alternating=alternating)
         expanded = lambert_series(b, 6, alternating=alternating)
         assert [expanded.coeff(m) for m in range(1, 7)] == u
+
+    def test_table_derives_its_columns_from_u_and_v(self):
+        u = [F(3), F(-7, 2), F(0), F(11)]
+        v = [F(-1, 3), F(5), F(2), F(0)]
+        table = LambertTable(u, v)
+        assert table.order == 4
+        assert table.u == tuple(u) and table.v == tuple(v)
+        assert table.b == tuple(lambert_invert(u))
+        assert table.bhat == tuple(lambert_invert(u, alternating=True))
+        assert table.c == tuple(lambert_invert(v))
+        assert table.chat == tuple(lambert_invert(v, alternating=True))
+
+    def test_table_rejects_columns_of_different_lengths(self):
+        with pytest.raises(ValueError):
+            LambertTable([F(1)] * 3, [F(1)] * 2)
 
     def test_expansion_plain_definition(self):
         # 1 - b_1 * t/(1-t) with b_1 = 1: coefficients -1 everywhere
@@ -236,7 +251,7 @@ class TestReport:
 
     def test_verdicts_derived_not_stored(self):
         rep = integrality_report(M333, 4)
-        fields = {f.name for f in dataclasses.fields(rep)}
+        fields = set(rep._fields)
         assert "rows" not in fields  # verdicts only exist as derived data
 
     def test_big_integers_survive_json(self):

@@ -276,6 +276,28 @@ class TestMirrorData:
         assert md.Q.compose(md.zQ) == Series.identity(8)
         assert md.q.compose(md.zq) == Series.identity(8)
 
+    @pytest.mark.parametrize("model", [M22, M333, M236, Model.from_kvector((2, 3, 7, 42))])
+    @pytest.mark.parametrize("order", [1, 2, 9])
+    def test_maps_equal_the_public_functions(self, model, order):
+        md = MirrorData.build(model, order)
+        assert md.Q == local_mirror_map(model, order)
+        assert md.q == mirror_map(model, order)
+
+    def test_build_computes_each_period_series_once(self, monkeypatch):
+        import mahlerq.mirror as mirror
+
+        calls = []
+        exact = mirror.period_coefficients
+
+        def counted(model, order):
+            calls.append(order)
+            return exact(model, order)
+
+        monkeypatch.setattr(mirror, "period_coefficients", counted)
+        MirrorData.build(M333, 29)
+        assert len(calls) <= 3
+        assert set(calls) == {29}
+
     def test_series_lookup(self):
         md = MirrorData.build(M22, 4)
         assert md.series("Q").coeffs == (0, 1, 2, 5, 14)

@@ -1,0 +1,95 @@
+"""The record types are immutable values that survive pickling.
+
+Batch workers send their results between processes, and a record that
+lost a field or its validation on the way would corrupt a report quietly.
+"""
+
+import pickle
+
+import pytest
+
+from mahlerq import (
+    IntegralityReport,
+    KVector,
+    LambertTable,
+    MahlerMeasure,
+    MirrorData,
+    Model,
+    PFOperator,
+    integrality_report,
+    mahler_measure,
+    pf_operator,
+)
+
+M333 = Model.from_kvector((3, 3, 3))
+
+
+def _records():
+    report = integrality_report(M333, 4)
+    return {
+        KVector: KVector((2, 3, 6)),
+        Model: Model.from_weights(12, (4, 3, 3, 2)),
+        PFOperator: pf_operator(M333, "local"),
+        MirrorData: MirrorData.build(M333, 5),
+        MahlerMeasure: mahler_measure(M333, 2, 16),
+        LambertTable: report.table,
+        IntegralityReport: report,
+    }
+
+
+RECORDS = _records()
+
+
+@pytest.mark.parametrize("cls", list(RECORDS), ids=lambda cls: cls.__name__)
+class TestRecord:
+    def test_pickle_round_trip(self, cls):
+        value = RECORDS[cls]
+        for protocol in (2, pickle.HIGHEST_PROTOCOL):
+            copy = pickle.loads(pickle.dumps(value, protocol))
+            assert type(copy) is cls
+            assert copy == value
+            assert repr(copy) == repr(value)
+
+    def test_attributes_are_read_only(self, cls):
+        value = RECORDS[cls]
+        with pytest.raises(AttributeError):
+            value.order = 99
+        with pytest.raises(AttributeError):
+            value.extra = 1
+
+
+class TestKVectorValue:
+    def test_equality_and_hash_follow_parts(self):
+        a, b = KVector([2, 3, 6]), KVector((2, 3, 6))
+        assert a == b and hash(a) == hash(b)
+        assert a != KVector((3, 3, 3))
+        assert a != (2, 3, 6)
+        assert {a: 1}[b] == 1
+
+    def test_repr_and_iteration(self):
+        kv = KVector((2, 4, 4))
+        assert repr(kv) == "KVector(parts=(2, 4, 4))"
+        assert list(kv) == [2, 4, 4]
+        assert str(kv) == "2,4,4"
+
+
+class TestValidation:
+    def test_model_default_names(self):
+        assert Model.from_kvector((2, 3, 6)).name == "2,3,6"
+        assert Model.from_weights(12, (4, 3, 3, 2)).name == "12:4,3,3,2"
+        assert Model.from_kvector((2, 3, 6), name="E8").name == "E8"
+
+    @pytest.mark.parametrize("k, w", [(6, (3, 2, 2)), (0, ()), (4, (5, -1))])
+    def test_model_rejects_bad_weights(self, k, w):
+        with pytest.raises(ValueError):
+            Model(k, w)
+
+    def test_pf_operator_rejects_unknown_form(self):
+        op = pf_operator(M333)
+        with pytest.raises(ValueError, match="unknown operator form"):
+            PFOperator(op.constant, op.a, op.b, "scrambled")
+
+    def test_reduced_pf_operator_rejects_overlapping_parameters(self):
+        op = pf_operator(M333)
+        with pytest.raises(ValueError, match="disjoint"):
+            PFOperator(op.constant, op.a, (1 - op.a[0],) + op.b[1:], "reduced")
