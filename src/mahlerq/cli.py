@@ -28,7 +28,14 @@ from .inversion import (
     format_rational,
     integrality_report,
 )
-from .mirror import ConvergenceError, MirrorData, mahler_measure, pf_operator, pf2_applicable
+from .mirror import (
+    _SERIES_KEYS,
+    ConvergenceError,
+    MirrorData,
+    mahler_measure,
+    pf2_applicable,
+    pf_operator,
+)
 from .weights import KVector, Model, aut_order, counts, enumerate_solutions
 
 DEFAULT_CACHE = "~/.cache/mahlerq"
@@ -78,11 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("series", help="print one series of the model pipeline")
     _add_model_options(p)
     p.add_argument("--order", type=int, required=True)
-    p.add_argument(
-        "--which",
-        choices=("g0", "h", "f", "Q", "q", "zq", "zQ"),
-        default="Q",
-    )
+    p.add_argument("--which", choices=_SERIES_KEYS, default="Q")
     p.add_argument("--format", choices=("table", "json", "csv"), default="table")
 
     p = subs.add_parser("pf", help="derive the Picard-Fuchs operator parameters")
@@ -190,31 +193,9 @@ def _row_flags(row: dict) -> str:
     return ";".join(flags) if flags else "-"
 
 
-def render_report_csv(report: IntegralityReport) -> str:
-    import csv  # only --format csv needs it
-
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["m", "b", "bhat", "c", "chat", "b_over_m", "chat_over_m", "flags"])
-    for row in report.rows():
-        writer.writerow(
-            [
-                row["m"],
-                row["b"],
-                row["bhat"],
-                row["c"],
-                row["chat"],
-                row["b_over_m"],
-                row["chat_over_m"],
-                _row_flags(row),
-            ]
-        )
-    return buf.getvalue().rstrip("\n")
-
-
-def render_report_table(report: IntegralityReport) -> str:
-    header = ["m", "b", "bhat", "c", "chat", "b/m", "chat/m", "flags"]
-    rows = [
+def _report_cells(report: IntegralityReport) -> list[list[str]]:
+    """The cells of the csv and table renderings, one row per m."""
+    return [
         [
             str(row["m"]),
             row["b"],
@@ -227,6 +208,21 @@ def render_report_table(report: IntegralityReport) -> str:
         ]
         for row in report.rows()
     ]
+
+
+def render_report_csv(report: IntegralityReport) -> str:
+    import csv  # only --format csv needs it
+
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["m", "b", "bhat", "c", "chat", "b_over_m", "chat_over_m", "flags"])
+    writer.writerows(_report_cells(report))
+    return buf.getvalue().rstrip("\n")
+
+
+def render_report_table(report: IntegralityReport) -> str:
+    header = ["m", "b", "bhat", "c", "chat", "b/m", "chat/m", "flags"]
+    rows = _report_cells(report)
     widths = [max(len(h), *(len(r[i]) for r in rows)) for i, h in enumerate(header)]
     lines = ["  ".join(h.rjust(w) for h, w in zip(header, widths))]
     for r in rows:
@@ -323,12 +319,21 @@ def cmd_verify(args) -> int:
     return 0
 
 
-def _report_all_integer(payload: dict) -> bool:
+def _report_all_integer(text: str) -> bool:
     return all(
         row["b_integer"] and row["bhat_integer"]
         and row["c_integer"] and row["chat_integer"]
-        for row in payload["rows"]
+        for row in json.loads(text)["rows"]
     )
+
+
+def _cached_all_integer(path: str) -> bool:
+    """The all-integer verdict of a cache entry; a corrupted entry names its file."""
+    try:
+        with open(path) as handle:
+            return _report_all_integer(handle.read())
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ValueError(f"corrupted cache entry {path}: {exc}") from exc
 
 
 def cmd_batch(args) -> int:
@@ -349,15 +354,11 @@ def cmd_batch(args) -> int:
 
     sols = enumerate_solutions(args.n)
     todo: list[tuple[tuple[int, ...], int]] = []
-    texts: dict[tuple[int, ...], str] = {}
-    cached = 0
+    all_integer = 0
     for kv in sols:
-        model = Model.from_kvector(kv)
-        path = cache_path(cache_dir, model, args.order)
+        path = cache_path(cache_dir, Model.from_kvector(kv), args.order)
         if os.path.exists(path):
-            with open(path) as handle:
-                texts[kv.parts] = handle.read()
-            cached += 1
+            all_integer += _cached_all_integer(path)
         else:
             todo.append((kv.parts, args.order))
 
@@ -375,14 +376,9 @@ def cmd_batch(args) -> int:
         for (parts, _), text in zip(todo, results):
             model = Model.from_kvector(KVector(parts))
             write_atomic(cache_path(cache_dir, model, args.order), text)
-            texts[parts] = text
+            all_integer += _report_all_integer(text)
 
-    all_integer = 0
-    for kv in sols:
-        payload = json.loads(texts[kv.parts])
-        if _report_all_integer(payload):
-            all_integer += 1
-    print(f"{cached} cached, {len(todo)} computed")
+    print(f"{len(sols) - len(todo)} cached, {len(todo)} computed")
     print(
         f"models={len(sols)} all_integer={all_integer} "
         f"with_fractional={len(sols) - all_integer}"

@@ -12,10 +12,18 @@ turns the expansion into the product forms
       = q prod_{m>=1} (1 - (-q)^m)^{m bhat_m},
 
 and symmetrically Q d/dQ log q = 1 + sum v_m Q^m yields c_m, chat_m with
-q = Q prod (1 - Q^m)^{m c_m}.  Everything here is exact; u and v are
-computed along two independent routes (direct composition versus the
-closed rational expression in z) and any disagreement halts with a
-diagnostic rather than returning data.
+q = Q prod (1 - Q^m)^{m c_m}.
+
+:func:`integrality_report` computes this as one chain over one
+:class:`MirrorData`, each intermediate once: the periods (the last checked
+against its closed factorial form), the reversions zq and zQ (checked
+against Lagrange inversion of phi = h/g0 and of f), the compositions Q(zq)
+and q(zQ), u and v as their logarithmic derivatives (checked against the
+rational expressions g0/(1 + theta(phi)) and its reciprocal in z, composed
+with the same reversions), the Moebius inversion of u and v by a divisor
+sieve, and the product forms above replayed against the compositions.
+Everything is exact, and any disagreement between two routes halts with
+:class:`ConsistencyError` rather than returning data.
 """
 
 from __future__ import annotations
@@ -33,96 +41,53 @@ class ConsistencyError(RuntimeError):
     """Two independent computation routes disagreed; results are not trusted."""
 
 
-def mobius(m: int) -> int:
-    """Moebius function by trial-division factorization."""
-    if m < 1:
-        raise ValueError("mobius is defined on positive integers")
-    result = 1
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            m //= p
-            if m % p == 0:
-                return 0
-            result = -result
-        p += 1 if p == 2 else 2
-    if m > 1:
-        result = -result
-    return result
-
-
-def divisors(m: int) -> list[int]:
-    small, large = [], []
-    d = 1
-    while d * d <= m:
-        if m % d == 0:
-            small.append(d)
-            if d * d != m:
-                large.append(m // d)
-        d += 1
-    return small + large[::-1]
-
-
 # ---------------------------------------------------------------------------
 # u and v expansions (dual-route)
 # ---------------------------------------------------------------------------
 
-def _dlog_numer_denom(md: MirrorData) -> tuple[Series, Series]:
-    # q d/dq log Q = g0 / (1 + theta(h/g0)) = g0^3 / (g0^2 + g0*theta(h) - h*theta(g0))
-    g0, h = md.g0, md.h
-    denom = g0 * g0 + g0 * h.theta() - h * g0.theta()
-    return g0 * g0 * g0, denom
+def _checked_dlog(composed: Series, rational: Series, count: int, label: str,
+                  model_name: str) -> list[Fraction]:
+    """Coefficients 1..count of t d/dt log composed(t), where composed = t + ...
 
-
-def _compose_route(outer: Series, inner_var: Series) -> list[Fraction]:
-    # coefficients m=1.. of theta log(outer(inner)/t) where t is the new variable
-    composed = outer.compose(inner_var)
-    unit = composed.shift_down(1)
-    tail = unit.log().theta()
-    return [tail.coeff(m) for m in range(1, tail.order + 1)]
-
-
-def _rational_route(expr: Series, inner_var: Series) -> list[Fraction]:
-    composed = expr.compose(inner_var)
-    if composed.coeff(0) != 1:
-        raise ConsistencyError("logarithmic derivative lost its unit constant term")
-    return [composed.coeff(m) for m in range(1, composed.order + 1)]
-
-
-def _dual_route(direct: list[Fraction], rational: list[Fraction],
-                count: int, label: str, model_name: str) -> list[Fraction]:
-    if len(rational) < count:
+    ``rational`` is the closed rational expression for the same logarithmic
+    derivative, composed with the same reversion; the two routes must agree
+    on every coefficient the composition determines.
+    """
+    if rational.order < count:
         raise ValueError(
             f"mirror data order too small for {count} {label}-coefficients"
         )
-    for m, (x, y) in enumerate(zip(direct, rational), start=1):
+    if rational.coeff(0) != 1:
+        raise ConsistencyError("logarithmic derivative lost its unit constant term")
+    direct = composed.shift_down(1).log().theta()
+    for m in range(1, direct.order + 1):
+        x, y = direct.coeff(m), rational.coeff(m)
         if x != y:
             raise ConsistencyError(
                 f"{label}-series routes disagree for model {model_name} at "
                 f"m={m}: composition gives {x}, rational expression gives {y}"
             )
-    return rational[:count]
+    return [rational.coeff(m) for m in range(1, count + 1)]
 
 
 def u_series(md: MirrorData, count: int) -> list[Fraction]:
     """Coefficients u_1..u_count of q d/dq log Q(q) - 1.
 
-    Both routes are exact; with md.order == count the direct route pins
-    all but the last coefficient (its top term needs one extra order of
-    Q(q)), so build the mirror data one order deep for a full check.
+    Q(zq) is checked against g0/(1 + theta(h/g0)) composed with zq.  Both
+    routes are exact; with md.order == count the direct route pins all but
+    the last coefficient (its top term needs one extra order of Q(q)), so
+    build the mirror data one order deep for a full check.
     """
-    expr_num, expr_den = _dlog_numer_denom(md)
-    direct = _compose_route(md.Q, md.zq)
-    rational = _rational_route(expr_num / expr_den, md.zq)
-    return _dual_route(direct, rational, count, "u", md.model.name)
+    kernel = (md.h / md.g0).theta() + 1
+    return _checked_dlog(md.Q.compose(md.zq), (md.g0 / kernel).compose(md.zq),
+                         count, "u", md.model.name)
 
 
 def v_series(md: MirrorData, count: int) -> list[Fraction]:
     """Coefficients v_1..v_count of Q d/dQ log q(Q) - 1 (mirror image of u)."""
-    expr_num, expr_den = _dlog_numer_denom(md)
-    direct = _compose_route(md.q, md.zQ)
-    rational = _rational_route(expr_den / expr_num, md.zQ)
-    return _dual_route(direct, rational, count, "v", md.model.name)
+    kernel = (md.h / md.g0).theta() + 1
+    return _checked_dlog(md.q.compose(md.zQ), (kernel / md.g0).compose(md.zQ),
+                         count, "v", md.model.name)
 
 
 # ---------------------------------------------------------------------------
@@ -134,19 +99,16 @@ def lambert_invert(u: Sequence[Fraction], alternating: bool = False) -> list[Fra
 
     Plain:        b_m = -(1/m^2) sum_{d|m} mu(m/d) u_d
     Alternating:  bhat_m = -(1/m^2) sum_{d|m} mu(m/d) (-1)^d u_d
+
+    Since u_m = -sum_{d|m} d^2 b_d, a sieve over the divisor lattice
+    inverts it: once slot d holds its finished sum, subtracting it from every
+    proper multiple of d leaves sum_{d|m} mu(m/d) u_d in slot m.
     """
-    out = []
-    for m in range(1, len(u) + 1):
-        acc = Fraction(0)
-        for d in divisors(m):
-            mu = mobius(m // d)
-            if mu:
-                term = u[d - 1]
-                if alternating and d % 2:
-                    term = -term
-                acc += mu * term
-        out.append(-acc / (m * m))
-    return out
+    acc = [-x if alternating and d % 2 else x for d, x in enumerate(u, start=1)]
+    for d in range(1, len(acc) + 1):
+        for multiple in range(2 * d, len(acc) + 1, d):
+            acc[multiple - 1] -= acc[d - 1]
+    return [Fraction(-x, m * m) for m, x in enumerate(acc, start=1)]
 
 
 def lambert_series(b: list[Fraction], order: int, alternating: bool = False) -> Series:
@@ -313,8 +275,8 @@ def _all_integer(values) -> bool:
 
 
 def integrality_report(model: Model, order: int) -> IntegralityReport:
-    """Full pipeline: mirror data, u/v, Moebius tables, product and
-    integrality checks.  Deterministic for a given (model, order).
+    """Full pipeline: mirror data, reversions, u/v, Moebius tables, product
+    and integrality checks.  Deterministic for a given (model, order).
 
     The mirror data is built one order deeper than requested so that the
     direct and rational routes both cover every reported coefficient.
@@ -330,14 +292,11 @@ def integrality_report(model: Model, order: int) -> IntegralityReport:
             f"running-ratio and closed-form periods disagree for model "
             f"{model.name} at m={md.order}"
         )
-    u = u_series(md, order)
-    v = v_series(md, order)
-    table = LambertTable(u, v)
 
-    # z as a series in q and in Q: reversion cross-checked against the
-    # closed Lagrange form before anything is reported.
-    phi_q = md.h / md.g0
-    a_m = lagrange_coeffs(phi_q, order)
+    # z as a series in q and in Q: the Newton reversions are checked against
+    # the closed Lagrange form before anything composes with them.
+    phi = md.h / md.g0
+    a_m = lagrange_coeffs(phi, order)
     A_m = lagrange_coeffs(md.f, order)
     for m in range(1, order + 1):
         if a_m[m - 1] != md.zq.coeff(m) or A_m[m - 1] != md.zQ.coeff(m):
@@ -346,10 +305,16 @@ def integrality_report(model: Model, order: int) -> IntegralityReport:
                 f"{model.name} at m={m}"
             )
 
+    # Each map is composed once; the composition feeds both the direct u/v
+    # route and the product checks.  q d/dq log Q = g0 / (1 + theta(phi)).
+    kernel = phi.theta() + 1
+    Q_of_q = md.Q.compose(md.zq)
+    q_of_Q = md.q.compose(md.zQ)
+    u = _checked_dlog(Q_of_q, (md.g0 / kernel).compose(md.zq), order, "u", model.name)
+    v = _checked_dlog(q_of_Q, (kernel / md.g0).compose(md.zQ), order, "v", model.name)
+    table = LambertTable(u, v)
     g0_in_q, g0_in_Q = g0_expansions(md, order)
 
-    Q_of_q = md.Q.compose(md.zq).truncate(order)
-    q_of_Q = md.q.compose(md.zQ).truncate(order)
     k = model.k
     root_q = md.q.shift_down(1) ** Fraction(1, k)
     root_Q = md.Q.shift_down(1) ** Fraction(1, k)

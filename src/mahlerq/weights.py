@@ -164,21 +164,13 @@ def counts(n: int) -> tuple[int, Fraction]:
     return len(sols), weighted
 
 
-def to_model(kv: KVector) -> Model:
-    return Model.from_kvector(kv)
-
-
 def floor_gap_check(model: Model) -> bool:
     """Whether [k*x] - sum_i [w_i*x] >= 1 holds on [1/k, 1).
 
     The difference is right continuous and jumps only at x = j/k, so it
     suffices to check j - sum_i floor(w_i*j/k) >= 1 for j = 1..k-1.
     """
-    k, w = model.k, model.w
-    for j in range(1, k):
-        if j - sum((wi * j) // k for wi in w) < 1:
-            return False
-    return True
+    return all(gap >= 1 for gap in floor_gaps(model))
 
 
 def floor_gaps(model: Model) -> list[int]:

@@ -29,7 +29,6 @@ from mahlerq import (
     mirror_map,
     pf_apply,
     pf_operator,
-    to_model,
     u_series,
     v_series,
 )
@@ -218,20 +217,20 @@ def test_c10_proposition_suite():
     with criterion(10, "q, Q integral at order 30; floor gaps for n<=5"):
         for n in (2, 3, 4):
             for kv in enumerate_solutions(n):
-                model = to_model(kv)
+                model = Model.from_kvector(kv)
                 for series in (mirror_map(model, 30), local_mirror_map(model, 30)):
                     assert series.coeff(0) == 0 and series.coeff(1) == 1
                     assert all(c.denominator == 1 for c in series.coeffs), model.name
         for n in (2, 3, 4, 5):
             for kv in enumerate_solutions(n):
-                assert floor_gap_check(to_model(kv)), kv
+                assert floor_gap_check(Model.from_kvector(kv)), kv
 
 
 def test_c11_conjecture1_suite():
     with criterion(11, "k-th roots of q/z and Q/z integral at order 20"):
         for n in (2, 3, 4):
             for kv in enumerate_solutions(n):
-                model = to_model(kv)
+                model = Model.from_kvector(kv)
                 e = F(1, model.k)
                 for series in (mirror_map(model, 21), local_mirror_map(model, 21)):
                     root = series.shift_down(1) ** e
@@ -270,7 +269,7 @@ def test_c12_property_suite():
         # operator annihilation at order 20 on every n <= 4 model
         for n in (2, 3, 4):
             for kv in enumerate_solutions(n):
-                model = to_model(kv)
+                model = Model.from_kvector(kv)
                 g0 = g0_series(model, 20)
                 g1 = LogSeries(h_series(model, 20), g0)
                 phi1 = LogSeries(f_series(model, 20), Series.one(20))

@@ -119,6 +119,22 @@ class TestVerify:
         assert lines[0] == "m,b,bhat,c,chat,b_over_m,chat_over_m,flags"
         assert lines[5].startswith("5,25050301099750,")
 
+    def test_consistency_fault_exits_3(self, monkeypatch, capsys):
+        from mahlerq.mirror import MirrorData
+        from mahlerq.series import Series
+
+        build = MirrorData.build.__func__
+
+        def tampered(cls, model, order):
+            md = build(cls, model, order)
+            return md._replace(zq=md.zq + Series.monomial(1, 2, md.zq.order))
+
+        monkeypatch.setattr(MirrorData, "build", classmethod(tampered))
+        code, out, err = run_cli("verify", "--model", "3,3,3", "--order", "4", capsys=capsys)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("internal-consistency fault: Lagrange and Newton")
+
     def test_22_all_zero(self, capsys):
         code, out, _ = run_cli(
             "verify", "--model", "2,2", "--order", "12", "--format", "json",
@@ -187,6 +203,25 @@ class TestBatch:
             "batch", "--n", "2", "--order", "4", "--cache", str(blocker), capsys=capsys
         )
         assert code == 2
+
+    @pytest.mark.parametrize("damage", [
+        lambda text: text[:2],  # truncated: not valid JSON
+        lambda text: "[]",  # valid JSON without the report's rows
+    ])
+    def test_corrupted_cache_entry_names_its_file(self, tmp_path, capsys, damage):
+        from mahlerq import Model
+        from mahlerq.cli import cache_path
+
+        cache = tmp_path / "cache"
+        run_cli("batch", "--n", "3", "--order", "4", "--cache", str(cache), capsys=capsys)
+        entry = Path(cache_path(str(cache), Model.from_kvector((2, 4, 4)), 4))
+        entry.write_text(damage(entry.read_text()))
+        code, out, err = run_cli(
+            "batch", "--n", "3", "--order", "4", "--cache", str(cache), capsys=capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert f"corrupted cache entry {entry}" in err
 
     def test_summary_counts_fractional_models(self, tmp_path, capsys):
         code, out, _ = run_cli(

@@ -15,7 +15,6 @@ from mahlerq import (
     integrality_report,
     lambert_invert,
     lambert_series,
-    mobius,
     product_check,
     u_series,
     v_series,
@@ -24,6 +23,36 @@ from mahlerq.inversion import binomial_factor
 
 M22 = Model.from_kvector((2, 2))
 M333 = Model.from_kvector((3, 3, 3))
+
+
+def mobius(m: int) -> int:
+    """Moebius function by trial-division factorization (reference for the sieve)."""
+    if m < 1:
+        raise ValueError("mobius is defined on positive integers")
+    result = 1
+    p = 2
+    while p * p <= m:
+        if m % p == 0:
+            m //= p
+            if m % p == 0:
+                return 0
+            result = -result
+        p += 1 if p == 2 else 2
+    if m > 1:
+        result = -result
+    return result
+
+
+def literal_inversion(u, alternating):
+    """-(1/m^2) sum_{d|m} mu(m/d) (+-1)^d u_d, summed term by term."""
+    return [
+        -sum(
+            (mobius(m // d) * (-1 if alternating and d % 2 else 1) * u[d - 1]
+             for d in range(1, m + 1) if m % d == 0),
+            F(0),
+        ) / (m * m)
+        for m in range(1, len(u) + 1)
+    ]
 
 
 class TestMobius:
@@ -103,6 +132,14 @@ class TestLambert:
         with pytest.raises(ValueError):
             LambertTable([F(1)] * 3, [F(1)] * 2)
 
+    @pytest.mark.parametrize("alternating", [False, True])
+    def test_sieve_matches_literal_moebius_sums(self, alternating):
+        u = [F((-1) ** m * (m * m + 3), m % 5 + 1) for m in range(1, 61)]
+        assert lambert_invert(u, alternating) == literal_inversion(u, alternating)
+        md = MirrorData.build(Model.from_kvector((2, 3, 6)), 31)
+        u = u_series(md, 30)
+        assert lambert_invert(u, alternating) == literal_inversion(u, alternating)
+
     def test_expansion_plain_definition(self):
         # 1 - b_1 * t/(1-t) with b_1 = 1: coefficients -1 everywhere
         out = lambert_series([F(1)], 4)
@@ -175,12 +212,12 @@ class TestG0Expansions:
 
 class TestLagrangeIntegrality:
     def test_all_n_leq_4_models_to_order_20(self):
-        from mahlerq import enumerate_solutions, lagrange_coeffs, to_model
+        from mahlerq import enumerate_solutions, lagrange_coeffs
         from mahlerq.mirror import f_series, g0_series, h_series
 
         for n in (2, 3, 4):
             for kv in enumerate_solutions(n):
-                model = to_model(kv)
+                model = Model.from_kvector(kv)
                 phi_q = h_series(model, 20) / g0_series(model, 20)
                 for phi in (phi_q, f_series(model, 20)):
                     coeffs = lagrange_coeffs(phi, 20)
@@ -208,6 +245,43 @@ class TestReport:
         monkeypatch.setattr(mirror, "period_coefficients", off_by_one)
         with pytest.raises(ConsistencyError, match="closed-form periods"):
             integrality_report(M333, 6)
+
+    @pytest.mark.parametrize(
+        "field, message",
+        [
+            ("q", "v-series routes disagree"),
+            ("Q", "u-series routes disagree"),
+            ("zq", "Lagrange and Newton reversions disagree"),
+            ("zQ", "Lagrange and Newton reversions disagree"),
+        ],
+    )
+    def test_tampered_mirror_data_raises_consistency_fault(
+        self, monkeypatch, field, message
+    ):
+        build = MirrorData.build.__func__
+
+        def tampered(cls, model, order):
+            md = build(cls, model, order)
+            series = getattr(md, field)
+            return md._replace(**{field: series + Series.monomial(1, 3, series.order)})
+
+        monkeypatch.setattr(MirrorData, "build", classmethod(tampered))
+        with pytest.raises(ConsistencyError, match=message):
+            integrality_report(M333, 6)
+
+    @pytest.mark.parametrize("parts", [(3, 3, 3), (2, 3, 6), (4, 4, 4, 4)])
+    def test_no_composition_is_repeated(self, monkeypatch, parts):
+        compose = Series.compose
+        seen = []
+
+        def recording(outer, inner):
+            seen.append((outer, inner))
+            return compose(outer, inner)
+
+        monkeypatch.setattr(Series, "compose", recording)
+        integrality_report(Model.from_kvector(parts), 8)
+        assert seen
+        assert len(seen) - len(set(seen)) == 0
 
     def test_structure_and_schema(self):
         rep = integrality_report(M333, 6)

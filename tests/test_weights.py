@@ -12,7 +12,6 @@ from mahlerq import (
     enumerate_solutions,
     floor_gap_check,
     floor_gaps,
-    to_model,
 )
 
 
@@ -106,7 +105,7 @@ class TestModel:
         ],
     )
     def test_from_kvector(self, parts, k, w):
-        model = to_model(KVector(parts))
+        model = Model.from_kvector(KVector(parts))
         assert model.k == k and model.w == w
 
     def test_direct_weights(self):
@@ -135,7 +134,12 @@ class TestFloorGap:
     def test_22(self):
         assert floor_gap_check(Model.from_kvector((2, 2)))
 
+    def test_zero_gap_fails(self):
+        model = Model.from_weights(4, (2, 2))
+        assert floor_gaps(model) == [1, 0, 1]
+        assert not floor_gap_check(model)
+
     def test_all_enumerated_up_to_4(self):
         for n in (2, 3, 4):
             for kv in enumerate_solutions(n):
-                assert floor_gap_check(to_model(kv)), kv
+                assert floor_gap_check(Model.from_kvector(kv)), kv
