@@ -17,13 +17,22 @@ q = Q prod (1 - Q^m)^{m c_m}.
 :func:`integrality_report` computes this as one chain over one
 :class:`MirrorData`, each intermediate once: the periods (the last checked
 against its closed factorial form), the reversions zq and zQ (checked
-against Lagrange inversion of phi = h/g0 and of f), the compositions Q(zq)
-and q(zQ), u and v as their logarithmic derivatives (checked against the
-rational expressions g0/(1 + theta(phi)) and its reciprocal in z, composed
-with the same reversions), the Moebius inversion of u and v by a divisor
-sieve, and the product forms above replayed against the compositions.
-Everything is exact, and any disagreement between two routes halts with
-:class:`ConsistencyError` rather than returning data.
+against Lagrange inversion of phi = h/g0 and of f), the expansions of g0
+in q and in Q, the compositions Q(zq) and q(zQ), u and v as their
+logarithmic derivatives, the Moebius inversion of u and v by a divisor
+sieve, the product forms above replayed against the compositions, and the
+k-th roots of q/z and Q/z (checked by their k-th powers).
+
+The second route to u and v is the chain rule
+t d/dt log X(z(t)) = (theta_z log X)(z(t)) * t d/dt log z(t), with
+theta_z log Q = g0 and theta_z log q = 1 + theta(phi):
+
+    1 + u = g0(z(q)) * q d/dq log z(q),   1 + v = (1 + theta(phi))(z(Q)) / g0(z(Q)),
+
+where g0(z(Q)) = 1/(Q d/dQ log z(Q)).  Both routes read the g0 expansions,
+which are thus checked too.  Everything is exact, and any disagreement
+between two routes halts with :class:`ConsistencyError` rather than
+returning data.
 """
 
 from __future__ import annotations
@@ -45,49 +54,63 @@ class ConsistencyError(RuntimeError):
 # u and v expansions (dual-route)
 # ---------------------------------------------------------------------------
 
-def _checked_dlog(composed: Series, rational: Series, count: int, label: str,
+def _dlog(s: Series) -> Series:
+    """t d/dt log s(t) for s = t + ..., one order below s."""
+    return s.shift_down(1).log().theta() + 1
+
+
+def _checked_dlog(composed: Series, chained: Series, count: int, label: str,
                   model_name: str) -> list[Fraction]:
     """Coefficients 1..count of t d/dt log composed(t), where composed = t + ...
 
-    ``rational`` is the closed rational expression for the same logarithmic
-    derivative, composed with the same reversion; the two routes must agree
-    on every coefficient the composition determines.
+    ``chained`` is the same logarithmic derivative by the chain rule; the
+    two routes must agree on coefficients 0..count.
     """
-    if rational.order < count:
-        raise ValueError(
-            f"mirror data order too small for {count} {label}-coefficients"
-        )
-    if rational.coeff(0) != 1:
-        raise ConsistencyError("logarithmic derivative lost its unit constant term")
-    direct = composed.shift_down(1).log().theta()
-    for m in range(1, direct.order + 1):
-        x, y = direct.coeff(m), rational.coeff(m)
+    direct = _dlog(composed)
+    for m in range(count + 1):
+        x, y = direct.coeff(m), chained.coeff(m)
         if x != y:
             raise ConsistencyError(
                 f"{label}-series routes disagree for model {model_name} at "
-                f"m={m}: composition gives {x}, rational expression gives {y}"
+                f"m={m}: composition gives {x}, chain rule gives {y}"
             )
-    return [rational.coeff(m) for m in range(1, count + 1)]
+    return [direct.coeff(m) for m in range(1, count + 1)]
+
+
+def g0_expansions(md: MirrorData, count: int) -> tuple[list[Fraction], list[Fraction]]:
+    """Tail coefficients (m=1..count) of g0 rewritten in q and in Q; md.order
+    must exceed count, as g0(z(Q)) = 1/(Q d/dQ log z(Q)) is one order below zQ."""
+    if md.order <= count:
+        raise ValueError("mirror data order must exceed the coefficient count")
+    in_q = md.g0.compose(md.zq)
+    in_Q = _dlog(md.zQ).invert()
+    return (
+        [in_q.coeff(m) for m in range(1, count + 1)],
+        [in_Q.coeff(m) for m in range(1, count + 1)],
+    )
+
+
+def _routes(md: MirrorData, count: int) -> tuple:
+    """Q(q), q(Q), g0 in q, g0 in Q, u and v, each computed once; u and v
+    are checked against their chain-rule routes (see the module docstring)."""
+    g0_in_q, g0_in_Q = g0_expansions(md, count)
+    Q_of_q = md.Q.compose(md.zq)
+    q_of_Q = md.q.compose(md.zQ)
+    kernel = (md.phi.theta() + 1).compose(md.zQ)
+    name = md.model.name
+    u = _checked_dlog(Q_of_q, Series([1, *g0_in_q]) * _dlog(md.zq), count, "u", name)
+    v = _checked_dlog(q_of_Q, kernel / Series([1, *g0_in_Q]), count, "v", name)
+    return Q_of_q, q_of_Q, g0_in_q, g0_in_Q, u, v
 
 
 def u_series(md: MirrorData, count: int) -> list[Fraction]:
-    """Coefficients u_1..u_count of q d/dq log Q(q) - 1.
-
-    Q(zq) is checked against g0/(1 + theta(h/g0)) composed with zq.  Both
-    routes are exact; with md.order == count the direct route pins all but
-    the last coefficient (its top term needs one extra order of Q(q)), so
-    build the mirror data one order deep for a full check.
-    """
-    kernel = (md.h / md.g0).theta() + 1
-    return _checked_dlog(md.Q.compose(md.zq), (md.g0 / kernel).compose(md.zq),
-                         count, "u", md.model.name)
+    """Coefficients u_1..u_count of q d/dq log Q(q) - 1; md.order must exceed count."""
+    return _routes(md, count)[4]
 
 
 def v_series(md: MirrorData, count: int) -> list[Fraction]:
-    """Coefficients v_1..v_count of Q d/dQ log q(Q) - 1 (mirror image of u)."""
-    kernel = (md.h / md.g0).theta() + 1
-    return _checked_dlog(md.q.compose(md.zQ), (kernel / md.g0).compose(md.zQ),
-                         count, "v", md.model.name)
+    """Coefficients v_1..v_count of Q d/dQ log q(Q) - 1; md.order must exceed count."""
+    return _routes(md, count)[5]
 
 
 # ---------------------------------------------------------------------------
@@ -164,18 +187,6 @@ def product_check(target: Series, b: list[Fraction], alternating: bool = False) 
     unit = target.truncate(M).shift_down(1)
     lam = lambert_series(b, M - 1, alternating) if M > 1 else Series.one(0)
     return unit + unit.theta() == lam * unit
-
-
-def g0_expansions(md: MirrorData, count: int) -> tuple[list[Fraction], list[Fraction]]:
-    """Tail coefficients (m=1..count) of g0 rewritten in q and in Q."""
-    if md.order < count:
-        raise ValueError("mirror data order too small")
-    in_q = md.g0.compose(md.zq)
-    in_Q = md.g0.compose(md.zQ)
-    return (
-        [in_q.coeff(m) for m in range(1, count + 1)],
-        [in_Q.coeff(m) for m in range(1, count + 1)],
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -274,12 +285,23 @@ def _all_integer(values) -> bool:
     return all(x.denominator == 1 for x in values)
 
 
+def _kth_root(series: Series, k: int, label: str, model_name: str) -> Series:
+    """(series/z)^(1/k), checked exactly against series/z by its k-th power."""
+    unit = series.shift_down(1)
+    root = unit ** Fraction(1, k)
+    if root ** k != unit:
+        raise ConsistencyError(
+            f"k-th root of {label}/z fails its power check for model {model_name}"
+        )
+    return root
+
+
 def integrality_report(model: Model, order: int) -> IntegralityReport:
     """Full pipeline: mirror data, reversions, u/v, Moebius tables, product
     and integrality checks.  Deterministic for a given (model, order).
 
-    The mirror data is built one order deeper than requested so that the
-    direct and rational routes both cover every reported coefficient.
+    The mirror data is built one order deeper than requested so that both
+    u/v routes cover every reported coefficient.
     """
     if order < 1:
         raise ValueError("order must be at least 1")
@@ -295,8 +317,7 @@ def integrality_report(model: Model, order: int) -> IntegralityReport:
 
     # z as a series in q and in Q: the Newton reversions are checked against
     # the closed Lagrange form before anything composes with them.
-    phi = md.h / md.g0
-    a_m = lagrange_coeffs(phi, order)
+    a_m = lagrange_coeffs(md.phi, order)
     A_m = lagrange_coeffs(md.f, order)
     for m in range(1, order + 1):
         if a_m[m - 1] != md.zq.coeff(m) or A_m[m - 1] != md.zQ.coeff(m):
@@ -305,19 +326,12 @@ def integrality_report(model: Model, order: int) -> IntegralityReport:
                 f"{model.name} at m={m}"
             )
 
-    # Each map is composed once; the composition feeds both the direct u/v
-    # route and the product checks.  q d/dq log Q = g0 / (1 + theta(phi)).
-    kernel = phi.theta() + 1
-    Q_of_q = md.Q.compose(md.zq)
-    q_of_Q = md.q.compose(md.zQ)
-    u = _checked_dlog(Q_of_q, (md.g0 / kernel).compose(md.zq), order, "u", model.name)
-    v = _checked_dlog(q_of_Q, (kernel / md.g0).compose(md.zQ), order, "v", model.name)
+    # Each map is composed once; the composition feeds both the u/v routes
+    # and the product checks.
+    Q_of_q, q_of_Q, g0_in_q, g0_in_Q, u, v = _routes(md, order)
     table = LambertTable(u, v)
-    g0_in_q, g0_in_Q = g0_expansions(md, order)
-
-    k = model.k
-    root_q = md.q.shift_down(1) ** Fraction(1, k)
-    root_Q = md.Q.shift_down(1) ** Fraction(1, k)
+    root_q = _kth_root(md.q, model.k, "q", model.name)
+    root_Q = _kth_root(md.Q, model.k, "Q", model.name)
 
     checks = {
         "product_plain": (

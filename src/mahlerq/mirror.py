@@ -8,7 +8,7 @@ a caller-chosen truncation order:
 * the local mirror map    Q(z)  = z * exp(f(z)),
 * the log-solution tail   h(z)  = sum_{m>=1} gamma_m z^m  with
   g1 = g0*log z + h annihilated by the hypergeometric operator,
-* the mirror map          q(z)  = z * exp(h(z)/g0(z)),
+* the mirror map          q(z)  = z * exp(phi(z)),  phi = h/g0,
 
 plus the operator itself in reduced, local and unreduced normal forms,
 and a numeric evaluation of the logarithmic Mahler measure of
@@ -121,28 +121,23 @@ def h_series(model: Model, order: int) -> Series:
     return Series(coeffs)
 
 
-def _local_map(f: Series) -> Series:
-    # Q = z * exp(f), one order above the f it is given.
-    return f.exp().zshift(1)
-
-
-def _mirror_map(h: Series, g0: Series) -> Series:
-    # q = z * exp(h/g0), one order above the h and g0 it is given.
-    return (h / g0).exp().zshift(1)
+def _map(exponent: Series) -> Series:
+    # z * exp(exponent), one order above the exponent it is given.
+    return exponent.exp().zshift(1)
 
 
 def local_mirror_map(model: Model, order: int) -> Series:
     """Q(z) = z * exp(f(z)); the top coefficient only needs f below order."""
     if order < 1:
         raise ValueError("maps need order >= 1")
-    return _local_map(f_series(model, order - 1))
+    return _map(f_series(model, order - 1))
 
 
 def mirror_map(model: Model, order: int) -> Series:
     """q(z) = z * exp(h(z)/g0(z))."""
     if order < 1:
         raise ValueError("maps need order >= 1")
-    return _mirror_map(h_series(model, order - 1), g0_series(model, order - 1))
+    return _map(h_series(model, order - 1) / g0_series(model, order - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -243,29 +238,30 @@ def pf_apply(op: PFOperator, phi: LogSeries | Series, model: Model | None = None
 _SERIES_KEYS = ("g0", "h", "f", "Q", "q", "zq", "zQ")
 
 
-class MirrorData(namedtuple("MirrorData", "model order g0 h f Q q zq zQ")):
+class MirrorData(namedtuple("MirrorData", "model order g0 h f phi Q q zq zQ")):
     """All per-model series at one truncation order.
 
-    zq and zQ are the reversions of q and Q: z as a series in the mirror
-    coordinate and in the local coordinate respectively.
+    phi = h/g0 is the exponent of q = z * exp(phi).  zq and zQ are the
+    reversions of q and Q: z as a series in the mirror coordinate and in
+    the local coordinate respectively.
     """
 
     __slots__ = ()
 
     @classmethod
     def build(cls, model: Model, order: int) -> "MirrorData":
-        """Each period series is built once, at ``order``; the maps read its
-        truncation to order - 1, which in reduced form equals the series
-        built at that order."""
+        """Each period series is built once, at ``order``, and phi = h/g0 is
+        divided once; the maps read their truncation to order - 1, which in
+        reduced form equals the series built at that order."""
         if order < 1:
             raise ValueError("order must be at least 1")
         g0 = g0_series(model, order)
         h = h_series(model, order)
         f = f_series(model, order)
-        below = order - 1
-        Q = _local_map(f.truncate(below))
-        q = _mirror_map(h.truncate(below), g0.truncate(below))
-        return cls(model, order, g0, h, f, Q, q, q.revert(), Q.revert())
+        phi = h / g0
+        Q = _map(f.truncate(order - 1))
+        q = _map(phi.truncate(order - 1))
+        return cls(model, order, g0, h, f, phi, Q, q, q.revert(), Q.revert())
 
     def series(self, key: str) -> Series:
         if key not in _SERIES_KEYS:
@@ -343,7 +339,8 @@ def mahler_measure(model: Model, psi, order: int) -> MahlerMeasure:
     C = op.constant
     if z * C >= 1:
         raise ConvergenceError(
-            f"z = {z} lies outside the disk of convergence (need |z| < 1/{C})"
+            f"z = {z} (psi = {psi}) lies outside the disk of convergence of "
+            f"model {model.name} (need |z| < 1/{C})"
         )
     f = f_series(model, order)
     p, s = z.numerator, z.denominator

@@ -135,6 +135,23 @@ class TestVerify:
         assert out == ""
         assert err.startswith("internal-consistency fault: Lagrange and Newton")
 
+    def test_corrupted_g0_expansion_exits_3(self, monkeypatch, capsys):
+        import mahlerq.inversion as inversion
+
+        exact = inversion.g0_expansions
+
+        def corrupted(md, count):
+            in_q, in_Q = exact(md, count)
+            return in_q, in_Q[:-1] + [in_Q[-1] + 1]
+
+        monkeypatch.setattr(inversion, "g0_expansions", corrupted)
+        code, out, err = run_cli("verify", "--model", "3,3,3", "--order", "4", capsys=capsys)
+        assert code == 3
+        assert out == ""
+        assert err.startswith(
+            "internal-consistency fault: v-series routes disagree for model 3,3,3 at m=4"
+        )
+
     def test_22_all_zero(self, capsys):
         code, out, _ = run_cli(
             "verify", "--model", "2,2", "--order", "12", "--format", "json",

@@ -89,6 +89,8 @@ class TestUV:
         md = MirrorData.build(M333, 4)
         with pytest.raises(ValueError):
             u_series(md, 9)
+        with pytest.raises(ValueError):
+            v_series(md, 4)  # both routes lose one order to a log derivative
 
     def test_tampered_data_raises_consistency_fault(self):
         md = MirrorData.build(M333, 6)
@@ -209,6 +211,22 @@ class TestG0Expansions:
         in_q, in_Q = g0_expansions(md, 10)
         assert all(x.denominator == 1 for x in in_q + in_Q)
 
+    @pytest.mark.parametrize("order", [12, 20])
+    @pytest.mark.parametrize(
+        "parts", [(2, 2), (3, 3, 3), (2, 3, 6), (4, 4, 4, 4), (5, 5, 5, 5, 5)]
+    )
+    def test_tails_equal_the_compositions(self, parts, order):
+        md = MirrorData.build(Model.from_kvector(parts), order + 1)
+        in_q, in_Q = g0_expansions(md, order)
+        for tail, inner in ((in_q, md.zq), (in_Q, md.zQ)):
+            composed = md.g0.compose(inner)
+            assert tail == [composed.coeff(m) for m in range(1, order + 1)]
+
+    def test_order_guard(self):
+        md = MirrorData.build(M333, 6)
+        with pytest.raises(ValueError):
+            g0_expansions(md, 6)
+
 
 class TestLagrangeIntegrality:
     def test_all_n_leq_4_models_to_order_20(self):
@@ -269,19 +287,98 @@ class TestReport:
         with pytest.raises(ConsistencyError, match=message):
             integrality_report(M333, 6)
 
+    @pytest.mark.parametrize("m", [1, 6])
+    @pytest.mark.parametrize("field, label", [(0, "u"), (1, "v")])
+    def test_corrupted_g0_expansion_raises_consistency_fault(
+        self, monkeypatch, field, label, m
+    ):
+        import mahlerq.inversion as inversion
+
+        exact = inversion.g0_expansions
+
+        def corrupted(md, count):
+            tails = exact(md, count)
+            tails[field][m - 1] += 1
+            return tails
+
+        monkeypatch.setattr(inversion, "g0_expansions", corrupted)
+        with pytest.raises(
+            ConsistencyError,
+            match=f"{label}-series routes disagree for model 3,3,3 at m={m}:",
+        ):
+            integrality_report(M333, 6)
+
+    @pytest.mark.parametrize("call, label", [(0, "q"), (1, "Q")])
+    def test_wrong_kth_root_raises_consistency_fault(self, monkeypatch, call, label):
+        power = Series.__pow__
+        fractional = []
+
+        def skewed(base, exponent):
+            result = power(base, exponent)
+            if isinstance(exponent, F) and exponent.denominator != 1:
+                fractional.append(exponent)
+                if len(fractional) == call + 1:
+                    result = result + Series.monomial(1, 2, result.order)
+            return result
+
+        monkeypatch.setattr(Series, "__pow__", skewed)
+        with pytest.raises(
+            ConsistencyError,
+            match=f"k-th root of {label}/z fails its power check for model 3,3,3",
+        ):
+            integrality_report(M333, 6)
+
     @pytest.mark.parametrize("parts", [(3, 3, 3), (2, 3, 6), (4, 4, 4, 4)])
     def test_no_composition_is_repeated(self, monkeypatch, parts):
-        compose = Series.compose
-        seen = []
+        import mahlerq.inversion as inversion
+
+        compose, revert = Series.compose, Series.revert
+        expansions = inversion.g0_expansions
+        seen, outside, reverting, expanded = [], [], [0], []
 
         def recording(outer, inner):
             seen.append((outer, inner))
+            if not reverting[0]:
+                outside.append((outer, inner))
             return compose(outer, inner)
 
+        def nested(series):
+            reverting[0] += 1
+            try:
+                return revert(series)
+            finally:
+                reverting[0] -= 1
+
+        def counted(md, count):
+            expanded.append(count)
+            return expansions(md, count)
+
         monkeypatch.setattr(Series, "compose", recording)
+        monkeypatch.setattr(Series, "revert", nested)
+        monkeypatch.setattr(inversion, "g0_expansions", counted)
         integrality_report(Model.from_kvector(parts), 8)
-        assert seen
         assert len(seen) - len(set(seen)) == 0
+        # Q(zq), q(zQ), g0(zq) and (1 + theta(phi))(zQ); the reversions
+        # compose internally.
+        assert len(outside) == 4
+        assert expanded == [8]
+
+    def test_h_over_g0_is_divided_once(self, monkeypatch):
+        from mahlerq.mirror import g0_series
+
+        divide = Series.__truediv__
+        divisors = []
+
+        def recording(numerator, divisor):
+            if isinstance(divisor, Series):
+                divisors.append(divisor)
+            return divide(numerator, divisor)
+
+        monkeypatch.setattr(Series, "__truediv__", recording)
+        integrality_report(M333, 8)
+        # phi = h/g0 once in the build, and the v route's division by g0(z(Q)).
+        assert len(divisors) == 2
+        assert divisors.count(g0_series(M333, 9)) == 1
 
     def test_structure_and_schema(self):
         rep = integrality_report(M333, 6)

@@ -375,10 +375,11 @@ class TestMahlerMeasure:
         assert abs(result.log_measure - math.log(1000)) < 1e-5
 
     def test_convergence_guard(self):
-        with pytest.raises(ConvergenceError):
+        with pytest.raises(ConvergenceError, match=r"psi = 1/10\) .* model 3,3,3"):
             mahler_measure(M333, F(1, 10), 8)
-        with pytest.raises(ConvergenceError):
-            mahler_measure(M22, 1, 8)  # |z|*C == 1 exactly: not strictly inside
+        # |z|*C == 1 exactly: not strictly inside
+        with pytest.raises(ConvergenceError, match="disk of convergence of model 2,2"):
+            mahler_measure(M22, 1, 8)
 
     def test_rejects_nonpositive_psi(self):
         with pytest.raises(ValueError):
