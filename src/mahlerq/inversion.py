@@ -20,8 +20,11 @@ against its closed factorial form), the reversions zq and zQ (checked
 against Lagrange inversion of phi = h/g0 and of f), the expansions of g0
 in q and in Q, the compositions Q(zq) and q(zQ), u and v as their
 logarithmic derivatives, the Moebius inversion of u and v by a divisor
-sieve, the product forms above replayed against the compositions, and the
-k-th roots of q/z and Q/z (checked by their k-th powers).
+sieve, the product forms above checked against the compositions, and the
+k-th roots of q/z and Q/z (checked by their k-th powers).  The log L of a
+product satisfies 1 + theta(L) = 1 - sum m^2 b_m t^m/(1 - t^m), the Lambert
+series, so each product form is one identity, composition = t exp(L); it
+implies the Lambert identity for the logarithmic derivative, not rechecked.
 
 The second route to u and v is the chain rule
 t d/dt log X(z(t)) = (theta_z log X)(z(t)) * t d/dt log z(t), with
@@ -66,6 +69,11 @@ def _checked_dlog(composed: Series, chained: Series, count: int, label: str,
     ``chained`` is the same logarithmic derivative by the chain rule; the
     two routes must agree on coefficients 0..count.
     """
+    if composed.truncate(1) != Series.identity(1):
+        raise ConsistencyError(
+            f"{label}-series composition for model {model_name} is not t + O(t^2): "
+            f"it starts {composed.coeff(0)} + {composed.coeff(1)}*t"
+        )
     direct = _dlog(composed)
     for m in range(count + 1):
         x, y = direct.coeff(m), chained.coeff(m)
@@ -74,7 +82,7 @@ def _checked_dlog(composed: Series, chained: Series, count: int, label: str,
                 f"{label}-series routes disagree for model {model_name} at "
                 f"m={m}: composition gives {x}, chain rule gives {y}"
             )
-    return [direct.coeff(m) for m in range(1, count + 1)]
+    return list(direct.coeffs[1 : count + 1])
 
 
 def g0_expansions(md: MirrorData, count: int) -> tuple[list[Fraction], list[Fraction]]:
@@ -84,10 +92,7 @@ def g0_expansions(md: MirrorData, count: int) -> tuple[list[Fraction], list[Frac
         raise ValueError("mirror data order must exceed the coefficient count")
     in_q = md.g0.compose(md.zq)
     in_Q = _dlog(md.zQ).invert()
-    return (
-        [in_q.coeff(m) for m in range(1, count + 1)],
-        [in_Q.coeff(m) for m in range(1, count + 1)],
-    )
+    return list(in_q.coeffs[1 : count + 1]), list(in_Q.coeffs[1 : count + 1])
 
 
 def _routes(md: MirrorData, count: int) -> tuple:
@@ -138,55 +143,34 @@ def lambert_series(b: list[Fraction], order: int, alternating: bool = False) -> 
     """Expand 1 - sum_m b_m m^2 t^m/(1-t^m) (or its (-t)^m variant) to ``order``.
 
     Brute-force summation of each geometric block, independent of the
-    Moebius route, so it doubles as the round-trip oracle.
+    Moebius route: product_check takes the product's logarithm from it,
+    and it doubles as the round-trip oracle.
     """
     coeffs = [Fraction(1)] + [Fraction(0)] * order
     for m, bm in enumerate(b, start=1):
-        if not bm:
-            continue
         weight = bm * m * m
         for i in range(m, order + 1, m):
-            sign = (-1) ** i if alternating else 1
-            coeffs[i] -= weight * sign
-    return Series(coeffs)
-
-
-def binomial_factor(sign: int, m: int, exponent: Fraction, order: int) -> Series:
-    """(1 - sign*t^m)^exponent to ``order``, from the generalised binomial series.
-
-    The coefficient of t^(m*j) is C(exponent, j) * (-sign)^j; this holds for
-    integer, negative and fractional exponents alike.
-    """
-    coeffs = [Fraction(0)] * (order + 1)
-    term = Fraction(1)
-    for j in range(order // m + 1):
-        coeffs[m * j] = term
-        term = term * (exponent - j) * -sign / (j + 1)
+            coeffs[i] += weight if alternating and i % 2 else -weight
     return Series(coeffs)
 
 
 def product_check(target: Series, b: list[Fraction], alternating: bool = False) -> bool:
     """Verify target = t * prod_{m<=M} (1 - (+-t)^m)^(m*b_m) mod t^(M+1).
 
-    Also replays the equivalent Lambert-series identity against the
-    logarithmic derivative of the target (one order lower, since the
-    derivative of the top coefficient is not observable).
+    The log L of the product obeys 1 + theta(L) = lam = lambert_series(b),
+    so L_i = lam_i / i and the product is exp(L): one exponential, no
+    factor-by-factor product.  The Lambert identity u + theta(u) = lam * u
+    for u = target/t follows from this equality, so it is not replayed.
+    The factor m = M starts at t^(M+1), so b_M is unchecked.
     """
     M = len(b)
+    if not M:
+        raise ValueError("product_check needs at least one exponent b_1")
     if target.order < M:
         raise ValueError("target order too small for the product test")
-    prod = Series.one(M)
-    for m in range(1, M + 1):
-        if b[m - 1]:
-            sign = (-1) ** m if alternating else 1
-            prod = prod * binomial_factor(sign, m, m * b[m - 1], M)
-    if prod.zshift(1).truncate(M) != target.truncate(M):
-        return False
-    # The Lambert identity 1 + theta(log u) = lam for u = target/t, in the
-    # form u + theta(u) = lam * u, which needs no logarithm since u is a unit.
-    unit = target.truncate(M).shift_down(1)
-    lam = lambert_series(b, M - 1, alternating) if M > 1 else Series.one(0)
-    return unit + unit.theta() == lam * unit
+    lam = lambert_series(b, M - 1, alternating).coeffs
+    log_product = Series([0] + [lam[i] / i for i in range(1, M)])
+    return target.truncate(M) == log_product.exp().zshift(1)
 
 
 # ---------------------------------------------------------------------------
@@ -212,16 +196,8 @@ class LambertTable(namedtuple("LambertTable", "order u v b bhat c chat")):
         u, v = tuple(u), tuple(v)
         if len(u) != len(v):
             raise ValueError("u and v must have the same length")
-        return super().__new__(
-            cls,
-            len(u),
-            u,
-            v,
-            tuple(lambert_invert(u)),
-            tuple(lambert_invert(u, alternating=True)),
-            tuple(lambert_invert(v)),
-            tuple(lambert_invert(v, alternating=True)),
-        )
+        columns = (lambert_invert(x, alt) for x in (u, v) for alt in (False, True))
+        return super().__new__(cls, len(u), u, v, *map(tuple, columns))
 
     def __getnewargs__(self):
         return self.u, self.v

@@ -135,6 +135,27 @@ class TestVerify:
         assert out == ""
         assert err.startswith("internal-consistency fault: Lagrange and Newton")
 
+    @pytest.mark.parametrize("field, label", [("Q", "u"), ("q", "v")])
+    def test_linear_coefficient_tamper_exits_3(self, monkeypatch, capsys, field, label):
+        from mahlerq.mirror import MirrorData
+        from mahlerq.series import Series
+
+        build = MirrorData.build.__func__
+
+        def tampered(cls, model, order):
+            md = build(cls, model, order)
+            series = getattr(md, field)
+            return md._replace(**{field: series + Series.monomial(1, 1, series.order)})
+
+        monkeypatch.setattr(MirrorData, "build", classmethod(tampered))
+        code, out, err = run_cli("verify", "--model", "3,3,3", "--order", "4", capsys=capsys)
+        assert code == 3
+        assert out == ""
+        assert err.startswith(
+            f"internal-consistency fault: {label}-series composition for model "
+            "3,3,3 is not t + O(t^2): it starts 0 + 2*t"
+        )
+
     def test_corrupted_g0_expansion_exits_3(self, monkeypatch, capsys):
         import mahlerq.inversion as inversion
 

@@ -19,7 +19,6 @@ from mahlerq import (
     u_series,
     v_series,
 )
-from mahlerq.inversion import binomial_factor
 
 M22 = Model.from_kvector((2, 2))
 M333 = Model.from_kvector((3, 3, 3))
@@ -53,6 +52,29 @@ def literal_inversion(u, alternating):
         ) / (m * m)
         for m in range(1, len(u) + 1)
     ]
+
+
+def binomial_factor(sign: int, m: int, exponent: F, order: int) -> Series:
+    """(1 - sign*t^m)^exponent to ``order``, from the generalised binomial series.
+
+    The coefficient of t^(m*j) is C(exponent, j) * (-sign)^j; this holds for
+    integer, negative and fractional exponents alike.
+    """
+    coeffs = [F(0)] * (order + 1)
+    term = F(1)
+    for j in range(order // m + 1):
+        coeffs[m * j] = term
+        term = term * (exponent - j) * -sign / (j + 1)
+    return Series(coeffs)
+
+
+def literal_product(b, alternating):
+    """t * prod_{m<=M} (1 - (+-t)^m)^(m*b_m) mod t^(M+1), factor by factor."""
+    M = len(b)
+    prod = Series.one(M)
+    for m, bm in enumerate(b, start=1):
+        prod = prod * binomial_factor((-1) ** m if alternating else 1, m, m * bm, M)
+    return prod.zshift(1).truncate(M)
 
 
 class TestMobius:
@@ -173,9 +195,64 @@ class TestProductCheck:
             b[2] += 1
             assert not product_check(Qq, b, alternating=alternating)
 
+    @pytest.mark.parametrize("alternating", [False, True])
+    @pytest.mark.parametrize(
+        "parts, M", [((3, 3, 3), 12), ((2, 3, 6), 12), ((2, 3, 7, 42), 10)]
+    )
+    def test_agrees_with_the_literal_product(self, parts, M, alternating):
+        rep = integrality_report(Model.from_kvector(parts), M)
+        md = MirrorData.build(rep.model, M + 1)
+        table = rep.table
+        cases = [
+            (md.Q.compose(md.zq).truncate(M), table.bhat if alternating else table.b),
+            (md.q.compose(md.zQ).truncate(M), table.chat if alternating else table.c),
+        ]
+        if parts == (3, 3, 3):  # fractional exponents, bhat_2 = -9/2
+            assert any(x.denominator != 1 for x in table.bhat)
+        if parts == (2, 3, 7, 42):  # exponents m*b_m beyond 10^6
+            assert max(abs(m * bm) for m, bm in enumerate(table.b, start=1)) > 10**6
+        for target, exponents in cases:
+            exact = list(exponents)
+            perturbed = exact[:]
+            perturbed[M // 2] += F(1, 3)
+            top = target + Series.monomial(1, M, M)
+            doubled = target + Series.monomial(1, 1, M)
+            inputs = [(target, exact), (target, perturbed), (top, exact), (doubled, exact)]
+            verdicts = [product_check(t, b, alternating) for t, b in inputs]
+            assert verdicts == [True, False, False, False]
+            assert verdicts == [t == literal_product(b, alternating) for t, b in inputs]
+
+    @pytest.mark.parametrize("alternating", [False, True])
+    def test_one_exponential_and_no_series_products(self, monkeypatch, alternating):
+        md = MirrorData.build(M333, 13)
+        target = md.Q.compose(md.zq).truncate(12)
+        b = lambert_invert(u_series(md, 12), alternating=alternating)
+        multiply, exponential = Series.__mul__, Series.exp
+        products, exponentials = [], []
+
+        def recording_mul(left, right):
+            if isinstance(right, Series):
+                products.append(right)
+            return multiply(left, right)
+
+        def recording_exp(series):
+            exponentials.append(series)
+            return exponential(series)
+
+        monkeypatch.setattr(Series, "__mul__", recording_mul)
+        monkeypatch.setattr(Series, "__rmul__", recording_mul)
+        monkeypatch.setattr(Series, "exp", recording_exp)
+        assert product_check(target, b, alternating)
+        assert products == []
+        assert len(exponentials) == 1
+
+    def test_empty_exponents_are_refused(self):
+        with pytest.raises(ValueError, match="at least one exponent"):
+            product_check(Series.identity(4), [])
+
 
 class TestBinomialFactor:
-    """The closed-form factors of product_check against Series powers."""
+    """The closed-form factors of the literal-product oracle against Series powers."""
 
     M = 10
 
@@ -264,24 +341,30 @@ class TestReport:
         with pytest.raises(ConsistencyError, match="closed-form periods"):
             integrality_report(M333, 6)
 
+    TAMPERS = [
+        ("q", 3, "v-series routes disagree"),
+        ("Q", 3, "u-series routes disagree"),
+        ("zq", 3, "Lagrange and Newton reversions disagree"),
+        ("zQ", 3, "Lagrange and Newton reversions disagree"),
+        ("q", 1, r"v-series composition for model 3,3,3 is not t \+ O\(t\^2\)"),
+        ("Q", 1, r"u-series composition for model 3,3,3 is not t \+ O\(t\^2\)"),
+    ]
+
     @pytest.mark.parametrize(
-        "field, message",
-        [
-            ("q", "v-series routes disagree"),
-            ("Q", "u-series routes disagree"),
-            ("zq", "Lagrange and Newton reversions disagree"),
-            ("zQ", "Lagrange and Newton reversions disagree"),
-        ],
+        "field, degree, message",
+        TAMPERS,
+        ids=[f"{f}-{m}" if d == 3 else f"{f}-z{d}" for f, d, m in TAMPERS],
     )
     def test_tampered_mirror_data_raises_consistency_fault(
-        self, monkeypatch, field, message
+        self, monkeypatch, field, degree, message
     ):
         build = MirrorData.build.__func__
 
         def tampered(cls, model, order):
             md = build(cls, model, order)
             series = getattr(md, field)
-            return md._replace(**{field: series + Series.monomial(1, 3, series.order)})
+            bump = Series.monomial(1, degree, series.order)
+            return md._replace(**{field: series + bump})
 
         monkeypatch.setattr(MirrorData, "build", classmethod(tampered))
         with pytest.raises(ConsistencyError, match=message):
