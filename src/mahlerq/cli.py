@@ -7,9 +7,18 @@ independent computation routes disagreed), 4 when an evaluation point
 falls outside the disk of convergence.
 
 Every command runs in a fresh process, so the module imports only the
-standard-library modules the commands need; ``csv`` and the process pool
-are imported where they are used.  ``batch`` writes its cache entries with
-:func:`write_atomic` (a sibling temporary file, then ``os.replace``).
+standard-library modules the commands need; ``csv`` is imported where it is
+used.
+
+``batch`` keeps one JSON report per model in its cache directory, written
+by :func:`write_atomic` (a sibling temporary file, then ``os.replace``).
+With more than one worker it forks one child per report still to compute,
+at most that many at once.  A child writes its entry and leaves through
+``os._exit``, so the cache is the only result channel: the parent reads
+every entry, new or cached, through one validating reader.  After the
+first child that fails no further report is started; the running ones are
+waited for, their entries stay, and ``batch`` exits with the failed
+child's code (2 for a child killed by a signal).
 """
 
 from __future__ import annotations
@@ -268,7 +277,9 @@ def write_atomic(path: str, text: str) -> None:
 
 def batch_workers(jobs: int, pending: int) -> int:
     """Worker processes for ``pending`` reports: at most ``jobs``, one per CPU
-    and one per report."""
+    and one per report; one (this process) where ``os`` cannot fork."""
+    if not hasattr(os, "fork"):
+        return 1
     return min(jobs, os.cpu_count() or 1, pending)
 
 
@@ -276,6 +287,86 @@ def _batch_compute(spec: tuple[tuple[int, ...], int]) -> str:
     parts, order = spec
     model = Model.from_kvector(KVector(parts))
     return report_json_text(integrality_report(model, order))
+
+
+def _write_entry(model: Model, order: int, path: str) -> int:
+    write_atomic(path, _batch_compute((model.kvec.parts, order)))
+    return 0
+
+
+def _fork_entry(model: Model, order: int, path: str) -> int:
+    """Fork a child that writes one cache entry; returns its pid.
+
+    The child always ends in ``os._exit``, so it never returns into the
+    caller's stack, flushes the buffers it inherited or runs atexit hooks.
+    Forking is safe because the command starts no threads.
+    """
+    pid = os.fork()
+    if pid:
+        return pid
+    code = 1
+    try:
+        code = _exit_code(_write_entry, model, order, path)
+        sys.stderr.flush()
+    except BaseException:
+        # Outside the exit-code contract: report it as the interpreter would.
+        sys.excepthook(*sys.exc_info())
+    finally:
+        os._exit(code)
+
+
+def _fork_entries(pending: list[tuple[Model, str]], order: int, workers: int) -> int:
+    """Write the ``pending`` entries from forked children, ``workers`` at a time.
+
+    Returns 0, or the exit code of the first child that failed; after it no
+    child is started and the running ones are waited for.
+    """
+    queue = list(pending)
+    running: dict[int, str] = {}  # pid -> model name
+    failed = None  # (model name, wait status) of the first failed child
+    try:
+        while queue or running:
+            while queue and len(running) < workers:
+                model, path = queue.pop(0)
+                running[_fork_entry(model, order, path)] = model.name
+            pid, status = os.wait()
+            name = running.pop(pid)
+            if status and failed is None:
+                failed = (name, status)
+                queue.clear()
+    finally:
+        for pid in running:
+            os.waitpid(pid, 0)
+    if failed is None:
+        return 0
+    name, status = failed
+    if os.WIFSIGNALED(status):
+        raise ValueError(
+            f"batch worker for model {name} was killed by signal {os.WTERMSIG(status)}"
+        )
+    return os.waitstatus_to_exitcode(status)
+
+
+def _read_entry(path: str, model: Model, order: int) -> tuple[bool, bool]:
+    """(every row integral, every check true) of the cache entry of ``model``
+    at ``order``; a corrupted entry names its file."""
+    try:
+        with open(path) as handle:
+            payload = json.load(handle)
+        found = (payload["model"]["name"], payload["order"])
+        if found != (model.name, order):
+            raise ValueError(
+                f"it holds model {found[0]} at order {found[1]}, "
+                f"not model {model.name} at order {order}"
+            )
+        integral = all(
+            row["b_integer"] and row["bhat_integer"]
+            and row["c_integer"] and row["chat_integer"]
+            for row in payload["rows"]
+        )
+        return integral, all(payload["checks"].values())
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ValueError(f"corrupted cache entry {path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -319,23 +410,6 @@ def cmd_verify(args) -> int:
     return 0
 
 
-def _report_all_integer(text: str) -> bool:
-    return all(
-        row["b_integer"] and row["bhat_integer"]
-        and row["c_integer"] and row["chat_integer"]
-        for row in json.loads(text)["rows"]
-    )
-
-
-def _cached_all_integer(path: str) -> bool:
-    """The all-integer verdict of a cache entry; a corrupted entry names its file."""
-    try:
-        with open(path) as handle:
-            return _report_all_integer(handle.read())
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ValueError(f"corrupted cache entry {path}: {exc}") from exc
-
-
 def cmd_batch(args) -> int:
     if args.n < 2:
         raise ValueError("need --n at least 2")
@@ -353,35 +427,33 @@ def cmd_batch(args) -> int:
         raise ValueError(f"cache directory {cache_dir} is not writable: {exc}")
 
     sols = enumerate_solutions(args.n)
-    todo: list[tuple[tuple[int, ...], int]] = []
-    all_integer = 0
+    verdicts = []
+    pending: list[tuple[Model, str]] = []
     for kv in sols:
-        path = cache_path(cache_dir, Model.from_kvector(kv), args.order)
+        model = Model.from_kvector(kv)
+        path = cache_path(cache_dir, model, args.order)
         if os.path.exists(path):
-            all_integer += _cached_all_integer(path)
+            verdicts.append(_read_entry(path, model, args.order))
         else:
-            todo.append((kv.parts, args.order))
+            pending.append((model, path))
 
-    if todo:
-        workers = batch_workers(args.jobs, len(todo))
+    if pending:
+        workers = batch_workers(args.jobs, len(pending))
         if workers > 1:
-            # Imported here: the pool pulls in multiprocessing, socket and
-            # logging, which no other command needs.
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(_batch_compute, todo))
+            code = _fork_entries(pending, args.order, workers)
+            if code:
+                return code
         else:
-            results = [_batch_compute(spec) for spec in todo]
-        for (parts, _), text in zip(todo, results):
-            model = Model.from_kvector(KVector(parts))
-            write_atomic(cache_path(cache_dir, model, args.order), text)
-            all_integer += _report_all_integer(text)
+            for model, path in pending:
+                _write_entry(model, args.order, path)
+        verdicts += [_read_entry(path, model, args.order) for model, path in pending]
 
-    print(f"{len(sols) - len(todo)} cached, {len(todo)} computed")
+    all_integer = sum(integral for integral, _ in verdicts)
+    failed_checks = sum(not checks for _, checks in verdicts)
+    print(f"{len(sols) - len(pending)} cached, {len(pending)} computed")
     print(
         f"models={len(sols)} all_integer={all_integer} "
-        f"with_fractional={len(sols) - all_integer}"
+        f"with_fractional={len(sols) - all_integer} failed_checks={failed_checks}"
     )
     return 0
 
@@ -395,6 +467,22 @@ def cmd_measure(args) -> int:
     print(f"tail_bound <= {result.tail_bound!r}")
     print(f"z = {format_rational(result.z)}")
     return 0
+
+
+def _exit_code(run, *args) -> int:
+    """``run(*args)`` under the exit-code contract: its own return value, or
+    3, 4 or 2 with the error on stderr."""
+    try:
+        return run(*args)
+    except ConsistencyError as exc:
+        print(f"internal-consistency fault: {exc}", file=sys.stderr)
+        return 3
+    except ConvergenceError as exc:
+        print(f"outside disk of convergence: {exc}", file=sys.stderr)
+        return 4
+    except (ValueError, ZeroDivisionError, KeyError, IndexError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 _HANDLERS = {
@@ -413,17 +501,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        return _HANDLERS[args.command](args)
-    except ConsistencyError as exc:
-        print(f"internal-consistency fault: {exc}", file=sys.stderr)
-        return 3
-    except ConvergenceError as exc:
-        print(f"outside disk of convergence: {exc}", file=sys.stderr)
-        return 4
-    except (ValueError, ZeroDivisionError, KeyError, IndexError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    return _exit_code(_HANDLERS[args.command], args)
 
 
 if __name__ == "__main__":

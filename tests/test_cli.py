@@ -2,6 +2,7 @@
 
 import json
 import os
+import signal
 import stat
 import subprocess
 import sys
@@ -11,6 +12,8 @@ import pytest
 
 import mahlerq
 from mahlerq.cli import batch_workers, main, write_atomic
+
+SRC = Path(mahlerq.__file__).resolve().parents[1]
 
 
 def run_cli(*argv, capsys=None):
@@ -218,14 +221,19 @@ class TestBatch:
 
     def test_parallel_is_byte_identical(self, tmp_path, capsys):
         one = tmp_path / "one"
-        four = tmp_path / "four"
         run_cli("batch", "--n", "3", "--order", "5", "--cache", str(one), capsys=capsys)
-        run_cli(
-            "batch", "--n", "3", "--order", "5", "--jobs", "4", "--cache", str(four),
-            capsys=capsys,
-        )
-        for path in sorted(one.glob("*.json")):
-            assert path.read_bytes() == (four / path.name).read_bytes()
+        for jobs in ("2", "4"):
+            many = tmp_path / jobs
+            code, _, _ = run_cli(
+                "batch", "--n", "3", "--order", "5", "--jobs", jobs, "--cache", str(many),
+                capsys=capsys,
+            )
+            assert code == 0
+            assert sorted(p.name for p in many.iterdir()) == sorted(
+                p.name for p in one.iterdir()
+            )
+            for path in sorted(one.glob("*.json")):
+                assert path.read_bytes() == (many / path.name).read_bytes()
 
     def test_cache_env_var(self, tmp_path, capsys, monkeypatch):
         cache = tmp_path / "envcache"
@@ -243,8 +251,9 @@ class TestBatch:
         assert code == 2
 
     @pytest.mark.parametrize("damage", [
-        lambda text: text[:2],  # truncated: not valid JSON
-        lambda text: "[]",  # valid JSON without the report's rows
+        lambda own, other: own[:2],  # truncated: not valid JSON
+        lambda own, other: "[]",  # valid JSON without the report's rows
+        lambda own, other: other,  # another model's entry copied over this one
     ])
     def test_corrupted_cache_entry_names_its_file(self, tmp_path, capsys, damage):
         from mahlerq import Model
@@ -252,8 +261,11 @@ class TestBatch:
 
         cache = tmp_path / "cache"
         run_cli("batch", "--n", "3", "--order", "4", "--cache", str(cache), capsys=capsys)
-        entry = Path(cache_path(str(cache), Model.from_kvector((2, 4, 4)), 4))
-        entry.write_text(damage(entry.read_text()))
+        entry, other = (
+            Path(cache_path(str(cache), Model.from_kvector(kv), 4))
+            for kv in ((3, 3, 3), (2, 4, 4))
+        )
+        entry.write_text(damage(entry.read_text(), other.read_text()))
         code, out, err = run_cli(
             "batch", "--n", "3", "--order", "4", "--cache", str(cache), capsys=capsys
         )
@@ -267,7 +279,27 @@ class TestBatch:
             capsys=capsys,
         )
         # (3,3,3) has bhat_2 = -9/2: one model with a fractional entry
-        assert "models=3 all_integer=2 with_fractional=1" in out
+        assert out.endswith("models=3 all_integer=2 with_fractional=1 failed_checks=0\n")
+
+    def test_summary_counts_failed_checks(self, tmp_path, capsys):
+        from mahlerq import Model
+        from mahlerq.cli import cache_path
+
+        cache = tmp_path / "cache"
+        run_cli("batch", "--n", "3", "--order", "4", "--cache", str(cache), capsys=capsys)
+        entry = Path(cache_path(str(cache), Model.from_kvector((2, 4, 4)), 4))
+        payload = json.loads(entry.read_text())
+        first = next(iter(payload["checks"]))
+        payload["checks"][first] = False
+        entry.write_text(json.dumps(payload))
+        code, out, _ = run_cli(
+            "batch", "--n", "3", "--order", "4", "--cache", str(cache), capsys=capsys
+        )
+        assert code == 0
+        assert out == (
+            "3 cached, 0 computed\n"
+            "models=3 all_integer=2 with_fractional=1 failed_checks=1\n"
+        )
 
     def test_cache_equals_fresh_report(self, tmp_path, capsys):
         from mahlerq import Model, integrality_report
@@ -278,6 +310,64 @@ class TestBatch:
         model = Model.from_kvector((2, 4, 4))
         cached = Path(cache_path(cache, model, 5)).read_text()
         assert cached == report_json_text(integrality_report(model, 5))
+
+
+class TestBatchWorkerFailures:
+    """Forked workers under ``--jobs 2``; capfd captures the children's stderr."""
+
+    @pytest.fixture
+    def patch_report(self, monkeypatch):
+        """Replace ``integrality_report`` for model 2,4,4 in forked workers only."""
+        import mahlerq.cli as cli
+
+        exact = cli.integrality_report
+        parent = os.getpid()
+
+        def patch(fault):
+            def report(model, order):
+                if model.name == "2,4,4":
+                    # A fault in this process would end the test run itself.
+                    assert os.getpid() != parent, "report computed without a fork"
+                    fault()
+                return exact(model, order)
+
+            monkeypatch.setattr(cli, "integrality_report", report)
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        return patch
+
+    def run_batch(self, cache, capfd):
+        pid = os.getpid()
+        code = main(["batch", "--n", "3", "--order", "4", "--jobs", "2",
+                     "--cache", str(cache)])
+        out, err = capfd.readouterr()
+        assert os.getpid() == pid
+        assert list(cache.glob("*.tmp")) == []
+        return code, out, err
+
+    def test_consistency_fault_exits_3(self, tmp_path, capfd, patch_report):
+        from mahlerq.inversion import ConsistencyError
+
+        def fault():
+            raise ConsistencyError("u-series routes disagree for model 2,4,4 at m=1")
+
+        patch_report(fault)
+        code, out, err = self.run_batch(tmp_path / "cache", capfd)
+        assert code == 3
+        assert out == ""
+        assert err == (
+            "internal-consistency fault: u-series routes disagree for model 2,4,4 at m=1\n"
+        )
+
+    def test_killed_worker_exits_2(self, tmp_path, capfd, patch_report):
+        patch_report(lambda: os.kill(os.getpid(), signal.SIGKILL))
+        code, out, err = self.run_batch(tmp_path / "cache", capfd)
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: batch worker for model 2,4,4 was killed by signal "
+            f"{int(signal.SIGKILL)}\n"
+        )
 
 
 class TestWriteAtomic:
@@ -325,6 +415,11 @@ class TestBatchWorkers:
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         assert batch_workers(jobs, pending) == expected
 
+    def test_one_worker_without_fork(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.delattr(os, "fork")
+        assert batch_workers(4, 14) == 1
+
 
 class TestMeasure:
     def test_psi_2(self, capsys):
@@ -349,6 +444,28 @@ class TestMeasure:
         assert code == 2
 
 
+def run_forked_batch(cache, epilogue=""):
+    """``batch --n 3 --order 5 --jobs 2`` in a fresh ``python -S`` with two
+    CPUs reported, stdout on a pipe; ``epilogue`` runs after ``main``."""
+    return subprocess.run(
+        [
+            sys.executable,
+            "-S",
+            "-c",
+            "import os, sys\n"
+            "os.cpu_count = lambda: 2\n"
+            "from mahlerq.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            f"{epilogue}\n"
+            "sys.exit(code)",
+            "batch", "--n", "3", "--order", "5", "--jobs", "2", "--cache", str(cache),
+        ],
+        capture_output=True,
+        text=True,
+        cwd=SRC,
+    )
+
+
 class TestConsoleEntry:
     def test_module_invocation(self):
         # Run from the directory holding the package under test, so that the
@@ -357,15 +474,15 @@ class TestConsoleEntry:
             [sys.executable, "-m", "mahlerq", "--version"],
             capture_output=True,
             text=True,
-            cwd=Path(mahlerq.__file__).resolve().parents[1],
+            cwd=SRC,
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == "0.1.0"
 
     def test_pool_is_not_imported_at_start_up(self):
-        # Only `batch --jobs N` with N > 1 needs the process pool, and only
-        # `--format csv` needs csv.  Each command runs in a fresh process,
-        # so every module imported at start-up is paid for by every run.
+        # Only `--format csv` needs csv.  Each command runs in a fresh
+        # process, so every module imported at start-up is paid for by
+        # every run.
         unneeded = [
             "concurrent.futures.process",
             "dataclasses",
@@ -387,9 +504,27 @@ class TestConsoleEntry:
             ],
             capture_output=True,
             text=True,
-            cwd=Path(mahlerq.__file__).resolve().parents[1],
+            cwd=SRC,
         )
         assert proc.returncode == 0, proc.stderr
         loaded, module_count = json.loads(proc.stdout)
         assert loaded == []
         assert module_count <= 75
+
+    def test_no_pool_or_thread_modules_after_a_forked_batch(self, tmp_path):
+        unneeded = ["concurrent.futures", "multiprocessing", "threading", "socket"]
+        proc = run_forked_batch(
+            tmp_path / "cache",
+            f"print([m for m in {unneeded!r} if m in sys.modules], file=sys.stderr)",
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == "[]\n"
+
+    def test_children_print_nothing_to_a_block_buffered_stdout(self, tmp_path):
+        proc = run_forked_batch(tmp_path / "cache")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == (
+            "0 cached, 3 computed\n"
+            "models=3 all_integer=2 with_fractional=1 failed_checks=0\n"
+        )
+        assert proc.stderr == ""
