@@ -2,13 +2,19 @@
 
 Subcommands: enumerate, series, pf, verify, batch, measure.  Exit codes
 follow a fixed contract so the tool stays scriptable: 0 success, 2 for
-usage or validation problems, 3 for an internal-consistency fault (two
-independent computation routes disagreed), 4 when an evaluation point
-falls outside the disk of convergence.
+usage or validation problems and for a file that cannot be read or
+written, 3 for an internal-consistency fault (two independent computation
+routes disagreed), 4 when an evaluation point falls outside the disk of
+convergence.
 
 Every command runs in a fresh process, so the module imports only the
-standard-library modules the commands need; ``csv`` is imported where it is
-used.
+standard-library modules the commands need; ``csv`` and ``json`` are
+imported where they are used, and ``measure`` or a ``table``/``csv``
+render loads neither.  The command line is parsed from one table,
+:data:`COMMANDS`, which also gives the help text and every usage error.
+``argparse`` is not used: importing it and building its parsers loads
+``gettext``, ``locale``, ``shutil`` and the compression modules
+``shutil`` pulls in, which every run would pay for.
 
 ``batch`` keeps one JSON report per model in its cache directory, written
 by :func:`write_atomic` (a sibling temporary file, then ``os.replace``).
@@ -23,12 +29,11 @@ child's code (2 for a child killed by a signal).
 
 from __future__ import annotations
 
-import argparse
 import io
-import json
 import os
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 from . import __version__
 from .inversion import (
@@ -51,7 +56,7 @@ DEFAULT_CACHE = "~/.cache/mahlerq"
 
 
 # ---------------------------------------------------------------------------
-# argument helpers
+# command table and argument parsing
 # ---------------------------------------------------------------------------
 
 def _parse_int_list(text: str) -> list[int]:
@@ -61,67 +66,165 @@ def _parse_int_list(text: str) -> list[int]:
         raise ValueError(f"expected a comma-separated integer list, got {text!r}")
 
 
-def parse_model_args(args: argparse.Namespace) -> Model:
+def parse_model_args(args) -> Model:
     """Build a Model from --model k1,k2,.. or --weights k:w1,w2,.."""
-    if getattr(args, "weights", None):
+    if args.model and args.weights:
+        raise ValueError("give --model or --weights, not both")
+    if args.weights:
         head, _, tail = args.weights.partition(":")
         if not tail:
             raise ValueError("--weights expects the form k:w1,w2,...")
         return Model.from_weights(int(head), _parse_int_list(tail))
-    if getattr(args, "model", None):
+    if args.model:
         return Model.from_kvector(KVector(_parse_int_list(args.model)))
     raise ValueError("a model is required (--model or --weights)")
 
 
-def _add_model_options(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--model", help="k-vector, e.g. 2,3,6 (reciprocals sum to 1)")
-    sub.add_argument("--weights", help="direct weights, e.g. 12:4,3,3,2 (sum w = k)")
+REQUIRED = object()  # the default of an option that must be given
+_FORMATS = ("table", "json", "csv")
+_MODEL_OPTIONS = (
+    ("--model", str, None, "k-vector, e.g. 2,3,6 (reciprocals sum to 1)"),
+    ("--weights", str, None, "direct weights, e.g. 12:4,3,3,2 (sum w = k)"),
+)
+
+# The one declaration of every command and option: parsing, help and usage
+# errors all read it.  command -> (summary, options); an option is
+# (flag, type, default, help), its type int, str or a tuple of the values
+# it accepts, its default REQUIRED when it must be given.
+COMMANDS = {
+    "enumerate": ("list weight systems for a dimension", (
+        ("--n", int, REQUIRED, ""),
+        ("--format", _FORMATS, "table", ""),
+    )),
+    "series": ("print one series of the model pipeline", _MODEL_OPTIONS + (
+        ("--order", int, REQUIRED, ""),
+        ("--which", _SERIES_KEYS, "Q", ""),
+        ("--format", _FORMATS, "table", ""),
+    )),
+    "pf": ("derive the Picard-Fuchs operator parameters", _MODEL_OPTIONS + (
+        ("--format", ("table", "json"), "table", ""),
+    )),
+    "verify": ("integrality report for one model", _MODEL_OPTIONS + (
+        ("--order", int, REQUIRED, ""),
+        ("--format", _FORMATS, "table", ""),
+        ("--out", str, None, "also write the JSON report to this path"),
+    )),
+    "batch": ("verify every weight system of a dimension", (
+        ("--n", int, REQUIRED, ""),
+        ("--order", int, REQUIRED, ""),
+        ("--jobs", int, 1, ""),
+        ("--cache", str, None,
+         f"report cache directory (default $MAHLER_CACHE or {DEFAULT_CACHE})"),
+    )),
+    "measure": ("numeric logarithmic Mahler measure", _MODEL_OPTIONS + (
+        ("--psi", str, REQUIRED, "positive rational, e.g. 2 or 5/2"),
+        ("--order", int, 32, ""),
+    )),
+}
+_HELP_FLAGS = ("-h", "--help")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="mahlerq",
-        description="Exact series engine for Mahler-measure variations and"
+def _columns(rows: list[tuple[str, str]]) -> list[str]:
+    width = max(len(left) for left, _ in rows)
+    return [f"  {left.ljust(width)}  {right}".rstrip() for left, right in rows]
+
+
+def program_help() -> str:
+    return "\n".join([
+        f"usage: mahlerq [-h] [--version] {{{','.join(COMMANDS)}}} ...",
+        "",
+        "Exact series engine for Mahler-measure variations and"
         " mirror-map integrality tables",
-    )
-    parser.add_argument("--version", action="version", version=__version__)
-    subs = parser.add_subparsers(dest="command", required=True)
+        "",
+        "commands:",
+        *_columns([(name, summary) for name, (summary, _) in COMMANDS.items()]),
+        "",
+        "options:",
+        *_columns([("-h, --help", "show this help and exit"),
+                   ("--version", "print the version and exit")]),
+        "",
+        "Each command takes --opt value or --opt=value; 'mahlerq <command> -h'"
+        " lists its options.",
+    ])
 
-    p = subs.add_parser("enumerate", help="list weight systems for a dimension")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--format", choices=("table", "json", "csv"), default="table")
 
-    p = subs.add_parser("series", help="print one series of the model pipeline")
-    _add_model_options(p)
-    p.add_argument("--order", type=int, required=True)
-    p.add_argument("--which", choices=_SERIES_KEYS, default="Q")
-    p.add_argument("--format", choices=("table", "json", "csv"), default="table")
+def command_help(command: str) -> str:
+    summary, options = COMMANDS[command]
+    usage, rows = [], [("-h, --help", "show this help and exit")]
+    for flag, kind, default, text in options:
+        value = "{" + ",".join(kind) + "}" if isinstance(kind, tuple) else flag[2:].upper()
+        option = f"{flag} {value}"
+        usage.append(option if default is REQUIRED else f"[{option}]")
+        if default is REQUIRED:
+            text += " (required)"
+        elif default is not None:
+            text += f" (default {default})"
+        rows.append((option, text.lstrip()))
+    return "\n".join([
+        f"usage: mahlerq {command} [-h] {' '.join(usage)}",
+        "",
+        summary,
+        "",
+        "options:",
+        *_columns(rows),
+    ])
 
-    p = subs.add_parser("pf", help="derive the Picard-Fuchs operator parameters")
-    _add_model_options(p)
-    p.add_argument("--format", choices=("table", "json"), default="table")
 
-    p = subs.add_parser("verify", help="integrality report for one model")
-    _add_model_options(p)
-    p.add_argument("--order", type=int, required=True)
-    p.add_argument("--format", choices=("table", "json", "csv"), default="table")
-    p.add_argument("--out", help="also write the JSON report to this path")
+def _convert(command: str, flag: str, kind, text: str):
+    if kind is int:
+        try:
+            return int(text)
+        except ValueError:
+            raise ValueError(f"{command}: {flag} expects an integer, got {text!r}") from None
+    if kind is not str and text not in kind:
+        raise ValueError(
+            f"{command}: {flag} must be one of {', '.join(kind)}, got {text!r}"
+        )
+    return text
 
-    p = subs.add_parser("batch", help="verify every weight system of a dimension")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--order", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument(
-        "--cache",
-        help=f"report cache directory (default $MAHLER_CACHE or {DEFAULT_CACHE})",
-    )
 
-    p = subs.add_parser("measure", help="numeric logarithmic Mahler measure")
-    _add_model_options(p)
-    p.add_argument("--psi", required=True, help="positive rational, e.g. 2 or 5/2")
-    p.add_argument("--order", type=int, default=32)
+def parse_args(argv: list[str]):
+    """The command and option values of ``argv`` as attributes, or the help
+    or version text that ``argv`` asks for.
 
-    return parser
+    Options are ``--opt value`` or ``--opt=value``, the last one given wins,
+    and only whole option names are accepted.  A usage error raises
+    ``ValueError("<command>: <cause>")``.
+    """
+    if not argv:
+        raise ValueError(f"mahlerq: a command is required: {', '.join(COMMANDS)}")
+    command, tokens = argv[0], argv[1:]
+    if command in _HELP_FLAGS:
+        return program_help()
+    if command == "--version":
+        return __version__
+    if command not in COMMANDS:
+        what = "option" if command.startswith("-") else "command"
+        raise ValueError(
+            f"mahlerq: unknown {what} {command!r}; choose from {', '.join(COMMANDS)}"
+        )
+    options = {flag: kind for flag, kind, _, _ in COMMANDS[command][1]}
+    given = {}
+    tokens = iter(tokens)
+    for token in tokens:
+        if token in _HELP_FLAGS:
+            return command_help(command)
+        flag, has_value, text = token.partition("=")
+        if flag not in options:
+            if token.startswith("-"):
+                raise ValueError(f"{command}: unknown option {flag}")
+            raise ValueError(f"{command}: unexpected argument {token!r}")
+        if not has_value:
+            text = next(tokens, None)
+            if text is None or text.startswith("--"):
+                raise ValueError(f"{command}: {flag} expects a value")
+        given[flag] = _convert(command, flag, options[flag], text)
+    values = {"command": command}
+    for flag, _, default, _ in COMMANDS[command][1]:
+        if default is REQUIRED and flag not in given:
+            raise ValueError(f"{command}: {flag} is required")
+        values[flag[2:]] = given.get(flag, default)
+    return SimpleNamespace(**values)
 
 
 # ---------------------------------------------------------------------------
@@ -135,6 +238,8 @@ def _fmt_fraction_list(values) -> str:
 def render_enumerate(n: int, fmt: str) -> str:
     sols = enumerate_solutions(n)
     if fmt == "json":
+        import json
+
         payload = [Model.from_kvector(kv).to_json_dict() for kv in sols]
         return json.dumps(payload, indent=2)
     if fmt == "csv":
@@ -166,6 +271,8 @@ def render_series(model: Model, order: int, which: str, fmt: str) -> str:
     series = md.series(which)
     values = [format_rational(c) for c in series.coeffs]
     if fmt == "json":
+        import json
+
         return json.dumps(values)
     if fmt == "csv":
         return "\n".join(f"{m},{v}" for m, v in enumerate(values))
@@ -176,6 +283,8 @@ def render_pf(model: Model, fmt: str) -> str:
     ops = {form: pf_operator(model, form) for form in ("reduced", "local")}
     flag = pf2_applicable(model)
     if fmt == "json":
+        import json
+
         payload = {
             "model": model.to_json_dict(),
             "pf2_applicable": flag,
@@ -244,6 +353,8 @@ def render_report_table(report: IntegralityReport) -> str:
 
 
 def report_json_text(report: IntegralityReport) -> str:
+    import json
+
     return json.dumps(report.to_json_dict(), indent=2) + "\n"
 
 
@@ -321,6 +432,9 @@ def _fork_entries(pending: list[tuple[Model, str]], order: int, workers: int) ->
     Returns 0, or the exit code of the first child that failed; after it no
     child is started and the running ones are waited for.
     """
+    # Every child writes JSON: import it once here, not once per child.
+    import json
+
     queue = list(pending)
     running: dict[int, str] = {}  # pid -> model name
     failed = None  # (model name, wait status) of the first failed child
@@ -350,6 +464,8 @@ def _fork_entries(pending: list[tuple[Model, str]], order: int, workers: int) ->
 def _read_entry(path: str, model: Model, order: int) -> tuple[bool, bool]:
     """(every row integral, every check true) of the cache entry of ``model``
     at ``order``; a corrupted entry names its file."""
+    import json
+
     try:
         with open(path) as handle:
             payload = json.load(handle)
@@ -480,7 +596,7 @@ def _exit_code(run, *args) -> int:
     except ConvergenceError as exc:
         print(f"outside disk of convergence: {exc}", file=sys.stderr)
         return 4
-    except (ValueError, ZeroDivisionError, KeyError, IndexError) as exc:
+    except (ValueError, ZeroDivisionError, KeyError, IndexError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -495,13 +611,16 @@ _HANDLERS = {
 }
 
 
+def _run(argv: list[str]) -> int:
+    args = parse_args(argv)
+    if isinstance(args, str):  # the help or version text
+        print(args)
+        return 0
+    return _HANDLERS[args.command](args)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    return _exit_code(_HANDLERS[args.command], args)
+    return _exit_code(_run, sys.argv[1:] if argv is None else list(argv))
 
 
 if __name__ == "__main__":

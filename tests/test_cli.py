@@ -1,5 +1,7 @@
 """End-to-end tests of the command-line interface and its exit-code contract."""
 
+import argparse
+import ast
 import json
 import os
 import signal
@@ -11,9 +13,57 @@ from pathlib import Path
 import pytest
 
 import mahlerq
-from mahlerq.cli import batch_workers, main, write_atomic
+from mahlerq.cli import COMMANDS, DEFAULT_CACHE, batch_workers, main, parse_args, write_atomic
+from mahlerq.mirror import _SERIES_KEYS
 
 SRC = Path(mahlerq.__file__).resolve().parents[1]
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser the CLI once used: the reference for ``parse_args``."""
+    parser = argparse.ArgumentParser(prog="mahlerq")
+    parser.add_argument("--version", action="version", version=mahlerq.__version__)
+    subs = parser.add_subparsers(dest="command", required=True)
+
+    def add_model_options(sub):
+        sub.add_argument("--model", help="k-vector, e.g. 2,3,6 (reciprocals sum to 1)")
+        sub.add_argument("--weights", help="direct weights, e.g. 12:4,3,3,2 (sum w = k)")
+
+    p = subs.add_parser("enumerate", help="list weight systems for a dimension")
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--format", choices=("table", "json", "csv"), default="table")
+
+    p = subs.add_parser("series", help="print one series of the model pipeline")
+    add_model_options(p)
+    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--which", choices=_SERIES_KEYS, default="Q")
+    p.add_argument("--format", choices=("table", "json", "csv"), default="table")
+
+    p = subs.add_parser("pf", help="derive the Picard-Fuchs operator parameters")
+    add_model_options(p)
+    p.add_argument("--format", choices=("table", "json"), default="table")
+
+    p = subs.add_parser("verify", help="integrality report for one model")
+    add_model_options(p)
+    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--format", choices=("table", "json", "csv"), default="table")
+    p.add_argument("--out", help="also write the JSON report to this path")
+
+    p = subs.add_parser("batch", help="verify every weight system of a dimension")
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument(
+        "--cache",
+        help=f"report cache directory (default $MAHLER_CACHE or {DEFAULT_CACHE})",
+    )
+
+    p = subs.add_parser("measure", help="numeric logarithmic Mahler measure")
+    add_model_options(p)
+    p.add_argument("--psi", required=True, help="positive rational, e.g. 2 or 5/2")
+    p.add_argument("--order", type=int, default=32)
+
+    return parser
 
 
 def run_cli(*argv, capsys=None):
@@ -193,6 +243,31 @@ class TestVerify:
         assert code == 0
         payload = json.loads(target.read_text())
         assert payload["rows"][0]["b"] == "9"
+
+    @pytest.mark.parametrize("where", ["missing directory", "existing directory"])
+    def test_unwritable_out_exits_2_and_names_it(self, tmp_path, capsys, where):
+        if where == "missing directory":
+            target = tmp_path / "missing" / "report.json"
+        else:
+            target = tmp_path / "report.json"
+            target.mkdir()
+        code, out, err = run_cli(
+            "verify", "--model", "2,2", "--order", "3", "--out", str(target),
+            capsys=capsys,
+        )
+        assert code == 2
+        assert out.startswith("m  b")  # the table is printed before the write
+        assert err.startswith("error: ") and str(target) in err
+        assert list(tmp_path.rglob("*.tmp")) == []
+
+    def test_model_and_weights_together_exit_2(self, capsys):
+        code, out, err = run_cli(
+            "verify", "--model", "2,2", "--weights", "6:3,2,1", "--order", "2",
+            capsys=capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: give --model or --weights, not both\n"
 
     def test_flags_column_marks_fractions(self, capsys):
         code, out, _ = run_cli(
@@ -444,9 +519,134 @@ class TestMeasure:
         assert code == 2
 
 
-def run_forked_batch(cache, epilogue=""):
+# Command lines that both parsers accept, for every command: defaults, each
+# choice, --opt=value, repeated options and negative integers.
+VALID_ARGV = [
+    ("enumerate", "--n", "3"),
+    ("enumerate", "--n=-2"),
+    *[("enumerate", "--n", "4", "--format", fmt) for fmt in ("table", "json", "csv")],
+    ("series", "--model", "2,2", "--order", "4"),
+    *[("series", "--model", "2,2", "--order", "4", "--which", key) for key in _SERIES_KEYS],
+    *[("series", "--weights=6:3,2,1", "--order=2", f"--format={fmt}")
+      for fmt in ("table", "json", "csv")],
+    ("pf",),
+    ("pf", "--model", "3,3,3"),
+    ("pf", "--weights", "6:3,2,1"),
+    ("pf", "--model=3,3,3", "--format", "json"),
+    ("pf", "--model", "2,2", "--model", "3,3,3", "--format", "json", "--format", "table"),
+    ("verify", "--model", "3,3,3", "--order", "10"),
+    *[("verify", "--model", "3,3,3", "--order", "4", "--format", fmt)
+      for fmt in ("table", "json", "csv")],
+    ("verify", "--model", "3,3,3", "--order", "-1"),
+    ("verify", "--order", "5", "--model", "2,2", "--order", "7"),
+    ("verify", "--weights", "6:3,2,1", "--order", "3", "--out", "report.json"),
+    ("verify", "--model=", "--order=3", "--out="),
+    ("batch", "--n", "4", "--order", "10"),
+    ("batch", "--n", "4", "--order", "10", "--jobs", "2", "--cache", "./cache"),
+    ("batch", "--jobs=-3", "--n", "2", "--order", "1", "--jobs", "0"),
+    ("measure", "--model", "2,2", "--psi", "2"),
+    ("measure", "--model", "2,2", "--psi", "-2", "--order", "64"),
+    ("measure", "--psi=5/2", "--order=-1", "--weights=12:4,3,3,2"),
+]
+
+# Command lines the CLI refuses with exit 2, and the option or command the
+# error must name.
+REFUSED_ARGV = [
+    ((), "command"),
+    (("frobnicate",), "frobnicate"),
+    (("--frobnicate",), "--frobnicate"),
+    (("verify", "--mod", "2,2", "--ord", "2"), "--mod"),
+    (("verify", "--model", "2,2", "--order", "3", "--frob", "1"), "--frob"),
+    (("verify", "--model", "2,2", "--order", "3", "--version"), "--version"),
+    (("verify", "--model", "2,2", "--order", "3", "extra"), "extra"),
+    (("verify", "--model", "2,2", "--order"), "--order"),
+    (("verify", "--model", "--order", "3"), "--model"),
+    (("verify", "--model", "2,2"), "--order"),
+    (("batch", "--n", "4"), "--order"),
+    (("enumerate", "--format", "json"), "--n"),
+    (("measure", "--model", "2,2"), "--psi"),
+    (("verify", "--model", "2,2", "--order", "3", "--format", "xml"), "--format"),
+    (("pf", "--model", "2,2", "--format", "csv"), "--format"),
+    (("series", "--model", "2,2", "--order", "3", "--which", "Z"), "--which"),
+    (("verify", "--model", "2,2", "--order", "x"), "--order"),
+    (("batch", "--n", "4", "--order", "10", "--jobs", "1.5"), "--jobs"),
+    (("enumerate", "--n="), "--n"),
+]
+
+
+def oracle_subparsers():
+    """Command name -> its argparse subparser in the reference parser."""
+    actions = build_parser()._subparsers._group_actions
+    return actions[0].choices
+
+
+class TestParser:
+    @pytest.mark.parametrize("argv", VALID_ARGV, ids=" ".join)
+    def test_values_equal_the_argparse_reference(self, argv):
+        assert vars(parse_args(list(argv))) == vars(build_parser().parse_args(argv))
+
+    def test_every_command_and_option_is_covered(self):
+        for command, sub in oracle_subparsers().items():
+            flags = {
+                flag for argv in VALID_ARGV if argv[0] == command
+                for token in argv[1:] if token.startswith("--")
+                for flag in [token.partition("=")[0]]
+            }
+            declared = {a.option_strings[-1] for a in sub._actions} - {"--help"}
+            assert flags == declared, command
+        assert list(COMMANDS) == list(oracle_subparsers())
+
+    def test_negative_order_fails_the_handler_check(self, capsys):
+        code, out, err = run_cli(
+            "verify", "--model", "3,3,3", "--order", "-1", capsys=capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: need --order at least 1\n"
+
+    @pytest.mark.parametrize(
+        "argv, named", REFUSED_ARGV, ids=[" ".join(a) or "no command" for a, _ in REFUSED_ARGV]
+    )
+    def test_usage_errors_exit_2_and_name_the_cause(self, capsys, argv, named):
+        code, out, err = run_cli(*argv, capsys=capsys)
+        command = argv[0] if argv and argv[0] in COMMANDS else "mahlerq"
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {command}: ")
+        assert err.count("\n") == 1
+        assert named in err
+
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    def test_program_help(self, capsys, flag):
+        code, out, err = run_cli(flag, capsys=capsys)
+        assert code == 0
+        assert err == ""
+        assert out.startswith("usage: mahlerq ")
+        for command in oracle_subparsers():
+            assert f"\n  {command} " in out
+
+    @pytest.mark.parametrize("command", list(oracle_subparsers()))
+    def test_command_help_lists_every_option(self, capsys, command):
+        first = next(argv for argv in VALID_ARGV if argv[0] == command)
+        for argv in ((command, "--help"), (*first, "-h")):
+            code, out, err = run_cli(*argv, capsys=capsys)
+            assert code == 0
+            assert err == ""
+            assert out.startswith(f"usage: mahlerq {command} ")
+            assert "\n  -h, --help " in out
+            for action in oracle_subparsers()[command]._actions[1:]:
+                (flag,) = action.option_strings
+                assert f"\n  {flag} " in out, flag
+                assert action.help is None or action.help in out
+
+    def test_version(self, capsys):
+        assert run_cli("--version", capsys=capsys) == (0, "0.1.0\n", "")
+
+
+def run_forked_batch(cache, epilogue="", prologue=""):
     """``batch --n 3 --order 5 --jobs 2`` in a fresh ``python -S`` with two
-    CPUs reported, stdout on a pipe; ``epilogue`` runs after ``main``."""
+    CPUs reported, stdout on a pipe; ``prologue`` runs before ``main`` and
+    ``epilogue`` after it."""
     return subprocess.run(
         [
             sys.executable,
@@ -454,6 +654,7 @@ def run_forked_batch(cache, epilogue=""):
             "-c",
             "import os, sys\n"
             "os.cpu_count = lambda: 2\n"
+            f"{prologue}\n"
             "from mahlerq.cli import main\n"
             "code = main(sys.argv[1:])\n"
             f"{epilogue}\n"
@@ -480,10 +681,12 @@ class TestConsoleEntry:
         assert proc.stdout.strip() == "0.1.0"
 
     def test_pool_is_not_imported_at_start_up(self):
-        # Only `--format csv` needs csv.  Each command runs in a fresh
-        # process, so every module imported at start-up is paid for by
-        # every run.
+        # Only `--format csv` needs csv, and only JSON output and the batch
+        # cache need json.  Each command runs in a fresh process, so every
+        # module imported at start-up is paid for by every run.
         unneeded = [
+            "argparse",
+            "json",
             "concurrent.futures.process",
             "dataclasses",
             "typing",
@@ -498,18 +701,48 @@ class TestConsoleEntry:
                 sys.executable,
                 "-S",
                 "-c",
-                "import json, sys, mahlerq.cli\n"
+                "import sys, mahlerq.cli\n"
                 f"loaded = [m for m in {unneeded!r} if m in sys.modules]\n"
-                "print(json.dumps([loaded, len(sys.modules)]))",
+                "print([loaded, len(sys.modules)])",
             ],
             capture_output=True,
             text=True,
             cwd=SRC,
         )
         assert proc.returncode == 0, proc.stderr
-        loaded, module_count = json.loads(proc.stdout)
+        loaded, module_count = ast.literal_eval(proc.stdout)
         assert loaded == []
-        assert module_count <= 75
+        # 61 modules on Python 3.11.7 (69 with argparse and json at import).
+        assert module_count <= 64
+
+    @pytest.mark.parametrize("argv, unneeded", [
+        (("verify", "--model", "3,3,3", "--order", "4", "--format", "json"), ()),
+        (("measure", "--model", "2,2", "--psi", "2"), ("json",)),
+        (("batch", "--n", "3", "--order", "4", "--jobs", "1", "--cache", "{cache}"), ()),
+    ], ids=["verify", "measure", "batch"])
+    def test_no_parser_locale_or_archive_modules_after_a_command(
+        self, tmp_path, argv, unneeded
+    ):
+        unneeded = ["argparse", "gettext", "locale", "shutil", "fnmatch", "bz2", "lzma",
+                    *unneeded]
+        proc = subprocess.run(
+            [
+                sys.executable,
+                "-S",
+                "-c",
+                "import sys\n"
+                "from mahlerq.cli import main\n"
+                "code = main(sys.argv[1:])\n"
+                f"print([m for m in {unneeded!r} if m in sys.modules], file=sys.stderr)\n"
+                "sys.exit(code)",
+                *(a.format(cache=tmp_path / "cache") for a in argv),
+            ],
+            capture_output=True,
+            text=True,
+            cwd=SRC,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == "[]\n"
 
     def test_no_pool_or_thread_modules_after_a_forked_batch(self, tmp_path):
         unneeded = ["concurrent.futures", "multiprocessing", "threading", "socket"]
@@ -519,6 +752,20 @@ class TestConsoleEntry:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr == "[]\n"
+
+    def test_workers_inherit_json_instead_of_importing_it(self, tmp_path):
+        # Every worker writes JSON.  Without bytecode on disk, a worker that
+        # imported json itself would compile it once per report.
+        proc = run_forked_batch(
+            tmp_path / "cache",
+            prologue="fork = os.fork\n"
+            "def checked_fork():\n"
+            "    print('json' in sys.modules, file=sys.stderr)\n"
+            "    return fork()\n"
+            "os.fork = checked_fork",
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == "True\n" * 3
 
     def test_children_print_nothing_to_a_block_buffered_stdout(self, tmp_path):
         proc = run_forked_batch(tmp_path / "cache")
