@@ -261,7 +261,7 @@ def render_enumerate(n: int, fmt: str) -> str:
             f"k=({kv})  w=({','.join(map(str, model.w))})  "
             f"lcm={model.k}  |Aut|={aut_order(kv)}"
         )
-    simple, weighted = counts(n)
+    simple, weighted = counts(sols)
     lines.append(f"simple={simple} weighted={format_rational(weighted)}")
     return "\n".join(lines)
 
@@ -481,7 +481,7 @@ def _read_entry(path: str, model: Model, order: int) -> tuple[bool, bool]:
             for row in payload["rows"]
         )
         return integral, all(payload["checks"].values())
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise ValueError(f"corrupted cache entry {path}: {exc}") from exc
 
 
@@ -514,6 +514,10 @@ def cmd_verify(args) -> int:
     if args.order < 1:
         raise ValueError("need --order at least 1")
     model = parse_model_args(args)
+    if args.out and os.path.isdir(args.out):
+        raise ValueError(f"--out {args.out} is a directory")
+    if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
+        raise ValueError(f"--out {args.out}: its directory does not exist")
     report = integrality_report(model, args.order)
     if args.format == "json":
         print(report_json_text(report), end="")

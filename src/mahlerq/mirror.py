@@ -28,7 +28,7 @@ from collections import Counter, namedtuple
 from collections.abc import Sequence
 from fractions import Fraction
 
-from .series import LogSeries, Series, as_rational
+from .series import Series, as_rational
 from .weights import Model
 
 
@@ -210,25 +210,29 @@ def pf2_applicable(model: Model) -> bool:
     )
 
 
-def pf_apply(op: PFOperator, phi: LogSeries | Series, model: Model | None = None):
-    """Residual prod_j (theta - b_j) phi - C z prod_j (theta + a_j) phi.
+def pf_apply(op: PFOperator, regular: Series, logpart: Series,
+             model: Model | None = None) -> tuple[Series, Series]:
+    """Residual prod_j (theta - b_j) phi - C z prod_j (theta + a_j) phi of
+    phi = regular + logpart * log z, as its (regular, logpart) pair.
 
-    A residual of zero in both components certifies that phi solves the
-    operator modulo z^(order+1).
+    Both parts are truncated to the smaller of the two orders; a plain
+    series is passed with ``Series.zero(order)`` as its log part.  A
+    residual of zero in both parts certifies that phi solves the operator
+    modulo z^(order+1).
     """
-    if isinstance(phi, Series):
-        phi = LogSeries.plain(phi)
-    if model is not None:
-        expected = Fraction(model.k**model.k, math.prod(wi**wi for wi in model.w))
-        if op.constant != expected:
-            raise ValueError("operator constant does not match the model")
-    lhs = phi
-    for bj in op.b:
-        lhs = lhs.theta() - bj * lhs
-    rhs = phi
-    for aj in op.a:
-        rhs = rhs.theta() + aj * rhs
-    return lhs - (op.constant * rhs).zmul()
+    if model is not None and op.constant != pf_operator(model, op.form).constant:
+        raise ValueError("operator constant does not match the model")
+    n = min(regular.order, logpart.order)
+
+    def factors(shifts):
+        # (theta + s)(R + L log z) = theta(R) + L + s R + (theta(L) + s L) log z
+        R, L = regular.truncate(n), logpart.truncate(n)
+        for s in shifts:
+            R, L = R.theta() + L + s * R, L.theta() + s * L
+        return R, L
+
+    lhs, rhs = factors(-bj for bj in op.b), factors(op.a)
+    return tuple(x - (op.constant * y).zshift(1).truncate(n) for x, y in zip(lhs, rhs))
 
 
 # ---------------------------------------------------------------------------

@@ -22,10 +22,10 @@ chosen once at pipeline entry.  Every value is immutable after
 construction and all operations are pure, which makes sharing across
 threads safe by construction.
 
-:class:`LogSeries` carries a logarithmic solution ``R(z) + L(z)*log z``
-as a pair of plain series.  The Euler operator ``theta = z*d/dz`` acts on
-the pair by ``theta(R) + L + theta(L)*log z``, so no symbolic ``log z``
-object is ever needed.
+:class:`Series` is the kernel's only series type.  A logarithmic solution
+``R(z) + L(z)*log z`` is the plain pair ``(R, L)``: the Euler operator
+``theta = z*d/dz`` sends it to ``(theta(R) + L, theta(L))``, so no
+symbolic ``log z`` object is ever needed (see ``mirror.pf_apply``).
 """
 
 from __future__ import annotations
@@ -456,66 +456,3 @@ def lagrange_coeffs(phi: Series, count: int) -> list[Fraction]:
         out.append(Fraction(dot, kd * factor.denominator))
     return out
 
-
-class LogSeries:
-    """A logarithmic solution ``regular(z) + logpart(z) * log z``.
-
-    Both components share one truncation order (the smaller of the two
-    inputs).  Only the operations needed by differential-operator
-    bookkeeping are provided: linear combinations, theta, and
-    multiplication by z at fixed order.
-    """
-
-    __slots__ = ("regular", "logpart")
-
-    def __init__(self, regular: Series, logpart: Series):
-        n = min(regular.order, logpart.order)
-        self.regular = regular.truncate(n)
-        self.logpart = logpart.truncate(n)
-
-    @classmethod
-    def plain(cls, series: Series) -> "LogSeries":
-        return cls(series, Series.zero(series.order))
-
-    @property
-    def order(self) -> int:
-        return self.regular.order
-
-    def theta(self) -> "LogSeries":
-        # theta(R + L*log z) = theta(R) + L + theta(L)*log z
-        return LogSeries(self.regular.theta() + self.logpart, self.logpart.theta())
-
-    def zmul(self) -> "LogSeries":
-        """Multiply by z, keeping the truncation order."""
-        n = self.order
-        return LogSeries(
-            self.regular.zshift(1).truncate(n), self.logpart.zshift(1).truncate(n)
-        )
-
-    def __add__(self, other: "LogSeries") -> "LogSeries":
-        return LogSeries(self.regular + other.regular, self.logpart + other.logpart)
-
-    def __sub__(self, other: "LogSeries") -> "LogSeries":
-        return LogSeries(self.regular - other.regular, self.logpart - other.logpart)
-
-    def __mul__(self, scalar: int | Fraction) -> "LogSeries":
-        c = as_rational(scalar)
-        return LogSeries(self.regular * c, self.logpart * c)
-
-    __rmul__ = __mul__
-
-    def is_zero(self) -> bool:
-        return self.regular.is_zero() and self.logpart.is_zero()
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, LogSeries)
-            and self.regular == other.regular
-            and self.logpart == other.logpart
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.regular, self.logpart))
-
-    def __repr__(self) -> str:
-        return f"LogSeries(regular={self.regular!r}, logpart={self.logpart!r})"

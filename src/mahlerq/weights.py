@@ -157,9 +157,9 @@ def aut_order(kv: KVector) -> int:
     return math.prod(math.factorial(c) for c in mult.values())
 
 
-def counts(n: int) -> tuple[int, Fraction]:
-    """(simple, weighted) solution counts; weighted counts each as 1/|Aut|."""
-    sols = enumerate_solutions(n)
+def counts(sols: list[KVector]) -> tuple[int, Fraction]:
+    """(simple, weighted) counts of the solutions ``sols``, as listed by
+    :func:`enumerate_solutions`; weighted counts each as 1/|Aut|."""
     weighted = sum((Fraction(1, aut_order(kv)) for kv in sols), Fraction(0))
     return len(sols), weighted
 

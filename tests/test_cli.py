@@ -15,6 +15,7 @@ import pytest
 import mahlerq
 from mahlerq.cli import COMMANDS, DEFAULT_CACHE, batch_workers, main, parse_args, write_atomic
 from mahlerq.mirror import _SERIES_KEYS
+from mahlerq.weights import enumerate_solutions
 
 SRC = Path(mahlerq.__file__).resolve().parents[1]
 
@@ -87,6 +88,23 @@ class TestEnumerate:
         assert len(payload) == 14
         assert payload[0]["k"] == [2, 3, 7, 42]
         assert payload[0]["lcm"] == 42
+
+    @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+    def test_enumerates_once(self, capsys, monkeypatch, fmt):
+        import mahlerq.cli as cli
+        import mahlerq.weights as weights
+
+        calls = []
+
+        def counted(n):
+            calls.append(n)
+            return enumerate_solutions(n)
+
+        for module in (cli, weights):
+            monkeypatch.setattr(module, "enumerate_solutions", counted)
+        code, out, _ = run_cli("enumerate", "--n", "4", "--format", fmt, capsys=capsys)
+        assert code == 0 and out
+        assert calls == [4]
 
     def test_n1_usage_error(self, capsys):
         code, _, err = run_cli("enumerate", "--n", "1", capsys=capsys)
@@ -256,8 +274,9 @@ class TestVerify:
             capsys=capsys,
         )
         assert code == 2
-        assert out.startswith("m  b")  # the table is printed before the write
+        assert out == ""  # refused before the report is computed
         assert err.startswith("error: ") and str(target) in err
+        assert ".tmp" not in err
         assert list(tmp_path.rglob("*.tmp")) == []
 
     def test_model_and_weights_together_exit_2(self, capsys):
@@ -329,6 +348,7 @@ class TestBatch:
         lambda own, other: own[:2],  # truncated: not valid JSON
         lambda own, other: "[]",  # valid JSON without the report's rows
         lambda own, other: other,  # another model's entry copied over this one
+        lambda own, other: json.dumps({**json.loads(own), "checks": []}),  # checks is a list
     ])
     def test_corrupted_cache_entry_names_its_file(self, tmp_path, capsys, damage):
         from mahlerq import Model

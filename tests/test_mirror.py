@@ -9,7 +9,6 @@ import pytest
 from mahlerq import (
     ConvergenceError,
     KVector,
-    LogSeries,
     MirrorData,
     Model,
     Series,
@@ -237,35 +236,51 @@ class TestAnnihilation:
     def test_reduced_kills_g0_and_g1(self, model):
         op = pf_operator(model)
         g0 = g0_series(model, self.ORDER)
-        g1 = LogSeries(h_series(model, self.ORDER), g0)
-        assert pf_apply(op, g0, model).is_zero()
-        assert pf_apply(op, g1, model).is_zero()
+        zero = Series.zero(self.ORDER)
+        assert pf_apply(op, g0, zero, model) == (zero, zero)
+        h = h_series(model, self.ORDER)
+        assert all(part.is_zero() for part in pf_apply(op, h, g0, model))
 
     def test_reduced_on_22_log_solution_is_inhomogeneous(self):
         # With a first-order operator there is no second solution: the
         # logarithmic combination satisfies L(g1) = 1 instead of 0.
         g0 = g0_series(M22, self.ORDER)
-        g1 = LogSeries(h_series(M22, self.ORDER), g0)
-        res = pf_apply(pf_operator(M22), g1)
-        assert res.regular == Series.one(self.ORDER)
-        assert res.logpart.is_zero()
+        res = pf_apply(pf_operator(M22), h_series(M22, self.ORDER), g0)
+        assert res == (Series.one(self.ORDER), Series.zero(self.ORDER))
 
     @pytest.mark.parametrize("model", [M22, M333, M244, M236], ids=lambda m: m.name)
     def test_local_kills_one_and_log_solution(self, model):
         op = pf_operator(model, "local")
-        one = Series.one(self.ORDER)
-        phi1 = LogSeries(f_series(model, self.ORDER), one)
-        assert pf_apply(op, one).is_zero()
-        assert pf_apply(op, phi1).is_zero()
+        one, zero = Series.one(self.ORDER), Series.zero(self.ORDER)
+        assert pf_apply(op, one, zero) == (zero, zero)
+        assert pf_apply(op, f_series(model, self.ORDER), one) == (zero, zero)
 
     @pytest.mark.parametrize("model", [M22, M333, M244, M236], ids=lambda m: m.name)
     def test_unreduced_kills_g0(self, model):
         op = pf_operator(model, "unreduced")
-        assert pf_apply(op, g0_series(model, self.ORDER)).is_zero()
+        zero = Series.zero(self.ORDER)
+        assert pf_apply(op, g0_series(model, self.ORDER), zero) == (zero, zero)
+
+    def test_residual_keeps_the_input_order(self):
+        op = pf_operator(M333)
+        res = pf_apply(op, Series([1, 2, 3]), Series([4, 5, 6]))
+        assert [part.order for part in res] == [2, 2]
+
+    def test_lower_order_log_part_truncates_the_residual(self):
+        # g1 with its log part cut to order 5 still solves the operator there.
+        op = pf_operator(M333)
+        g0 = g0_series(M333, self.ORDER)
+        h = h_series(M333, self.ORDER)
+        res = pf_apply(op, h, g0.truncate(5))
+        assert [part.order for part in res] == [5, 5]
+        assert all(part.is_zero() for part in res)
+        skewed = pf_apply(op, Series([1, 2, 3, 4]), Series([1, 1]))
+        assert skewed == pf_apply(op, Series([1, 2]), Series([1, 1]))
+        assert not all(part.is_zero() for part in skewed)
 
     def test_constant_mismatch_detected(self):
         with pytest.raises(ValueError):
-            pf_apply(pf_operator(M333), g0_series(M244, 4), M244)
+            pf_apply(pf_operator(M333), g0_series(M244, 4), Series.zero(4), M244)
 
 
 class TestMirrorData:

@@ -1,7 +1,10 @@
 """The record types are immutable values that survive pickling.
 
-Batch workers send their results between processes, and a record that
-lost a field or its validation on the way would corrupt a report quietly.
+``batch`` itself passes reports between processes only as JSON cache
+entries, but pickling is a library property: a caller that sends records
+through a process pool or a queue must get back the same values, and a
+record that lost a field or its validation on the way would corrupt a
+report quietly.
 """
 
 import pickle

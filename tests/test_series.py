@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from mahlerq import LogSeries, Series, lagrange_coeffs
+from mahlerq import Series, lagrange_coeffs
 
 
 class TestBasics:
@@ -182,27 +182,3 @@ class TestLagrange:
         with pytest.raises(ValueError):
             lagrange_coeffs(Series.zero(2), 4)
 
-
-class TestLogSeries:
-    def test_theta_action(self):
-        phi = LogSeries(Series([0, 1, 0], 2), Series([1, 0, 0], 2))
-        out = phi.theta()  # theta(z + log z) = z + 1
-        assert out.regular.coeffs == (1, 1, 0)
-        assert out.logpart == Series.zero(2)
-
-    def test_zmul_keeps_order(self):
-        phi = LogSeries(Series([1, 2, 3]), Series([4, 5, 6]))
-        out = phi.zmul()
-        assert out.regular.coeffs == (0, 1, 2)
-        assert out.logpart.coeffs == (0, 4, 5)
-
-    def test_linear_ops(self):
-        a = LogSeries(Series([1, 0]), Series([0, 1]))
-        b = LogSeries(Series([0, 1]), Series([0, 1]))
-        assert (a - b).regular.coeffs == (1, -1)
-        assert (a - b).logpart.is_zero()
-        assert (2 * a).regular.coeffs == (2, 0)
-
-    def test_mixed_orders_truncate(self):
-        phi = LogSeries(Series([1, 2, 3, 4]), Series([1, 1]))
-        assert phi.order == 1

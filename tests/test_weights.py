@@ -67,16 +67,16 @@ class TestEnumerate:
 
 class TestCounts:
     def test_simple_counts(self):
-        assert counts(3)[0] == 3
-        assert counts(4)[0] == 14
+        assert counts(enumerate_solutions(3))[0] == 3
+        assert counts(enumerate_solutions(4))[0] == 14
 
     def test_weighted_n3(self):
         # |Aut| = 1, 2, 6 for (2,3,6), (2,4,4), (3,3,3)
-        assert counts(3)[1] == F(5, 3)
+        assert counts(enumerate_solutions(3))[1] == F(5, 3)
 
     def test_weighted_at_most_simple(self):
         for n in (2, 3, 4):
-            simple, weighted = counts(n)
+            simple, weighted = counts(enumerate_solutions(n))
             assert weighted <= simple
 
 
