@@ -37,6 +37,7 @@ from types import SimpleNamespace
 
 from . import __version__
 from .inversion import (
+    CHECK_NAMES,
     ConsistencyError,
     IntegralityReport,
     format_rational,
@@ -463,7 +464,11 @@ def _fork_entries(pending: list[tuple[Model, str]], order: int, workers: int) ->
 
 def _read_entry(path: str, model: Model, order: int) -> tuple[bool, bool]:
     """(every row integral, every check true) of the cache entry of ``model``
-    at ``order``; a corrupted entry names its file."""
+    at ``order``; a corrupted entry names its file.
+
+    The entry must hold one boolean per name of :data:`CHECK_NAMES` and the
+    rows m = 1..order, each with boolean integrality flags.
+    """
     import json
 
     try:
@@ -475,12 +480,20 @@ def _read_entry(path: str, model: Model, order: int) -> tuple[bool, bool]:
                 f"it holds model {found[0]} at order {found[1]}, "
                 f"not model {model.name} at order {order}"
             )
-        integral = all(
-            row["b_integer"] and row["bhat_integer"]
-            and row["c_integer"] and row["chat_integer"]
-            for row in payload["rows"]
-        )
-        return integral, all(payload["checks"].values())
+        checks = payload["checks"]
+        if set(checks) != set(CHECK_NAMES) or not all(
+            isinstance(x, bool) for x in checks.values()
+        ):
+            raise ValueError(f"its checks are not one boolean each for {CHECK_NAMES}")
+        rows = payload["rows"]
+        if [row["m"] for row in rows] != list(range(1, order + 1)):
+            raise ValueError(f"its rows are not m = 1..{order}")
+        flags = [
+            row[f"{key}_integer"] for row in rows for key in ("b", "bhat", "c", "chat")
+        ]
+        if not all(isinstance(x, bool) for x in flags):
+            raise ValueError("its integrality flags are not all booleans")
+        return all(flags), all(checks.values())
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise ValueError(f"corrupted cache entry {path}: {exc}") from exc
 
@@ -624,6 +637,10 @@ def _run(argv: list[str]) -> int:
 
 
 def main(argv=None) -> int:
+    # Reports print exact integers, which pass Python's default limit of
+    # 4300 digits for int <-> str conversion from n = 5 models on.
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     return _exit_code(_run, sys.argv[1:] if argv is None else list(argv))
 
 

@@ -58,8 +58,9 @@ class ConsistencyError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 def _dlog(s: Series) -> Series:
-    """t d/dt log s(t) for s = t + ..., one order below s."""
-    return s.shift_down(1).log().theta() + 1
+    """t d/dt log s(t) = (theta(u) + u)/u for s = t*u, one order below s."""
+    u = s.shift_down(1)
+    return (u.theta() + u) / u
 
 
 def _checked_dlog(composed: Series, chained: Series, count: int, label: str,
@@ -87,11 +88,13 @@ def _checked_dlog(composed: Series, chained: Series, count: int, label: str,
 
 def g0_expansions(md: MirrorData, count: int) -> tuple[list[Fraction], list[Fraction]]:
     """Tail coefficients (m=1..count) of g0 rewritten in q and in Q; md.order
-    must exceed count, as g0(z(Q)) = 1/(Q d/dQ log z(Q)) is one order below zQ."""
+    must exceed count, as g0(z(Q)) = 1/(Q d/dQ log z(Q)) = u/(theta(u) + u),
+    with u = zQ/z, is one order below zQ."""
     if md.order <= count:
         raise ValueError("mirror data order must exceed the coefficient count")
     in_q = md.g0.compose(md.zq)
-    in_Q = _dlog(md.zQ).invert()
+    u = md.zQ.shift_down(1)
+    in_Q = u / (u.theta() + u)
     return list(in_q.coeffs[1 : count + 1]), list(in_Q.coeffs[1 : count + 1])
 
 
@@ -257,14 +260,25 @@ class IntegralityReport(namedtuple(
         }
 
 
+# The report's checks, in the order it lists them; the cache reader
+# validates an entry against CHECK_NAMES.
+_Checks = namedtuple("_Checks", (
+    "product_plain product_alt lagrange_integral g0_in_q_integral "
+    "g0_in_Q_integral proposition_qQ_integral conjecture1_root_integral"
+))
+CHECK_NAMES = _Checks._fields
+
+
 def _all_integer(values) -> bool:
     return all(x.denominator == 1 for x in values)
 
 
-def _kth_root(series: Series, k: int, label: str, model_name: str) -> Series:
-    """(series/z)^(1/k), checked exactly against series/z by its k-th power."""
+def _kth_root(series: Series, exponent: Series, k: int, label: str,
+              model_name: str) -> Series:
+    """(series/z)^(1/k) for series = z*exp(exponent), as exp(exponent/k),
+    checked exactly against series/z by its k-th power."""
     unit = series.shift_down(1)
-    root = unit ** Fraction(1, k)
+    root = (exponent.truncate(unit.order) / k).exp()
     if root ** k != unit:
         raise ConsistencyError(
             f"k-th root of {label}/z fails its power check for model {model_name}"
@@ -306,31 +320,31 @@ def integrality_report(model: Model, order: int) -> IntegralityReport:
     # and the product checks.
     Q_of_q, q_of_Q, g0_in_q, g0_in_Q, u, v = _routes(md, order)
     table = LambertTable(u, v)
-    root_q = _kth_root(md.q, model.k, "q", model.name)
-    root_Q = _kth_root(md.Q, model.k, "Q", model.name)
+    root_q = _kth_root(md.q, md.phi, model.k, "q", model.name)
+    root_Q = _kth_root(md.Q, md.f, model.k, "Q", model.name)
 
-    checks = {
-        "product_plain": (
+    checks = _Checks(
+        product_plain=(
             product_check(Q_of_q, list(table.b))
             and product_check(q_of_Q, list(table.c))
         ),
-        "product_alt": (
+        product_alt=(
             product_check(Q_of_q, list(table.bhat), alternating=True)
             and product_check(q_of_Q, list(table.chat), alternating=True)
         ),
-        "lagrange_integral": _all_integer(a_m) and _all_integer(A_m),
-        "g0_in_q_integral": _all_integer(g0_in_q),
-        "g0_in_Q_integral": _all_integer(g0_in_Q),
-        "proposition_qQ_integral": (
+        lagrange_integral=_all_integer(a_m) and _all_integer(A_m),
+        g0_in_q_integral=_all_integer(g0_in_q),
+        g0_in_Q_integral=_all_integer(g0_in_Q),
+        proposition_qQ_integral=(
             md.q.coeff(1) == 1
             and md.Q.coeff(1) == 1
             and md.q.denominator == 1
             and md.Q.denominator == 1
         ),
-        "conjecture1_root_integral": (
+        conjecture1_root_integral=(
             root_q.denominator == 1 and root_Q.denominator == 1
         ),
-    }
+    )._asdict()
     return IntegralityReport(
         model=model,
         order=order,

@@ -107,16 +107,19 @@ def f_series(model: Model, order: int) -> Series:
 
 
 def h_series(model: Model, order: int) -> Series:
-    """gamma_m = alpha_m * sum_(j=1..m) [harmonic bracket at j], where the
-    bracket is sum_(a<k) 1/(j - a/k) - sum_i sum_(a<w_i) 1/(j - a/w_i)."""
-    k, w = model.k, model.w
+    """gamma_m = alpha_m * sum_(j=1..m) [harmonic bracket at j].
+
+    The bracket sum_(r in N) 1/(j - r) - sum_(r in D) 1/(j - r) runs over
+    the roots of alpha_j / alpha_(j-1) (see :func:`pf_operator`); the
+    common roots cancel, so it is sum_a 1/(j - 1 + a) - sum_b 1/(j - b)
+    over the parameters of the reduced operator.
+    """
+    op = pf_operator(model, "reduced")
     alphas = period_coefficients(model, order)
     coeffs = [Fraction(0)]
     acc = Fraction(0)
     for j in range(1, order + 1):
-        acc += sum(Fraction(k, j * k - a) for a in range(k))
-        for wi in w:
-            acc -= sum(Fraction(wi, j * wi - a) for a in range(wi))
+        acc += sum(1 / (j - 1 + a) for a in op.a) - sum(1 / (j - b) for b in op.b)
         coeffs.append(alphas[j] * acc)
     return Series(coeffs)
 

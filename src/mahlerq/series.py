@@ -10,10 +10,11 @@ ints and normalises once per operation rather than once per coefficient.
 The series of the mirror-map pipeline (the period ``g0``, the maps ``Q``
 and ``q``, their reversions, ``exp(-m*phi)``) have integer coefficients,
 which is the integrality this engine exists to test, so the denominator is
-almost always 1 and a product is a plain integer convolution.  The
-``invert``/``exp``/``log`` recurrences carry integer numerators over a
-running denominator and rescale only when a division does not come out
-exact.  :attr:`Series.coeffs` and :meth:`Series.coeff` still hand out
+almost always 1 and a product is a plain integer convolution.  Two
+recurrences, series division and J.C.P. Miller's power recurrence, give
+``invert``/``log`` and ``exp``/``**``; they carry integer numerators over a
+running denominator and rescale only when a division is not exact.
+:attr:`Series.coeffs` and :meth:`Series.coeff` still hand out
 :class:`fractions.Fraction` values.
 
 The kernel never extends precision on its own: binary operations on
@@ -69,6 +70,41 @@ def _append_quotient(values: list[int], divisor: int, value: int, den: int) -> i
     return den
 
 
+def _divide(g: Series, f: Series) -> Series:
+    """g/f by one pass of F_0*P_m = G_m - sum_(j>=1) F_j*P_(m-j).
+
+    With g = G/dg and f = F/df, the running denominator starts at dg, so
+    G_m enters as df*G_m*(den/dg).
+    """
+    F, df, G, dg = f._num, f._den, g._num, g._den
+    if F[0] == 0:
+        raise ValueError("series with zero constant term is not invertible")
+    sign, size = (1, F[0]) if F[0] > 0 else (-1, -F[0])
+    out, den = [], dg
+    for m in range(min(g.order, f.order) + 1):
+        acc = sum(map(mul, F[1 : m + 1], out[m - 1 :: -1]))
+        den = _append_quotient(out, size, sign * (df * G[m] * (den // dg) - acc), den)
+    return Series._from_ints(out, den)
+
+
+def _miller(f: Series, k: Series, order: int) -> Series:
+    """P with P_0 = 1 and theta(F*P) = K*P, by J.C.P. Miller's recurrence
+    m*F_0*P_m = sum_(j=1..m) (K_j - m*F_j)*P_(m-j) (Knuth, TAOCP vol. 2, 4.7).
+
+    K = (e+1)*theta(F) gives P = (F/F_0)^e, and F = 1 gives P = exp(a) for
+    K = theta(a).  On f = F/df and k = K/dk it runs multiplied by df*dk.
+    """
+    F, df, K, dk = f._num, f._den, k._num, k._den
+    sign, size = (1, F[0]) if F[0] > 0 else (-1, -F[0])
+    out, den = [1], 1
+    for m in range(1, order + 1):
+        rev = out[m - 1 :: -1]
+        acc = df * sum(map(mul, K[1 : m + 1], rev))
+        acc -= m * dk * sum(map(mul, F[1 : m + 1], rev))
+        den = _append_quotient(out, m * dk * size, sign * acc, den)
+    return Series._from_ints(out, den)
+
+
 class Series:
     """Truncated power series ``c_0 + c_1 z + ... + c_N z^N`` (exact mod z^(N+1))."""
 
@@ -79,16 +115,18 @@ class Series:
         for c in cs:
             if not isinstance(c, (int, Fraction)):
                 raise TypeError(f"exact scalar required, got {type(c).__name__}")
+        pad = 0
         if order is not None:
             if order < 0:
                 raise ValueError("order must be nonnegative")
             del cs[order + 1 :]
-            cs.extend([0] * (order + 1 - len(cs)))
-        if not cs:
+            pad = order + 1 - len(cs)
+        if not cs and not pad:
             raise ValueError("a series needs at least its constant coefficient")
-        # The lcm of reduced denominators leaves the pair in reduced form.
+        # The lcm of reduced denominators leaves the pair in reduced form,
+        # and the zeros padded up to the order do not change it.
         den = lcm(*(c.denominator for c in cs))
-        self._num = tuple(c.numerator * (den // c.denominator) for c in cs)
+        self._num = tuple(c.numerator * (den // c.denominator) for c in cs) + (0,) * pad
         self._den = den
 
     @classmethod
@@ -273,90 +311,48 @@ class Series:
                 raise ZeroDivisionError("division of a series by zero")
             return self * (1 / c)
         if isinstance(other, Series):
-            return self * other.invert()
+            return _divide(self, other)
         return NotImplemented
 
     def invert(self) -> "Series":
-        """Multiplicative inverse; needs a nonzero constant term.
-
-        With a = self's numerators, B = 1/a obeys a_0*B_m = -sum_{j=1..m}
-        a_j*B_{m-j}; the inverse of a/den is den*B.
-        """
-        a = self._num
-        a0 = a[0]
-        if a0 == 0:
-            raise ValueError("series with zero constant term is not invertible")
-        sign, size = (1, a0) if a0 > 0 else (-1, -a0)
-        out, den = [sign], size  # B_0 = 1/a0
-        for m in range(1, self.order + 1):
-            acc = sum(map(mul, a[1 : m + 1], out[m - 1 :: -1]))
-            den = _append_quotient(out, size, -sign * acc, den)
-        d = self._den
-        return Series._from_ints([d * x for x in out], den)
+        """Multiplicative inverse; needs a nonzero constant term."""
+        return Series.one(self.order) / self
 
     # -- transcendental operations ------------------------------------
 
     def exp(self) -> "Series":
         """Exponential of a constant-term-free series: sum a^k / k!.
 
-        Uses the recurrence m*E_m = sum_{j=1..m} j*a_j*E_{m-j} coming
-        from theta(E) = theta(a)*E.
+        theta(E) = theta(a)*E is Miller's recurrence with F = 1 and
+        K = theta(a).
         """
         if self._num[0] != 0:
             raise ValueError("exp needs a zero constant term")
-        ta = self.theta()
-        t, dt = ta._num, ta._den
-        out, den = [1], 1
-        for m in range(1, self.order + 1):
-            acc = sum(map(mul, t[1 : m + 1], out[m - 1 :: -1]))
-            den = _append_quotient(out, m * dt, acc, den)
-        return Series._from_ints(out, den)
+        return _miller(Series.one(0), self.theta(), self.order)
 
     def log(self) -> "Series":
-        """Logarithm of a series with constant term 1; result has constant term 0.
-
-        Recurrence: L_m = a_m - (1/m) * sum_{j=1..m-1} j*L_j*a_{m-j}, run on
-        T_m = m*L_m so that the division by m happens once, at the end.
-        """
-        a, da = self._num, self._den
-        if a[0] != da:
+        """Logarithm of a series with constant term 1: theta(log a) = theta(a)/a."""
+        if self._num[0] != self._den:
             raise ValueError("log needs constant term 1")
-        N = self.order
-        out, den = [0], 1  # T_0 = 0
-        for m in range(1, N + 1):
-            acc = sum(map(mul, out[1:m], a[m - 1 : 0 : -1]))
-            den = _append_quotient(out, da, m * a[m] * den - acc, den)
-        scale = lcm(*range(1, N + 1))
-        return Series._from_ints(
-            [0] + [t * (scale // m) for m, t in enumerate(out[1:], start=1)],
-            den * scale,
-        )
+        t = self.theta() / self
+        scale = lcm(*range(1, self.order + 1))  # coefficient m is divided by m
+        nums = [0] + [x * (scale // m) for m, x in enumerate(t._num[1:], start=1)]
+        return Series._from_ints(nums, t._den * scale)
 
     def __pow__(self, exponent):
-        """Integer powers by repeated squaring; fractional powers as exp(e*log).
+        """``self ** e`` for any rational ``e``, by Miller's recurrence.
 
-        A genuinely fractional exponent requires constant term 1 (the
-        branch fixed by value 1 at z=0); integer exponents work for any
-        invertible base and agree with repeated multiplication.
+        The base needs a nonzero constant term, and constant term 1 when
+        ``e`` is fractional (the branch fixed by value 1 at z=0).
         """
-        e = as_rational(exponent) if not isinstance(exponent, int) else exponent
-        if isinstance(e, Fraction):
-            if e.denominator == 1:
-                e = e.numerator
-            else:
-                if self._num[0] != self._den:
-                    raise ValueError("fractional power needs constant term 1")
-                return (e * self.log()).exp()
-        if e < 0:
-            return self.invert() ** (-e)
-        result = Series.one(self.order)
-        base = self
-        while e > 0:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
+        e = as_rational(exponent)
+        a0 = self.coeff(0)
+        if e.denominator != 1 and a0 != 1:
+            raise ValueError("fractional power needs constant term 1")
+        if a0 == 0:
+            raise ValueError("power needs a nonzero constant term")
+        # The recurrence gives (F/F_0)^e; F_0^e is 1 when e is fractional.
+        return _miller(self, self.theta() * (e + 1), self.order) * a0**e.numerator
 
     # -- calculus ------------------------------------------------------
 
@@ -425,7 +421,7 @@ class Series:
                 g = gt
                 continue
             d = fprime.truncate(prec - 1).compose(gt.truncate(prec - 1))
-            quot = err.shift_down(val) * d.truncate(prec - val).invert()
+            quot = err.shift_down(val) / d.truncate(prec - val)
             g = gt - quot.zshift(val).truncate(prec)
         return g
 

@@ -349,6 +349,15 @@ class TestBatch:
         lambda own, other: "[]",  # valid JSON without the report's rows
         lambda own, other: other,  # another model's entry copied over this one
         lambda own, other: json.dumps({**json.loads(own), "checks": []}),  # checks is a list
+        lambda own, other: json.dumps(  # every check the string "false"
+            {**json.loads(own), "checks": dict.fromkeys(json.loads(own)["checks"], "false")}
+        ),
+        lambda own, other: json.dumps({**json.loads(own), "rows": []}),  # no rows
+        lambda own, other: json.dumps(  # an integrality flag the string "true"
+            {**json.loads(own), "rows": [
+                {**row, "b_integer": "true"} for row in json.loads(own)["rows"]
+            ]}
+        ),
     ])
     def test_corrupted_cache_entry_names_its_file(self, tmp_path, capsys, damage):
         from mahlerq import Model
@@ -405,6 +414,70 @@ class TestBatch:
         model = Model.from_kvector((2, 4, 4))
         cached = Path(cache_path(cache, model, 5)).read_text()
         assert cached == report_json_text(integrality_report(model, 5))
+
+
+@pytest.fixture
+def default_digit_limit():
+    """Python's default limit on int <-> str digits, restored afterwards."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(previous)
+
+
+@pytest.mark.usefixtures("default_digit_limit")
+class TestPastTheDigitLimit:
+    """n = 5 reports hold integers of more than 4300 decimal digits."""
+
+    PARTS = (2, 3, 7, 43, 1806)
+    NAME = "2,3,7,43,1806"
+
+    def test_verify_json_reads_back(self, capsys):
+        from fractions import Fraction
+
+        from mahlerq import Model, integrality_report
+
+        code, out, err = run_cli(
+            "verify", "--model", self.NAME, "--order", "6", "--format", "json",
+            capsys=capsys,
+        )
+        assert code == 0, err
+        printed = max(map(Fraction, json.loads(out)["u"]), key=abs)
+        exact = max(integrality_report(Model.from_kvector(self.PARTS), 6).table.u, key=abs)
+        assert printed == exact
+        assert len(str(abs(exact.numerator))) > 4300
+
+    def test_series_g0(self, capsys):
+        from mahlerq import Model
+        from mahlerq.mirror import period_coefficients
+
+        code, out, err = run_cli(
+            "series", "--model", self.NAME, "--order", "8", "--which", "g0",
+            capsys=capsys,
+        )
+        assert code == 0, err
+        assert out.split()[8] == str(period_coefficients(Model.from_kvector(self.PARTS), 8)[8])
+
+    def test_batch_cache_round_trip(self, tmp_path, capsys, monkeypatch):
+        import mahlerq.cli as cli
+        from mahlerq import Model, integrality_report
+        from mahlerq.cli import cache_path, report_json_text
+        from mahlerq.weights import KVector
+
+        monkeypatch.setattr(cli, "enumerate_solutions", lambda n: [KVector(self.PARTS)])
+        cache = tmp_path / "cache"
+        for expected in ("0 cached, 1 computed", "1 cached, 0 computed"):
+            code, out, err = run_cli(
+                "batch", "--n", "5", "--order", "6", "--cache", str(cache), capsys=capsys
+            )
+            assert code == 0, err
+            assert out.startswith(expected)
+        model = Model.from_kvector(self.PARTS)
+        cached = Path(cache_path(str(cache), model, 6)).read_text()
+        assert cached == report_json_text(integrality_report(model, 6))
 
 
 class TestBatchWorkerFailures:

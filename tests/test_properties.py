@@ -26,6 +26,7 @@ any_series = series_strategy()
 no_constant = series_strategy(constant=0)
 unit_series = series_strategy(constant=1)
 revertible = series_strategy(constant=0, linear=1)
+invertible = any_series.filter(lambda s: s.coeff(0) != 0)
 
 
 @given(any_series, any_series)
@@ -59,12 +60,20 @@ def test_pow_additivity(a, p, q):
     assert a**p * a**q == a ** (p + q)
 
 
-@given(unit_series, st.integers(min_value=0, max_value=5))
+@given(invertible, st.integers(min_value=-5, max_value=5))
 def test_pow_matches_repeated_mul(a, n):
-    expected = Series.one(a.order)
-    for _ in range(n):
-        expected = expected * a
-    assert a ** F(n) == expected
+    product = Series.one(a.order)
+    for _ in range(abs(n)):
+        product = product * a
+    if n >= 0:
+        assert a ** F(n) == product
+    else:
+        assert a ** F(n) * product == Series.one(a.order)
+
+
+@given(any_series, invertible)
+def test_division_undone_by_mul(a, b):
+    assert (a / b) * b == a
 
 
 @given(series_strategy(constant=1))

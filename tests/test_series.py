@@ -114,6 +114,10 @@ class TestTranscendental:
         with pytest.raises(ValueError):
             Series([2, 1]) ** F(1, 2)
 
+    def test_pow_needs_nonzero_constant(self):
+        with pytest.raises(ValueError):
+            Series([0, 1]) ** 2
+
     def test_pow_negative_integer(self):
         s = Series([1, 1], 3)
         assert s ** -2 == s.invert() * s.invert()
