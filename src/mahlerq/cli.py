@@ -10,8 +10,13 @@ convergence.
 Every command runs in a fresh process, so the module imports only the
 standard-library modules the commands need; ``csv`` and ``json`` are
 imported where they are used, and ``measure`` or a ``table``/``csv``
-render loads neither.  The command line is parsed from one table,
-:data:`COMMANDS`, which also gives the help text and every usage error.
+render loads neither.  ``fractions`` loads ``re``, ``enum``, ``decimal``
+and ``numbers``, so no module imports it at load time: the library builds
+a ``Fraction`` only where a public value is one, and ``measure`` runs on
+int pairs end to end (its ``--psi`` is read with ``int()`` when it is a
+plain ``p`` or ``p/q``), so it never loads ``fractions``.  The command
+line is parsed from one table, :data:`COMMANDS`, which also gives the
+help text and every usage error.
 ``argparse`` is not used: importing it and building its parsers loads
 ``gettext``, ``locale``, ``shutil`` and the compression modules
 ``shutil`` pulls in, which every run would pay for.
@@ -32,7 +37,6 @@ from __future__ import annotations
 import io
 import os
 import sys
-from fractions import Fraction
 from types import SimpleNamespace
 
 from . import __version__
@@ -45,6 +49,7 @@ from .inversion import (
 )
 from .mirror import (
     _SERIES_KEYS,
+    _ratio_text,
     ConvergenceError,
     MirrorData,
     mahler_measure,
@@ -233,7 +238,7 @@ def parse_args(argv: list[str]):
 # ---------------------------------------------------------------------------
 
 def _fmt_fraction_list(values) -> str:
-    return "[" + ", ".join(format_rational(Fraction(v)) for v in values) + "]"
+    return "[" + ", ".join(format_rational(v) for v in values) + "]"
 
 
 def render_enumerate(n: int, fmt: str) -> str:
@@ -433,8 +438,10 @@ def _fork_entries(pending: list[tuple[Model, str]], order: int, workers: int) ->
     Returns 0, or the exit code of the first child that failed; after it no
     child is started and the running ones are waited for.
     """
-    # Every child writes JSON: import it once here, not once per child.
+    # Every child writes JSON and builds Fractions: import both once here,
+    # not once per child.
     import json
+    import fractions
 
     queue = list(pending)
     running: dict[int, str] = {}  # pid -> model name
@@ -591,14 +598,31 @@ def cmd_batch(args) -> int:
     return 0
 
 
+def parse_psi(text: str) -> tuple[int, int]:
+    """``--psi`` as a (numerator, denominator) pair.
+
+    A plain ASCII ``p`` or ``p/q`` with q > 0 is read with ``int()``; any
+    other spelling goes to ``Fraction(text)``, which accepts decimals and
+    exponents and gives the error for a malformed value.
+    """
+    num, slash, den = text.partition("/")
+    if text.isascii() and num.isdigit() and (den.isdigit() or not slash):
+        pair = int(num), int(den) if slash else 1
+        if pair[1]:
+            return pair
+    from fractions import Fraction
+
+    value = Fraction(text)
+    return value.numerator, value.denominator
+
+
 def cmd_measure(args) -> int:
     model = parse_model_args(args)
-    psi = Fraction(args.psi)
-    result = mahler_measure(model, psi, args.order)
+    result = mahler_measure(model, parse_psi(args.psi), args.order)
     print(f"m(F_psi) = {result.log_measure!r}")
     print(f"M(F_psi) = {result.measure!r}")
     print(f"tail_bound <= {result.tail_bound!r}")
-    print(f"z = {format_rational(result.z)}")
+    print(f"z = {_ratio_text(*result.z_pair)}")
     return 0
 
 

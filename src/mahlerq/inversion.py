@@ -42,10 +42,9 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Sequence
-from fractions import Fraction
 
 from .series import Series, lagrange_coeffs
-from .mirror import MirrorData, alpha
+from .mirror import MirrorData, _ratio_text, alpha
 from .weights import Model
 
 
@@ -64,26 +63,27 @@ def _dlog(s: Series) -> Series:
 
 
 def _checked_dlog(composed: Series, chained: Series, count: int, label: str,
-                  model_name: str) -> list[Fraction]:
+                  where: str) -> list[Fraction]:
     """Coefficients 1..count of t d/dt log composed(t), where composed = t + ...
 
     ``chained`` is the same logarithmic derivative by the chain rule; the
-    two routes must agree on coefficients 0..count.
+    two routes must agree on coefficients 0..count.  ``where`` names the
+    model and order in an error.
     """
     if composed.truncate(1) != Series.identity(1):
         raise ConsistencyError(
-            f"{label}-series composition for model {model_name} is not t + O(t^2): "
+            f"{label}-series composition for {where} is not t + O(t^2): "
             f"it starts {composed.coeff(0)} + {composed.coeff(1)}*t"
         )
-    direct = _dlog(composed)
+    direct, other = _dlog(composed).coeffs, chained.coeffs
     for m in range(count + 1):
-        x, y = direct.coeff(m), chained.coeff(m)
+        x, y = direct[m], other[m]
         if x != y:
             raise ConsistencyError(
-                f"{label}-series routes disagree for model {model_name} at "
-                f"m={m}: composition gives {x}, chain rule gives {y}"
+                f"{label}-series routes disagree for {where}, m={m}: "
+                f"composition gives {x}, chain rule gives {y}"
             )
-    return list(direct.coeffs[1 : count + 1])
+    return list(direct[1 : count + 1])
 
 
 def g0_expansions(md: MirrorData, count: int) -> tuple[list[Fraction], list[Fraction]]:
@@ -105,9 +105,9 @@ def _routes(md: MirrorData, count: int) -> tuple:
     Q_of_q = md.Q.compose(md.zq)
     q_of_Q = md.q.compose(md.zQ)
     kernel = (md.phi.theta() + 1).compose(md.zQ)
-    name = md.model.name
-    u = _checked_dlog(Q_of_q, Series([1, *g0_in_q]) * _dlog(md.zq), count, "u", name)
-    v = _checked_dlog(q_of_Q, kernel / Series([1, *g0_in_Q]), count, "v", name)
+    where = f"model {md.model.name} at order {count}"
+    u = _checked_dlog(Q_of_q, Series([1, *g0_in_q]) * _dlog(md.zq), count, "u", where)
+    v = _checked_dlog(q_of_Q, kernel / Series([1, *g0_in_Q]), count, "v", where)
     return Q_of_q, q_of_Q, g0_in_q, g0_in_Q, u, v
 
 
@@ -135,6 +135,8 @@ def lambert_invert(u: Sequence[Fraction], alternating: bool = False) -> list[Fra
     inverts it: once slot d holds its finished sum, subtracting it from every
     proper multiple of d leaves sum_{d|m} mu(m/d) u_d in slot m.
     """
+    from fractions import Fraction
+
     acc = [-x if alternating and d % 2 else x for d, x in enumerate(u, start=1)]
     for d in range(1, len(acc) + 1):
         for multiple in range(2 * d, len(acc) + 1, d):
@@ -149,6 +151,8 @@ def lambert_series(b: list[Fraction], order: int, alternating: bool = False) -> 
     Moebius route: product_check takes the product's logarithm from it,
     and it doubles as the round-trip oracle.
     """
+    from fractions import Fraction
+
     coeffs = [Fraction(1)] + [Fraction(0)] * order
     for m, bm in enumerate(b, start=1):
         weight = bm * m * m
@@ -182,9 +186,7 @@ def product_check(target: Series, b: list[Fraction], alternating: bool = False) 
 
 def format_rational(x: Fraction) -> str:
     """Decimal string for integers, "p/q" otherwise; never via floating point."""
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+    return _ratio_text(x.numerator, x.denominator)
 
 
 class LambertTable(namedtuple("LambertTable", "order u v b bhat c chat")):
@@ -274,14 +276,15 @@ def _all_integer(values) -> bool:
 
 
 def _kth_root(series: Series, exponent: Series, k: int, label: str,
-              model_name: str) -> Series:
+              where: str) -> Series:
     """(series/z)^(1/k) for series = z*exp(exponent), as exp(exponent/k),
-    checked exactly against series/z by its k-th power."""
+    checked exactly against series/z by its k-th power; ``where`` names the
+    model and order in an error."""
     unit = series.shift_down(1)
     root = (exponent.truncate(unit.order) / k).exp()
     if root ** k != unit:
         raise ConsistencyError(
-            f"k-th root of {label}/z fails its power check for model {model_name}"
+            f"k-th root of {label}/z fails its power check for {where}"
         )
     return root
 
@@ -296,32 +299,33 @@ def integrality_report(model: Model, order: int) -> IntegralityReport:
     if order < 1:
         raise ValueError("order must be at least 1")
     md = MirrorData.build(model, order + 1)
+    where = f"model {model.name} at order {order}"
     # The periods come from a running ratio of int floor divisions, which a
     # wrong ratio would corrupt silently; check the last against the closed
     # factorial form.
     if md.g0.coeff(md.order) != alpha(model, md.order):
         raise ConsistencyError(
-            f"running-ratio and closed-form periods disagree for model "
-            f"{model.name} at m={md.order}"
+            f"running-ratio and closed-form periods disagree for {where}, "
+            f"m={md.order}"
         )
 
     # z as a series in q and in Q: the Newton reversions are checked against
     # the closed Lagrange form before anything composes with them.
     a_m = lagrange_coeffs(md.phi, order)
     A_m = lagrange_coeffs(md.f, order)
+    zq, zQ = md.zq.coeffs, md.zQ.coeffs
     for m in range(1, order + 1):
-        if a_m[m - 1] != md.zq.coeff(m) or A_m[m - 1] != md.zQ.coeff(m):
+        if a_m[m - 1] != zq[m] or A_m[m - 1] != zQ[m]:
             raise ConsistencyError(
-                f"Lagrange and Newton reversions disagree for model "
-                f"{model.name} at m={m}"
+                f"Lagrange and Newton reversions disagree for {where}, m={m}"
             )
 
     # Each map is composed once; the composition feeds both the u/v routes
     # and the product checks.
     Q_of_q, q_of_Q, g0_in_q, g0_in_Q, u, v = _routes(md, order)
     table = LambertTable(u, v)
-    root_q = _kth_root(md.q, md.phi, model.k, "q", model.name)
-    root_Q = _kth_root(md.Q, md.f, model.k, "Q", model.name)
+    root_q = _kth_root(md.q, md.phi, model.k, "q", where)
+    root_Q = _kth_root(md.Q, md.f, model.k, "Q", where)
 
     checks = _Checks(
         product_plain=(

@@ -18,7 +18,9 @@ The period coefficients alpha_m = (km)!/prod_i (w_i m)! that every series
 here is built from come from one running ratio alpha_m / alpha_(m-1), an
 exact int division per coefficient (:func:`period_coefficients`);
 :func:`alpha` keeps the closed factorial form as an independent oracle.
-The Mahler measure sums f(z) exactly by binary splitting and rounds once.
+The Mahler measure sums f(z) exactly by binary splitting and rounds once;
+it computes on reduced (numerator, denominator) int pairs throughout, so
+it never loads ``fractions``.
 """
 
 from __future__ import annotations
@@ -26,9 +28,8 @@ from __future__ import annotations
 import math
 from collections import Counter, namedtuple
 from collections.abc import Sequence
-from fractions import Fraction
 
-from .series import Series, as_rational
+from .series import Series, _exact
 from .weights import Model
 
 
@@ -42,6 +43,8 @@ class ConvergenceError(ValueError):
 
 def alpha(model: Model, m: int) -> Fraction:
     """Period coefficient (km)! / prod_i (w_i m)!, a positive integer."""
+    from fractions import Fraction
+
     if m < 0:
         raise ValueError("index must be nonnegative")
     num = math.factorial(model.k * m)
@@ -54,6 +57,8 @@ def multinomial_diag(kv, m: int) -> Fraction:
 
     Equals m!/prod_i (m/k_i)! when lcm(k_i) divides m, else 0.
     """
+    from fractions import Fraction
+
     if m < 1:
         raise ValueError("index must be positive")
     parts = tuple(kv)
@@ -114,6 +119,8 @@ def h_series(model: Model, order: int) -> Series:
     common roots cancel, so it is sum_a 1/(j - 1 + a) - sum_b 1/(j - b)
     over the parameters of the reduced operator.
     """
+    from fractions import Fraction
+
     op = pf_operator(model, "reduced")
     alphas = period_coefficients(model, order)
     coeffs = [Fraction(0)]
@@ -175,6 +182,42 @@ class PFOperator(namedtuple("PFOperator", "constant a b form")):
         return super().__new__(cls, constant, a, b, form)
 
 
+def _reduced(num: int, den: int) -> tuple[int, int]:
+    """num/den (den != 0) in lowest terms with a positive denominator."""
+    g = math.gcd(num, den)
+    if den < 0:
+        g = -g
+    return num // g, den // g
+
+
+def _ratio_text(num: int, den: int) -> str:
+    """A reduced pair as ``str`` prints the Fraction: "p" or "p/q"."""
+    return str(num) if den == 1 else f"{num}/{den}"
+
+
+def _growth(model: Model) -> tuple[int, int]:
+    """C = k^k / prod_i w_i^(w_i) as a reduced int pair."""
+    return _reduced(model.k**model.k, math.prod(wi**wi for wi in model.w))
+
+
+def _parameters(model: Model, form: str) -> tuple[int, list[int], list[int]]:
+    """L = lcm(k, w_1..w_n) and the sorted a and b parameters of
+    :func:`pf_operator` in ``form``, as int numerators over L."""
+    k, w = model.k, model.w
+    L = math.lcm(k, *w)
+    num = Counter(j * (L // k) for j in range(k))
+    den: Counter = Counter()
+    for wi in w:
+        den.update(j * (L // wi) for j in range(wi))
+    if form == "reduced":
+        common = num & den
+        num, den = num - common, den - common
+    elif form not in FORMS:
+        raise ValueError(f"unknown operator form {form!r}")
+    a = num.elements() if form == "local" else (L - r for r in num.elements())
+    return L, sorted(a), sorted(den.elements())
+
+
 def pf_operator(model: Model, form: str = "reduced") -> PFOperator:
     """Derive the operator parameters from the weights.
 
@@ -184,25 +227,15 @@ def pf_operator(model: Model, form: str = "reduced") -> PFOperator:
     leftover numerator roots r to a = 1 - r and leftover denominator
     roots to b = r.
     """
-    k, w = model.k, model.w
-    constant = Fraction(k**k, math.prod(wi**wi for wi in w))
-    num = Counter(Fraction(j, k) for j in range(k))
-    den: Counter = Counter()
-    for wi in w:
-        den.update(Fraction(j, wi) for j in range(wi))
-    if form == "reduced":
-        common = num & den
-        a = sorted(1 - r for r in (num - common).elements())
-        b = sorted((den - common).elements())
-    elif form == "local":
-        a = sorted(num.elements())
-        b = sorted(den.elements())
-    elif form == "unreduced":
-        a = sorted(1 - r for r in num.elements())
-        b = sorted(den.elements())
-    else:
-        raise ValueError(f"unknown operator form {form!r}")
-    return PFOperator(constant, tuple(a), tuple(b), form)
+    from fractions import Fraction
+
+    L, a, b = _parameters(model, form)
+    return PFOperator(
+        Fraction(*_growth(model)),
+        tuple(Fraction(x, L) for x in a),
+        tuple(Fraction(x, L) for x in b),
+        form,
+    )
 
 
 def pf2_applicable(model: Model) -> bool:
@@ -313,15 +346,30 @@ def binary_splitting_sum(coeffs: Sequence[int], p: int, s: int) -> int:
 
 
 class MahlerMeasure(namedtuple(
-    "MahlerMeasure", "model_name psi z order log_measure measure tail_bound"
+    "MahlerMeasure", "model_name psi_pair z_pair order log_measure measure tail_bound"
 )):
     """Numeric value of the logarithmic Mahler measure at a real parameter.
 
     ``log_measure`` is m(F_psi), ``measure`` is M(F_psi) = exp(m) and
     ``tail_bound`` is an upper estimate of the truncation error on m.
+    ``psi_pair`` and ``z_pair`` hold psi and z = (k*psi)^(-k) as reduced
+    (numerator, denominator) int pairs; :attr:`psi` and :attr:`z` read
+    them as Fractions.
     """
 
     __slots__ = ()
+
+    @property
+    def psi(self) -> Fraction:
+        from fractions import Fraction
+
+        return Fraction(*self.psi_pair)
+
+    @property
+    def z(self) -> Fraction:
+        from fractions import Fraction
+
+        return Fraction(*self.z_pair)
 
 
 def mahler_measure(model: Model, psi, order: int) -> MahlerMeasure:
@@ -332,44 +380,57 @@ def mahler_measure(model: Model, psi, order: int) -> MahlerMeasure:
     divided once by s^N * d; that int true division is the only rounding,
     so the float is f(z) correctly rounded.  Valid strictly inside the disk
     |z| * C < 1, where C = k^k/prod w_i^{w_i} is the growth rate of the
-    period coefficients; psi must be a positive real (exact) number.  The
-    tail bound is a geometric series on the last summed term f_N z^N.
+    period coefficients; psi must be a positive real (exact) number: an
+    int, a Fraction or a (numerator, denominator) pair of ints.  The tail
+    bound is a geometric series on the last summed term f_N z^N.
     """
-    psi = as_rational(psi)
-    if psi <= 0:
+    if isinstance(psi, tuple):
+        num, den = psi
+        if not (isinstance(num, int) and isinstance(den, int)):
+            raise TypeError("a psi pair needs an int numerator and denominator")
+        if den == 0:
+            raise ZeroDivisionError(f"psi = {num}/0")
+        num, den = _reduced(num, den)
+    else:
+        num, den = _exact(psi)
+    if num <= 0:
         raise ValueError("psi must be positive")
     if order < 1:
         raise ValueError("order must be at least 1")
     k = model.k
-    z = Fraction(1) / (k * psi) ** k
-    op = pf_operator(model, "reduced")
-    C = op.constant
-    if z * C >= 1:
+    p, s = _reduced(den**k, (k * num) ** k)  # z = p/s
+    cn, cd = _growth(model)
+    if p * cn >= s * cd:
         raise ConvergenceError(
-            f"z = {z} (psi = {psi}) lies outside the disk of convergence of "
-            f"model {model.name} (need |z| < 1/{C})"
+            f"z = {_ratio_text(p, s)} (psi = {_ratio_text(num, den)}) lies outside "
+            f"the disk of convergence of model {model.name} "
+            f"(need |z| < 1/{_ratio_text(cn, cd)})"
         )
     f = f_series(model, order)
-    p, s = z.numerator, z.denominator
     acc = binary_splitting_sum(f.numerators, p, s)
     fz = acc / (s**order * f.denominator)  # int true division rounds correctly
-    log_m = math.log(psi.numerator) - math.log(psi.denominator) - fz / k
+    log_m = math.log(num) - math.log(den) - fz / k
     # Tail: for m > N the term ratio alpha_{m+1} z / alpha_m is bounded by
     # rho = C*|z| * prod_j max(1, (N+a_j)/(N+1-b_j)), each factor being
-    # monotone in m toward 1.
+    # monotone in m toward 1.  With a_j and b_j over L, rho = rn/rd.
     N = order
-    rho = C * z
-    for aj, bj in zip(op.a, op.b):
-        rho *= max(Fraction(1), Fraction(N + aj) / (N + 1 - bj))
-    if rho >= 1:
+    L, a, b = _parameters(model, "reduced")
+    rn, rd = cn * p, cd * s
+    for aj, bj in zip(a, b):
+        x, y = N * L + aj, (N + 1) * L - bj
+        if x > y:
+            rn, rd = rn * x, rd * y
+    if rn >= rd:
         tail = math.inf
     else:
-        t_last = f.coeff(N) * z**N  # the last summed term, alpha_N z^N / N
-        tail = float(t_last * rho / (1 - rho)) / k
+        # The last summed term alpha_N z^N / N, times rho/(1 - rho), is one
+        # int true division: the float of that Fraction, bit for bit.
+        t_num, t_den = f.numerators[N] * p**N, f.denominator * s**N
+        tail = (t_num * rn) / (t_den * (rd - rn)) / k
     return MahlerMeasure(
         model_name=model.name,
-        psi=psi,
-        z=z,
+        psi_pair=(num, den),
+        z_pair=(p, s),
         order=order,
         log_measure=log_m,
         measure=math.exp(log_m),

@@ -15,7 +15,9 @@ recurrences, series division and J.C.P. Miller's power recurrence, give
 ``invert``/``log`` and ``exp``/``**``; they carry integer numerators over a
 running denominator and rescale only when a division is not exact.
 :attr:`Series.coeffs` and :meth:`Series.coeff` still hand out
-:class:`fractions.Fraction` values.
+:class:`fractions.Fraction` values; the module imports ``fractions`` the
+first time one is built, since ``fractions`` loads ``re``, ``enum``,
+``decimal`` and ``numbers``, which integer-only callers never need.
 
 The kernel never extends precision on its own: binary operations on
 mismatched orders truncate to the smaller order, so the working order is
@@ -31,19 +33,41 @@ symbolic ``log z`` object is ever needed (see ``mirror.pf_apply``).
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Iterable, Sequence
-from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
 
 def as_rational(value: int | Fraction) -> Fraction:
     """Coerce an exact scalar.  Floats are rejected: no inexact mode exists."""
-    if isinstance(value, Fraction):
-        return value
+    from fractions import Fraction
+
+    return Fraction(*_exact(value))
+
+
+def _pair(value) -> tuple[int, int] | None:
+    """(numerator, denominator) in lowest terms of an int or a Fraction,
+    None for any other value.
+
+    A Fraction can only exist once ``fractions`` is loaded, so the test
+    looks the module up instead of importing it, and costs no import per
+    call.
+    """
     if isinstance(value, int):
-        return Fraction(value)
-    raise TypeError(f"exact scalar required, got {type(value).__name__}")
+        return value, 1
+    fractions = sys.modules.get("fractions")
+    if fractions is not None and isinstance(value, fractions.Fraction):
+        return value.numerator, value.denominator
+    return None
+
+
+def _exact(value) -> tuple[int, int]:
+    """:func:`_pair` of an exact scalar; anything else is a TypeError."""
+    pair = _pair(value)
+    if pair is None:
+        raise TypeError(f"exact scalar required, got {type(value).__name__}")
+    return pair
 
 
 def _convolve(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
@@ -111,10 +135,7 @@ class Series:
     __slots__ = ("_num", "_den")
 
     def __init__(self, coeffs: Iterable[int | Fraction], order: int | None = None):
-        cs = list(coeffs)
-        for c in cs:
-            if not isinstance(c, (int, Fraction)):
-                raise TypeError(f"exact scalar required, got {type(c).__name__}")
+        cs = [_exact(c) for c in coeffs]
         pad = 0
         if order is not None:
             if order < 0:
@@ -125,8 +146,8 @@ class Series:
             raise ValueError("a series needs at least its constant coefficient")
         # The lcm of reduced denominators leaves the pair in reduced form,
         # and the zeros padded up to the order do not change it.
-        den = lcm(*(c.denominator for c in cs))
-        self._num = tuple(c.numerator * (den // c.denominator) for c in cs) + (0,) * pad
+        den = lcm(*(d for _, d in cs))
+        self._num = tuple(n * (den // d) for n, d in cs) + (0,) * pad
         self._den = den
 
     @classmethod
@@ -187,6 +208,8 @@ class Series:
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
+        from fractions import Fraction
+
         d = self._den
         return tuple(Fraction(x, d) for x in self._num)
 
@@ -196,6 +219,8 @@ class Series:
             raise IndexError(
                 f"coefficient z^{m} beyond truncation order {self.order}"
             )
+        from fractions import Fraction
+
         return Fraction(self._num[m], self._den)
 
     def valuation(self) -> int | None:
@@ -261,12 +286,18 @@ class Series:
 
     # -- ring operations ----------------------------------------------
 
+    def _scale(self, num: int, den: int) -> "Series":
+        # self * num/den for den != 0
+        if den < 0:
+            num, den = -num, -den
+        return Series._from_ints([num * x for x in self._num], den * self._den)
+
     def _linear(self, other, sign: int) -> "Series":
         # self + sign*other on a common denominator
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Series):
+            if _pair(other) is None:
+                return NotImplemented
             other = Series.constant(other, self.order)
-        elif not isinstance(other, Series):
-            return NotImplemented
         n = min(self.order, other.order)
         a, da, b, db = self._num, self._den, other._num, other._den
         den = lcm(da, db)
@@ -290,13 +321,9 @@ class Series:
         return (-self).__add__(other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = as_rational(other)
-            return Series._from_ints(
-                [c.numerator * x for x in self._num], c.denominator * self._den
-            )
         if not isinstance(other, Series):
-            return NotImplemented
+            pair = _pair(other)
+            return NotImplemented if pair is None else self._scale(*pair)
         n = min(self.order, other.order)
         return Series._from_ints(
             _convolve(self._num, other._num, n), self._den * other._den
@@ -305,14 +332,15 @@ class Series:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = as_rational(other)
-            if c == 0:
-                raise ZeroDivisionError("division of a series by zero")
-            return self * (1 / c)
         if isinstance(other, Series):
             return _divide(self, other)
-        return NotImplemented
+        pair = _pair(other)
+        if pair is None:
+            return NotImplemented
+        num, den = pair
+        if num == 0:
+            raise ZeroDivisionError("division of a series by zero")
+        return self._scale(den, num)
 
     def invert(self) -> "Series":
         """Multiplicative inverse; needs a nonzero constant term."""
@@ -345,14 +373,18 @@ class Series:
         The base needs a nonzero constant term, and constant term 1 when
         ``e`` is fractional (the branch fixed by value 1 at z=0).
         """
-        e = as_rational(exponent)
-        a0 = self.coeff(0)
-        if e.denominator != 1 and a0 != 1:
+        en, ed = _exact(exponent)
+        a0, d = self._num[0], self._den
+        if ed != 1 and a0 != d:
             raise ValueError("fractional power needs constant term 1")
         if a0 == 0:
             raise ValueError("power needs a nonzero constant term")
-        # The recurrence gives (F/F_0)^e; F_0^e is 1 when e is fractional.
-        return _miller(self, self.theta() * (e + 1), self.order) * a0**e.numerator
+        # The recurrence gives (F/F_0)^e; F_0^e = (a0/d)^en is 1 when e is
+        # fractional.
+        power = _miller(self, self.theta()._scale(en + ed, ed), self.order)
+        g = gcd(a0, d)
+        a0, d = (a0 // g, d // g) if en >= 0 else (d // g, a0 // g)
+        return power._scale(a0 ** abs(en), d ** abs(en))
 
     # -- calculus ------------------------------------------------------
 
@@ -406,7 +438,7 @@ class Series:
             raise ValueError("reversion needs f(0) = 0 and order >= 1")
         if a[1] == 0:
             raise ValueError("reversion needs f'(0) != 0")
-        g = Series([0, Fraction(self._den, a[1])])
+        g = Series.identity(1)._scale(self._den, a[1])  # z / f'(0)
         if N == 1:
             return g
         fprime = self.derivative()
@@ -434,9 +466,11 @@ def lagrange_coeffs(phi: Series, count: int) -> list[Fraction]:
     phi(0) = 0 and phi.order >= count - 1.  Serves as the independent
     cross-check of :meth:`Series.revert`.
     """
+    from fractions import Fraction
+
     if count < 1:
         raise ValueError("count must be positive")
-    if phi.coeff(0) != 0:
+    if phi.numerators[0] != 0:
         raise ValueError("lagrange_coeffs needs phi(0) = 0")
     if phi.order < count - 1:
         raise ValueError(

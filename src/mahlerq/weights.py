@@ -2,7 +2,7 @@
 
 Every such tuple determines a degree k = lcm(k_i) and weights
 w_i = k/k_i with sum w_i = k.  Enumeration runs a bounded depth-first
-search with exact rational residuals; a model can also be built from a
+search with exact rational residuals, kept as reduced int pairs; a model can also be built from a
 direct (k; w_1..w_n) pair with sum w_i = k, which covers weighted
 hypersurfaces whose exponent vector is supplied by hand.
 """
@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from collections.abc import Iterable
-from fractions import Fraction
 
 
 class KVector:
@@ -33,7 +32,8 @@ class KVector:
             raise ValueError("parts must be at least 2")
         if any(a > b for a, b in zip(p, p[1:])):
             raise ValueError("parts must be non-decreasing")
-        if sum(Fraction(1, k) for k in p) != 1:
+        lcm = math.lcm(*p)
+        if sum(lcm // k for k in p) != lcm:
             raise ValueError(f"reciprocals of {p} do not sum to 1")
         object.__setattr__(self, "parts", p)
 
@@ -122,29 +122,31 @@ class Model(namedtuple("Model", "k w kvec name")):
 def enumerate_solutions(n: int) -> list[KVector]:
     """All solutions of 1/k_1 + ... + 1/k_n = 1 with k_1 <= ... <= k_n.
 
-    Bounded depth-first search on exact rational residuals: with
-    residual r and s slots left, the next part ranges over
-    [max(prev, ceil(1/r)), floor(s/r)]; the last slot closes only when
-    the residual is a unit fraction.  Output is in ascending
-    lexicographic order.
+    Bounded depth-first search on exact rational residuals, each a
+    reduced pair num/den of ints: with residual r and s slots left, the
+    next part ranges over [max(prev, ceil(1/r)), floor(s/r)]; the last
+    slot closes only when the residual is a unit fraction.  Output is in
+    ascending lexicographic order.
     """
     if n < 2:
         raise ValueError("need n >= 2")
     out: list[KVector] = []
 
-    def search(prefix: tuple[int, ...], residual: Fraction, slots: int) -> None:
+    def search(prefix: tuple[int, ...], num: int, den: int, slots: int) -> None:
         if slots == 1:
-            if residual.numerator == 1 and residual.denominator >= prefix[-1]:
-                out.append(KVector(prefix + (residual.denominator,)))
+            if num == 1 and den >= prefix[-1]:
+                out.append(KVector(prefix + (den,)))
             return
-        low = max(prefix[-1] if prefix else 2, math.ceil(1 / residual))
-        high = math.floor(slots / residual)
+        low = max(prefix[-1] if prefix else 2, -(-den // num))
+        high = slots * den // num
         for k in range(low, high + 1):
-            rest = residual - Fraction(1, k)
+            # num/den - 1/k, reduced
+            rest = num * k - den
             if rest > 0:
-                search(prefix + (k,), rest, slots - 1)
+                g = math.gcd(rest, den * k)
+                search(prefix + (k,), rest // g, den * k // g, slots - 1)
 
-    search((), Fraction(1), n)
+    search((), 1, 1, n)
     out.sort(key=lambda kv: kv.parts)
     return out
 
@@ -160,6 +162,8 @@ def aut_order(kv: KVector) -> int:
 def counts(sols: list[KVector]) -> tuple[int, Fraction]:
     """(simple, weighted) counts of the solutions ``sols``, as listed by
     :func:`enumerate_solutions`; weighted counts each as 1/|Aut|."""
+    from fractions import Fraction
+
     weighted = sum((Fraction(1, aut_order(kv)) for kv in sols), Fraction(0))
     return len(sols), weighted
 

@@ -224,7 +224,7 @@ class TestVerify:
         assert out == ""
         assert err.startswith(
             f"internal-consistency fault: {label}-series composition for model "
-            "3,3,3 is not t + O(t^2): it starts 0 + 2*t"
+            "3,3,3 at order 4 is not t + O(t^2): it starts 0 + 2*t"
         )
 
     def test_corrupted_g0_expansion_exits_3(self, monkeypatch, capsys):
@@ -241,7 +241,8 @@ class TestVerify:
         assert code == 3
         assert out == ""
         assert err.startswith(
-            "internal-consistency fault: v-series routes disagree for model 3,3,3 at m=4"
+            "internal-consistency fault: v-series routes disagree for model 3,3,3 "
+            "at order 4, m=4"
         )
 
     def test_22_all_zero(self, capsys):
@@ -611,6 +612,26 @@ class TestMeasure:
         code, _, _ = run_cli("measure", "--model", "2,2", capsys=capsys)  # no --psi
         assert code == 2
 
+    @pytest.mark.parametrize("text, code", [
+        ("2", 0), ("5/2", 0), (" 5/2 ", 0), ("+5/2", 0), ("0.1", 4), ("1e-1", 4),
+        ("abc", 2), ("1/0", 2), ("-2", 2),
+    ])
+    def test_psi_reads_as_fraction_of_its_text(self, monkeypatch, capsys, text, code):
+        from fractions import Fraction
+
+        from mahlerq import cli
+
+        argv = ("measure", "--model", "3,3,3", "--psi", text, "--order", "24")
+        got = run_cli(*argv, capsys=capsys)
+        assert got[0] == code
+
+        def fraction_psi(text):
+            value = Fraction(text)
+            return value.numerator, value.denominator
+
+        monkeypatch.setattr(cli, "parse_psi", fraction_psi)
+        assert run_cli(*argv, capsys=capsys) == got
+
 
 # Command lines that both parsers accept, for every command: defaults, each
 # choice, --opt=value, repeated options and negative integers.
@@ -805,8 +826,41 @@ class TestConsoleEntry:
         assert proc.returncode == 0, proc.stderr
         loaded, module_count = ast.literal_eval(proc.stdout)
         assert loaded == []
-        # 61 modules on Python 3.11.7 (69 with argparse and json at import).
-        assert module_count <= 64
+        # 47 modules on Python 3.11.7 (61 with fractions and the re, enum,
+        # decimal and numbers it loads; 69 with argparse and json as well).
+        assert module_count <= 47
+
+    FRACTIONS_CHAIN = ["fractions", "decimal", "numbers", "re", "enum"]
+
+    @pytest.mark.parametrize("argv, code", [
+        ((), 0),
+        (("--version",), 0),
+        (("measure", "--model", "3,3,3", "--psi", "5/2", "--order", "40"), 0),
+        (("measure", "--weights", "12:4,3,3,2", "--psi", "1"), 0),
+        (("measure", "--model", "3,3,3", "--psi", "1/10"), 4),
+    ], ids=["import", "version", "measure", "measure-weights", "measure-outside"])
+    def test_fractions_chain_is_not_loaded(self, argv, code):
+        # measure runs on int pairs; fractions would bring re, enum,
+        # decimal and numbers, compiled afresh by every run without bytecode.
+        proc = subprocess.run(
+            [
+                sys.executable,
+                "-S",
+                "-c",
+                "import sys\n"
+                "from mahlerq.cli import main\n"
+                "code = main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+                f"print([m for m in {self.FRACTIONS_CHAIN!r} if m in sys.modules],"
+                " file=sys.stderr)\n"
+                "sys.exit(code)",
+                *argv,
+            ],
+            capture_output=True,
+            text=True,
+            cwd=SRC,
+        )
+        assert proc.returncode == code, proc.stderr
+        assert proc.stderr.splitlines()[-1] == "[]"
 
     @pytest.mark.parametrize("argv, unneeded", [
         (("verify", "--model", "3,3,3", "--order", "4", "--format", "json"), ()),
@@ -854,6 +908,20 @@ class TestConsoleEntry:
             prologue="fork = os.fork\n"
             "def checked_fork():\n"
             "    print('json' in sys.modules, file=sys.stderr)\n"
+            "    return fork()\n"
+            "os.fork = checked_fork",
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == "True\n" * 3
+
+    def test_workers_inherit_fractions_instead_of_importing_it(self, tmp_path):
+        # Every worker builds Fractions, and fractions loads re, enum,
+        # decimal and numbers: each worker would compile them afresh.
+        proc = run_forked_batch(
+            tmp_path / "cache",
+            prologue="fork = os.fork\n"
+            "def checked_fork():\n"
+            "    print('fractions' in sys.modules, file=sys.stderr)\n"
             "    return fork()\n"
             "os.fork = checked_fork",
         )

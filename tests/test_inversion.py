@@ -338,22 +338,26 @@ class TestReport:
             return [a + (m == order) for m, a in enumerate(exact(model, order))]
 
         monkeypatch.setattr(mirror, "period_coefficients", off_by_one)
-        with pytest.raises(ConsistencyError, match="closed-form periods"):
+        with pytest.raises(
+            ConsistencyError,
+            match="closed-form periods disagree for model 3,3,3 at order 6, m=7$",
+        ):
             integrality_report(M333, 6)
 
     TAMPERS = [
-        ("q", 3, "v-series routes disagree"),
-        ("Q", 3, "u-series routes disagree"),
-        ("zq", 3, "Lagrange and Newton reversions disagree"),
-        ("zQ", 3, "Lagrange and Newton reversions disagree"),
-        ("q", 1, r"v-series composition for model 3,3,3 is not t \+ O\(t\^2\)"),
-        ("Q", 1, r"u-series composition for model 3,3,3 is not t \+ O\(t\^2\)"),
+        ("q", 3, "v-series routes disagree for model 3,3,3 at order 6, m=2: "),
+        ("Q", 3, "u-series routes disagree for model 3,3,3 at order 6, m=2: "),
+        ("zq", 3, "Lagrange and Newton reversions disagree for model 3,3,3 at order 6, m=3$"),
+        ("zQ", 3, "Lagrange and Newton reversions disagree for model 3,3,3 at order 6, m=3$"),
+        ("q", 1, r"v-series composition for model 3,3,3 at order 6 is not t \+ O\(t\^2\)"),
+        ("Q", 1, r"u-series composition for model 3,3,3 at order 6 is not t \+ O\(t\^2\)"),
     ]
 
     @pytest.mark.parametrize(
         "field, degree, message",
         TAMPERS,
-        ids=[f"{f}-{m}" if d == 3 else f"{f}-z{d}" for f, d, m in TAMPERS],
+        ids=[f"{f}-{m.split(' for model')[0]}" if d == 3 else f"{f}-z{d}"
+             for f, d, m in TAMPERS],
     )
     def test_tampered_mirror_data_raises_consistency_fault(
         self, monkeypatch, field, degree, message
@@ -387,7 +391,7 @@ class TestReport:
         monkeypatch.setattr(inversion, "g0_expansions", corrupted)
         with pytest.raises(
             ConsistencyError,
-            match=f"{label}-series routes disagree for model 3,3,3 at m={m}:",
+            match=f"{label}-series routes disagree for model 3,3,3 at order 6, m={m}:",
         ):
             integrality_report(M333, 6)
 
@@ -408,7 +412,8 @@ class TestReport:
         monkeypatch.setattr(Series, "__pow__", skewed)
         with pytest.raises(
             ConsistencyError,
-            match=f"k-th root of {label}/z fails its power check for model 3,3,3",
+            match=f"k-th root of {label}/z fails its power check for model 3,3,3 "
+            "at order 6$",
         ):
             integrality_report(M333, 6)
 

@@ -229,6 +229,45 @@ class TestOperators:
                 assert lhs == rhs
 
 
+def reference_pf_operator(model, form):
+    """(C, a, b) of pf_operator, computed on Fraction multisets."""
+    from collections import Counter
+
+    k, w = model.k, model.w
+    num = Counter(F(j, k) for j in range(k))
+    den = Counter(F(j, wi) for wi in w for j in range(wi))
+    if form == "reduced":
+        common = num & den
+        num, den = num - common, den - common
+    a = num.elements() if form == "local" else (1 - r for r in num.elements())
+    constant = F(k**k, math.prod(wi**wi for wi in w))
+    return constant, tuple(sorted(a)), tuple(sorted(den.elements()))
+
+
+def reference_tail_bound(model, psi, order):
+    """The tail bound of mahler_measure in Fraction arithmetic, with alpha_N
+    from the closed factorial form."""
+    z = 1 / (model.k * F(psi)) ** model.k
+    constant, a, b = reference_pf_operator(model, "reduced")
+    rho = constant * z
+    for aj, bj in zip(a, b):
+        rho *= max(F(1), (order + aj) / (order + 1 - bj))
+    t_last = alpha(model, order) * z**order / order
+    return float(t_last * rho / (1 - rho)) / model.k
+
+
+class TestOperatorParameters:
+    MODELS = [M22, M333, M236, Model.from_kvector((2, 5, 10, 10, 10)),
+              Model.from_weights(12, (4, 3, 3, 2)), Model.from_weights(5, (2, 3)),
+              Model.from_weights(7, (2, 2, 3))]
+
+    @pytest.mark.parametrize("form", ["reduced", "local", "unreduced"])
+    @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.name)
+    def test_int_numerators_match_fraction_multisets(self, model, form):
+        op = pf_operator(model, form)
+        assert (op.constant, op.a, op.b) == reference_pf_operator(model, form)
+
+
 class TestAnnihilation:
     ORDER = 14
 
@@ -373,17 +412,43 @@ class TestMahlerMeasure:
         ids=str,
     )
     def test_tail_bound_matches_closed_form(self, kv, psi, order):
-        # Reference bound, with alpha_N from the closed factorial form.
         model = Model.from_kvector(kv)
-        z = 1 / (model.k * F(psi)) ** model.k
-        op = pf_operator(model)
-        rho = op.constant * z
-        for aj, bj in zip(op.a, op.b):
-            rho *= max(F(1), (order + aj) / (order + 1 - bj))
-        t_last = alpha(model, order) * z**order / order
-        expected = float(t_last * rho / (1 - rho)) / model.k
+        expected = reference_tail_bound(model, psi, order)
         assert 0 < expected < math.inf
         assert mahler_measure(model, psi, order).tail_bound == expected
+
+    @pytest.mark.parametrize("model, psi, order", [
+        (Model.from_weights(5, (2, 3)), F(1, 2), 40),
+        (Model.from_weights(7, (2, 2, 3)), F(2, 3), 30),
+        (Model.from_weights(12, (4, 3, 3, 2)), F(1), 50),
+    ], ids=lambda x: getattr(x, "name", str(x)))
+    def test_tail_bound_of_weights_models(self, model, psi, order):
+        # Weights that need not divide k put the parameters over lcm(k, w).
+        expected = reference_tail_bound(model, psi, order)
+        assert 0 < expected < math.inf
+        assert mahler_measure(model, psi, order).tail_bound == expected
+
+    def test_psi_forms_give_equal_records(self):
+        records = [mahler_measure(M333, psi, 40)
+                   for psi in (F(5, 2), (5, 2), (-10, -4), (15, 6))]
+        assert all(r == records[0] for r in records)
+        assert mahler_measure(M333, 2, 40) == mahler_measure(M333, (2, 1), 40)
+        assert mahler_measure(M333, 2, 40) == mahler_measure(M333, F(2), 40)
+
+    def test_psi_and_z_read_as_fractions(self):
+        result = mahler_measure(M333, (10, 4), 40)
+        assert result.psi_pair == (5, 2) and result.z_pair == (8, 3375)
+        assert type(result.psi) is F and result.psi == F(5, 2)
+        assert type(result.z) is F and result.z == 1 / (3 * F(5, 2)) ** 3
+        assert result.z == F(*result.z_pair)
+
+    @pytest.mark.parametrize("psi, error", [
+        ((1, 0), ZeroDivisionError), ((F(1, 2), 3), TypeError), ((1.5, 1), TypeError),
+        (2.5, TypeError), ((-5, 2), ValueError), ((0, 3), ValueError),
+    ], ids=str)
+    def test_rejects_bad_psi(self, psi, error):
+        with pytest.raises(error):
+            mahler_measure(M333, psi, 8)
 
     def test_large_psi_asymptotic(self):
         result = mahler_measure(M22, 1000, 16)

@@ -1,10 +1,16 @@
 """Unit tests for the exact series kernel, pinned to hand-computed values."""
 
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import mahlerq
 from mahlerq import Series, lagrange_coeffs
+
+SRC = Path(mahlerq.__file__).resolve().parents[1]
 
 
 class TestBasics:
@@ -186,3 +192,46 @@ class TestLagrange:
         with pytest.raises(ValueError):
             lagrange_coeffs(Series.zero(2), 4)
 
+
+
+class TestScalarTypes:
+    def test_int_arithmetic_does_not_load_fractions(self):
+        # Scalars are tested as Series and int before Fraction, and a
+        # Fraction is built only where a public value is one.
+        script = (
+            "import sys\n"
+            "from mahlerq.series import Series\n"
+            "a, x = Series([1, 2, 3, 4]), Series([0, 2, 3, 5])\n"
+            "values = [a * a, a + 1, 1 - a, 3 * a, a / 2, a / a, a ** 3, a ** -2,\n"
+            "          x.revert(), x.exp(), a.log(), a.invert(), a.compose(x)]\n"
+            "print('fractions' in sys.modules, end=' ')\n"
+            "values[0].coeffs\n"
+            "print('fractions' in sys.modules)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", script], capture_output=True, text=True, cwd=SRC
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False True\n"
+
+    @pytest.mark.parametrize("scalar", [3, -2, F(5, 3), F(-1, 4), True])
+    def test_int_and_fraction_scalars_agree(self, scalar):
+        a = Series([F(1, 2), 3, F(-7, 5), 4])
+        value = F(scalar)
+        assert a * scalar == Series([c * value for c in a.coeffs])
+        assert a + scalar == Series([a.coeffs[0] + value, *a.coeffs[1:]])
+        assert a / scalar == Series([c / value for c in a.coeffs])
+
+    @pytest.mark.parametrize("other", [0.5, "1", None, 1j])
+    def test_other_scalars_are_refused(self, other):
+        a = Series([1, 2])
+        for op in (lambda: a * other, lambda: a + other, lambda: a / other,
+                   lambda: a ** other, lambda: Series([other])):
+            with pytest.raises(TypeError):
+                op()
+
+    @pytest.mark.parametrize("lead", [1, -1, 3, F(-2, 7)])
+    def test_revert_seed_is_the_inverse_linear_coefficient(self, lead):
+        x = Series([0, lead, 1, 2], 3)
+        assert x.revert().coeff(1) == 1 / F(lead)
+        assert x.compose(x.revert()) == Series.identity(3)

@@ -1,5 +1,6 @@
 """Tests for weight-system enumeration, counting and the floor-gap check."""
 
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -15,6 +16,26 @@ from mahlerq import (
 )
 
 
+def fraction_search(n):
+    """Parts of every solution for n, by a depth-first search on Fraction
+    residuals: the oracle of the int-pair search in enumerate_solutions."""
+    out = []
+
+    def search(prefix, residual, slots):
+        if slots == 1:
+            if residual.numerator == 1 and residual.denominator >= prefix[-1]:
+                out.append(prefix + (residual.denominator,))
+            return
+        low = max(prefix[-1] if prefix else 2, math.ceil(1 / residual))
+        for k in range(low, math.floor(slots / residual) + 1):
+            rest = residual - F(1, k)
+            if rest > 0:
+                search(prefix + (k,), rest, slots - 1)
+
+    search((), F(1), n)
+    return sorted(out)
+
+
 class TestKVector:
     def test_valid(self):
         kv = KVector([2, 3, 6])
@@ -28,6 +49,13 @@ class TestKVector:
     def test_invalid(self, parts):
         with pytest.raises(ValueError):
             KVector(parts)
+
+    @pytest.mark.parametrize("parts", [(2, 2, 2), (3, 3, 4), (2, 3, 7, 43), (4, 4, 4)])
+    def test_sum_is_checked_over_the_lcm(self, parts):
+        assert sum(F(1, k) for k in parts) != 1
+        with pytest.raises(ValueError, match="do not sum to 1"):
+            KVector(parts)
+        assert KVector((2, 3, 7, 42)).parts == (2, 3, 7, 42)
 
 
 class TestEnumerate:
@@ -53,6 +81,13 @@ class TestEnumerate:
     def test_ascending_lexicographic(self):
         sols = [kv.parts for kv in enumerate_solutions(4)]
         assert sols == sorted(sols)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_int_search_matches_fraction_search(self, n):
+        assert [kv.parts for kv in enumerate_solutions(n)] == fraction_search(n)
+
+    def test_n6_count(self):
+        assert len(enumerate_solutions(6)) == 3462
 
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
