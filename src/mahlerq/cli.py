@@ -8,15 +8,17 @@ routes disagreed), 4 when an evaluation point falls outside the disk of
 convergence.
 
 Every command runs in a fresh process, so the module imports only the
-standard-library modules the commands need; ``csv`` and ``json`` are
-imported where they are used, and ``measure`` or a ``table``/``csv``
-render loads neither.  ``fractions`` loads ``re``, ``enum``, ``decimal``
-and ``numbers``, so no module imports it at load time: the library builds
-a ``Fraction`` only where a public value is one, and ``measure`` runs on
-int pairs end to end (its ``--psi`` is read with ``int()`` when it is a
-plain ``p`` or ``p/q``), so it never loads ``fractions``.  The command
-line is parsed from one table, :data:`COMMANDS`, which also gives the
-help text and every usage error.
+standard-library modules the commands need.  ``csv`` is imported where
+``--format csv`` needs it.  JSON output goes through one private writer,
+:func:`_json_text`, which prints what ``json.dumps`` prints, so ``json``
+is imported only where the batch cache is read.  ``fractions`` loads
+``re``, ``enum``, ``decimal`` and ``numbers``, so no module imports it at
+load time: the library builds a ``Fraction`` only where a public value is
+one.  ``verify`` computes and renders its report on ints, and ``measure``
+runs on int pairs end to end (its ``--psi`` is read with ``int()`` when it
+is a plain ``p`` or ``p/q``), so neither loads ``fractions`` or ``json``.
+The command line is parsed from one table, :data:`COMMANDS`, which also
+gives the help text and every usage error.
 ``argparse`` is not used: importing it and building its parsers loads
 ``gettext``, ``locale``, ``shutil`` and the compression modules
 ``shutil`` pulls in, which every run would pay for.
@@ -56,6 +58,7 @@ from .mirror import (
     pf2_applicable,
     pf_operator,
 )
+from .series import _coefficient_pairs
 from .weights import KVector, Model, aut_order, counts, enumerate_solutions
 
 DEFAULT_CACHE = "~/.cache/mahlerq"
@@ -237,6 +240,70 @@ def parse_args(argv: list[str]):
 # rendering
 # ---------------------------------------------------------------------------
 
+# json.dumps with ensure_ascii escapes the quote, the backslash and five
+# control characters by name, the other controls and U+007F as \u00XX, and
+# every character above U+007F as \uXXXX (a surrogate pair above U+FFFF).
+_JSON_ESCAPES = {i: f"\\u{i:04x}" for i in (*range(0x20), 0x7F)}
+_JSON_ESCAPES.update({
+    ord('"'): '\\"', ord("\\"): "\\\\", ord("\n"): "\\n", ord("\r"): "\\r",
+    ord("\t"): "\\t", ord("\b"): "\\b", ord("\f"): "\\f",
+})
+
+
+def _json_string(text: str) -> str:
+    """``text`` as a JSON string literal, escaped as ``json.dumps`` does."""
+    if not (text.isascii() and text.isprintable() and '"' not in text
+            and "\\" not in text):
+        text = text.translate(_JSON_ESCAPES)
+        if not text.isascii():
+            out = []
+            for ch in text:
+                code = ord(ch)
+                if code < 0x80:
+                    out.append(ch)
+                elif code < 0x10000:
+                    out.append(f"\\u{code:04x}")
+                else:  # a UTF-16 surrogate pair
+                    code -= 0x10000
+                    out.append(f"\\u{0xd800 | code >> 10:04x}\\u{0xdc00 | code & 0x3ff:04x}")
+            text = "".join(out)
+    return f'"{text}"'
+
+
+def _json_text(value, indent: int | None = None, level: int = 0) -> str:
+    """``json.dumps(value, indent=indent)``, byte for byte, for a value built
+    from dicts with str keys, lists, str, int, bool and None.
+
+    It saves the ``json`` import, which a command run once per process
+    would pay for each time.
+    """
+    if isinstance(value, str):
+        return _json_string(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, dict):
+        items = [f"{_json_string(k)}: {_json_text(v, indent, level + 1)}"
+                 for k, v in value.items()]
+        opening, closing = "{", "}"
+    elif isinstance(value, list):
+        items = [_json_text(v, indent, level + 1) for v in value]
+        opening, closing = "[", "]"
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    if not items:
+        return opening + closing
+    if indent is None:
+        return opening + ", ".join(items) + closing
+    inner = "\n" + " " * (indent * (level + 1))
+    return f"{opening}{inner}{(',' + inner).join(items)}\n{' ' * (indent * level)}{closing}"
+
+
 def _fmt_fraction_list(values) -> str:
     return "[" + ", ".join(format_rational(v) for v in values) + "]"
 
@@ -244,10 +311,7 @@ def _fmt_fraction_list(values) -> str:
 def render_enumerate(n: int, fmt: str) -> str:
     sols = enumerate_solutions(n)
     if fmt == "json":
-        import json
-
-        payload = [Model.from_kvector(kv).to_json_dict() for kv in sols]
-        return json.dumps(payload, indent=2)
+        return _json_text([Model.from_kvector(kv).to_json_dict() for kv in sols], 2)
     if fmt == "csv":
         import csv  # only --format csv needs it
 
@@ -275,11 +339,9 @@ def render_enumerate(n: int, fmt: str) -> str:
 def render_series(model: Model, order: int, which: str, fmt: str) -> str:
     md = MirrorData.build(model, order)
     series = md.series(which)
-    values = [format_rational(c) for c in series.coeffs]
+    values = [_ratio_text(*p) for p in _coefficient_pairs(series)]
     if fmt == "json":
-        import json
-
-        return json.dumps(values)
+        return _json_text(values)
     if fmt == "csv":
         return "\n".join(f"{m},{v}" for m, v in enumerate(values))
     return "\n".join(values)
@@ -289,8 +351,6 @@ def render_pf(model: Model, fmt: str) -> str:
     ops = {form: pf_operator(model, form) for form in ("reduced", "local")}
     flag = pf2_applicable(model)
     if fmt == "json":
-        import json
-
         payload = {
             "model": model.to_json_dict(),
             "pf2_applicable": flag,
@@ -301,7 +361,7 @@ def render_pf(model: Model, fmt: str) -> str:
                 "a": [format_rational(x) for x in op.a],
                 "b": [format_rational(x) for x in op.b],
             }
-        return json.dumps(payload, indent=2)
+        return _json_text(payload, 2)
     lines = [f"model: {model.name} (k={model.k}, w=({','.join(map(str, model.w))}))"]
     for form, op in ops.items():
         lines.append(
@@ -359,9 +419,7 @@ def render_report_table(report: IntegralityReport) -> str:
 
 
 def report_json_text(report: IntegralityReport) -> str:
-    import json
-
-    return json.dumps(report.to_json_dict(), indent=2) + "\n"
+    return _json_text(report.to_json_dict(), 2) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -438,10 +496,11 @@ def _fork_entries(pending: list[tuple[Model, str]], order: int, workers: int) ->
     Returns 0, or the exit code of the first child that failed; after it no
     child is started and the running ones are waited for.
     """
-    # Every child writes JSON and builds Fractions: import both once here,
-    # not once per child.
+    # The parent reads every entry back with json once the children are
+    # done; it is imported here, once, before the first fork.  The children
+    # write their entries through _json_text and build no Fraction, so they
+    # import neither json nor fractions.
     import json
-    import fractions
 
     queue = list(pending)
     running: dict[int, str] = {}  # pid -> model name
@@ -539,14 +598,15 @@ def cmd_verify(args) -> int:
     if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
         raise ValueError(f"--out {args.out}: its directory does not exist")
     report = integrality_report(model, args.order)
+    text = report_json_text(report) if args.format == "json" or args.out else None
     if args.format == "json":
-        print(report_json_text(report), end="")
+        print(text, end="")
     elif args.format == "csv":
         print(render_report_csv(report))
     else:
         print(render_report_table(report))
     if args.out:
-        write_atomic(args.out, report_json_text(report))
+        write_atomic(args.out, text)
     return 0
 
 

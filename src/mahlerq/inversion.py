@@ -36,20 +36,51 @@ where g0(z(Q)) = 1/(Q d/dQ log z(Q)).  Both routes read the g0 expansions,
 which are thus checked too.  Everything is exact, and any disagreement
 between two routes halts with :class:`ConsistencyError` rather than
 returning data.
+
+Every column of the report (u, v, b, bhat, c, chat, g0 in q and in Q, z in
+q and in Q) is carried as a :class:`Series` with constant term 0 whose z^m
+coefficient is entry m: int numerators over one denominator, so the sieve,
+the product checks and the integrality verdicts run on ints, and a column
+is integral exactly when its denominator is 1.  :meth:`IntegralityReport.rows`
+and :meth:`IntegralityReport.to_json_dict` render from reduced int pairs,
+so computing and printing a report never loads ``fractions``; the public
+columns (``table.u``, ``report.z_in_q``, ...) read as tuples of
+``Fraction`` built on access.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Sequence
 
-from .series import Series, lagrange_coeffs
-from .mirror import MirrorData, _ratio_text, alpha
+from .series import Series, _coefficient_pairs, _theta_inverse, lagrange_coeffs
+from .mirror import MirrorData, _ratio_text, _reduced, alpha
 from .weights import Model
 
 
 class ConsistencyError(RuntimeError):
     """Two independent computation routes disagreed; results are not trusted."""
+
+
+def _column(values) -> Series:
+    """A column as a series with constant term 0 whose z^m coefficient is
+    entry m: a Series is taken as it is, a sequence of exact scalars gives
+    entries 1..len(values)."""
+    if not isinstance(values, Series):
+        return Series([0, *values])
+    if values.numerators[0]:
+        raise ValueError("a column series needs constant term 0")
+    return values
+
+
+def _first_difference(a: Series, b: Series, count: int) -> int | None:
+    """The least m <= count where the z^m coefficients of a and b differ."""
+    an, ad, bn, bd = a.numerators, a.denominator, b.numerators, b.denominator
+    return next((m for m in range(count + 1) if an[m] * bd != bn[m] * ad), None)
+
+
+def _entry_text(s: Series, m: int) -> str:
+    """Coefficient m of ``s`` as ``str`` prints its Fraction."""
+    return _ratio_text(*_reduced(s.numerators[m], s.denominator))
 
 
 # ---------------------------------------------------------------------------
@@ -63,8 +94,9 @@ def _dlog(s: Series) -> Series:
 
 
 def _checked_dlog(composed: Series, chained: Series, count: int, label: str,
-                  where: str) -> list[Fraction]:
-    """Coefficients 1..count of t d/dt log composed(t), where composed = t + ...
+                  where: str) -> Series:
+    """The column of coefficients 1..count of t d/dt log composed(t), where
+    composed = t + ...
 
     ``chained`` is the same logarithmic derivative by the chain rule; the
     two routes must agree on coefficients 0..count.  ``where`` names the
@@ -73,29 +105,29 @@ def _checked_dlog(composed: Series, chained: Series, count: int, label: str,
     if composed.truncate(1) != Series.identity(1):
         raise ConsistencyError(
             f"{label}-series composition for {where} is not t + O(t^2): "
-            f"it starts {composed.coeff(0)} + {composed.coeff(1)}*t"
+            f"it starts {_entry_text(composed, 0)} + {_entry_text(composed, 1)}*t"
         )
-    direct, other = _dlog(composed).coeffs, chained.coeffs
-    for m in range(count + 1):
-        x, y = direct[m], other[m]
-        if x != y:
-            raise ConsistencyError(
-                f"{label}-series routes disagree for {where}, m={m}: "
-                f"composition gives {x}, chain rule gives {y}"
-            )
-    return list(direct[1 : count + 1])
+    direct = _dlog(composed).truncate(count)
+    m = _first_difference(direct, chained, count)
+    if m is not None:
+        raise ConsistencyError(
+            f"{label}-series routes disagree for {where}, m={m}: "
+            f"composition gives {_entry_text(direct, m)}, "
+            f"chain rule gives {_entry_text(chained, m)}"
+        )
+    return direct - 1
 
 
-def g0_expansions(md: MirrorData, count: int) -> tuple[list[Fraction], list[Fraction]]:
-    """Tail coefficients (m=1..count) of g0 rewritten in q and in Q; md.order
-    must exceed count, as g0(z(Q)) = 1/(Q d/dQ log z(Q)) = u/(theta(u) + u),
-    with u = zQ/z, is one order below zQ."""
+def g0_expansions(md: MirrorData, count: int) -> tuple[Series, Series]:
+    """g0 rewritten in q and in Q, as columns (g0 - 1, to order count);
+    md.order must exceed count, as g0(z(Q)) = 1/(Q d/dQ log z(Q)) =
+    u/(theta(u) + u), with u = zQ/z, is one order below zQ."""
     if md.order <= count:
         raise ValueError("mirror data order must exceed the coefficient count")
     in_q = md.g0.compose(md.zq)
     u = md.zQ.shift_down(1)
     in_Q = u / (u.theta() + u)
-    return list(in_q.coeffs[1 : count + 1]), list(in_Q.coeffs[1 : count + 1])
+    return in_q.truncate(count) - 1, in_Q.truncate(count) - 1
 
 
 def _routes(md: MirrorData, count: int) -> tuple:
@@ -106,18 +138,18 @@ def _routes(md: MirrorData, count: int) -> tuple:
     q_of_Q = md.q.compose(md.zQ)
     kernel = (md.phi.theta() + 1).compose(md.zQ)
     where = f"model {md.model.name} at order {count}"
-    u = _checked_dlog(Q_of_q, Series([1, *g0_in_q]) * _dlog(md.zq), count, "u", where)
-    v = _checked_dlog(q_of_Q, kernel / Series([1, *g0_in_Q]), count, "v", where)
+    u = _checked_dlog(Q_of_q, (g0_in_q + 1) * _dlog(md.zq), count, "u", where)
+    v = _checked_dlog(q_of_Q, kernel / (g0_in_Q + 1), count, "v", where)
     return Q_of_q, q_of_Q, g0_in_q, g0_in_Q, u, v
 
 
-def u_series(md: MirrorData, count: int) -> list[Fraction]:
-    """Coefficients u_1..u_count of q d/dq log Q(q) - 1; md.order must exceed count."""
+def u_series(md: MirrorData, count: int) -> Series:
+    """The column u_1..u_count of q d/dq log Q(q) - 1; md.order must exceed count."""
     return _routes(md, count)[4]
 
 
-def v_series(md: MirrorData, count: int) -> list[Fraction]:
-    """Coefficients v_1..v_count of Q d/dQ log q(Q) - 1; md.order must exceed count."""
+def v_series(md: MirrorData, count: int) -> Series:
+    """The column v_1..v_count of Q d/dQ log q(Q) - 1; md.order must exceed count."""
     return _routes(md, count)[5]
 
 
@@ -125,58 +157,65 @@ def v_series(md: MirrorData, count: int) -> list[Fraction]:
 # Moebius / Lambert inversion
 # ---------------------------------------------------------------------------
 
-def lambert_invert(u: Sequence[Fraction], alternating: bool = False) -> list[Fraction]:
+def lambert_invert(u, alternating: bool = False) -> Series:
     """Invert 1 + sum u_m t^m into Lambert-series coefficients.
 
     Plain:        b_m = -(1/m^2) sum_{d|m} mu(m/d) u_d
     Alternating:  bhat_m = -(1/m^2) sum_{d|m} mu(m/d) (-1)^d u_d
 
-    Since u_m = -sum_{d|m} d^2 b_d, a sieve over the divisor lattice
-    inverts it: once slot d holds its finished sum, subtracting it from every
-    proper multiple of d leaves sum_{d|m} mu(m/d) u_d in slot m.
+    ``u`` is a column (a series with constant term 0, or the sequence
+    u_1..u_M), and so is the result.  Since u_m = -sum_{d|m} d^2 b_d, a
+    sieve over the divisor lattice inverts it: once slot d holds its
+    finished sum, subtracting it from every proper multiple of d leaves
+    sum_{d|m} mu(m/d) u_d in slot m.  The sieve runs on the numerators.
     """
-    from fractions import Fraction
-
-    acc = [-x if alternating and d % 2 else x for d, x in enumerate(u, start=1)]
+    u = _column(u)
+    den = u.denominator
+    acc = [-x if alternating and d % 2 else x
+           for d, x in enumerate(u.numerators[1:], start=1)]
     for d in range(1, len(acc) + 1):
         for multiple in range(2 * d, len(acc) + 1, d):
             acc[multiple - 1] -= acc[d - 1]
-    return [Fraction(-x, m * m) for m, x in enumerate(acc, start=1)]
+    return Series._from_pairs(
+        [(0, 1)] + [(-x, m * m * den) for m, x in enumerate(acc, start=1)]
+    )
 
 
-def lambert_series(b: list[Fraction], order: int, alternating: bool = False) -> Series:
+def lambert_series(b, order: int, alternating: bool = False) -> Series:
     """Expand 1 - sum_m b_m m^2 t^m/(1-t^m) (or its (-t)^m variant) to ``order``.
 
-    Brute-force summation of each geometric block, independent of the
-    Moebius route: product_check takes the product's logarithm from it,
-    and it doubles as the round-trip oracle.
+    ``b`` is a column, as :func:`lambert_invert` returns it.  Brute-force
+    summation of each geometric block, independent of the Moebius route:
+    product_check takes the product's logarithm from it, and it doubles as
+    the round-trip oracle.
     """
-    from fractions import Fraction
-
-    coeffs = [Fraction(1)] + [Fraction(0)] * order
-    for m, bm in enumerate(b, start=1):
-        weight = bm * m * m
+    b = _column(b)
+    num, den = b.numerators, b.denominator
+    coeffs = [den] + [0] * order
+    for m in range(1, min(b.order, order) + 1):
+        weight = num[m] * m * m
         for i in range(m, order + 1, m):
             coeffs[i] += weight if alternating and i % 2 else -weight
-    return Series(coeffs)
+    return Series._from_ints(coeffs, den)
 
 
-def product_check(target: Series, b: list[Fraction], alternating: bool = False) -> bool:
+def product_check(target: Series, b, alternating: bool = False) -> bool:
     """Verify target = t * prod_{m<=M} (1 - (+-t)^m)^(m*b_m) mod t^(M+1).
 
-    The log L of the product obeys 1 + theta(L) = lam = lambert_series(b),
-    so L_i = lam_i / i and the product is exp(L): one exponential, no
-    factor-by-factor product.  The Lambert identity u + theta(u) = lam * u
-    for u = target/t follows from this equality, so it is not replayed.
-    The factor m = M starts at t^(M+1), so b_M is unchecked.
+    ``b`` is the column b_1..b_M.  The log L of the product obeys
+    1 + theta(L) = lam = lambert_series(b), so L_i = lam_i / i and the
+    product is exp(L): one exponential, no factor-by-factor product.  The
+    Lambert identity u + theta(u) = lam * u for u = target/t follows from
+    this equality, so it is not replayed.  The factor m = M starts at
+    t^(M+1), so b_M is unchecked.
     """
-    M = len(b)
+    b = _column(b)
+    M = b.order
     if not M:
         raise ValueError("product_check needs at least one exponent b_1")
     if target.order < M:
         raise ValueError("target order too small for the product test")
-    lam = lambert_series(b, M - 1, alternating).coeffs
-    log_product = Series([0] + [lam[i] / i for i in range(1, M)])
+    log_product = _theta_inverse(lambert_series(b, M - 1, alternating))
     return target.truncate(M) == log_product.exp().zshift(1)
 
 
@@ -189,60 +228,88 @@ def format_rational(x: Fraction) -> str:
     return _ratio_text(x.numerator, x.denominator)
 
 
-class LambertTable(namedtuple("LambertTable", "order u v b bhat c chat")):
+def _texts(column: Series) -> list[str]:
+    """Entries 1..M of a column as ``str`` prints their Fractions."""
+    return [_ratio_text(*p) for p in _coefficient_pairs(column)[1:]]
+
+
+def _entries(field: str) -> property:
+    """A public column: the entries of the series in ``field`` as a tuple
+    of Fractions, built on access."""
+    return property(lambda self: getattr(self, field).coeffs[1:])
+
+
+class LambertTable(namedtuple(
+    "LambertTable", "order u_series v_series b_series bhat_series c_series chat_series"
+)):
     """u, v and their four Moebius inversions, m = 1..order.
 
-    Built from u and v alone: b, bhat, c and chat are derived once here.
+    Built from u and v alone (columns, see :func:`lambert_invert`): b,
+    bhat, c and chat are derived once here.  Each ``*_series`` field holds
+    a column as a series; ``u``, ``v``, ``b``, ``bhat``, ``c`` and ``chat``
+    read its entries as a tuple of Fractions.
     """
 
     __slots__ = ()
 
     def __new__(cls, u, v):
-        u, v = tuple(u), tuple(v)
-        if len(u) != len(v):
+        u, v = _column(u), _column(v)
+        if u.order != v.order:
             raise ValueError("u and v must have the same length")
         columns = (lambert_invert(x, alt) for x in (u, v) for alt in (False, True))
-        return super().__new__(cls, len(u), u, v, *map(tuple, columns))
+        return super().__new__(cls, u.order, u, v, *columns)
 
     def __getnewargs__(self):
-        return self.u, self.v
+        return self.u_series, self.v_series
+
+    u = _entries("u_series")
+    v = _entries("v_series")
+    b = _entries("b_series")
+    bhat = _entries("bhat_series")
+    c = _entries("c_series")
+    chat = _entries("chat_series")
 
 
 class IntegralityReport(namedtuple(
-    "IntegralityReport", "model order table g0_in_q g0_in_Q z_in_q z_in_Q checks"
+    "IntegralityReport",
+    "model order table g0_in_q_series g0_in_Q_series z_in_q_series z_in_Q_series checks",
 )):
     """Computed table plus cross-checks for one model at one order.
 
-    Per-row verdicts (integrality, divisibility) are always derived from
-    the stored exact values on demand, never stored separately.
+    The expansions of g0 and z in q and in Q are columns (see
+    :class:`LambertTable`); ``g0_in_q``, ``g0_in_Q``, ``z_in_q`` and
+    ``z_in_Q`` read their entries as tuples of Fractions.  Per-row verdicts
+    (integrality, divisibility) are always derived from the stored exact
+    values on demand, never stored separately.
     """
 
     __slots__ = ()
 
+    g0_in_q = _entries("g0_in_q_series")
+    g0_in_Q = _entries("g0_in_Q_series")
+    z_in_q = _entries("z_in_q_series")
+    z_in_Q = _entries("z_in_Q_series")
+
     def rows(self) -> list[dict]:
         t = self.table
+        keys = ("b", "bhat", "c", "chat")
+        columns = [_coefficient_pairs(getattr(t, f"{key}_series")) for key in keys]
         out = []
         diagonal = self.model.is_diagonal()
         n = self.model.n
         for m in range(1, self.order + 1):
-            vals = {
-                "b": t.b[m - 1],
-                "bhat": t.bhat[m - 1],
-                "c": t.c[m - 1],
-                "chat": t.chat[m - 1],
-            }
+            vals = {key: column[m] for key, column in zip(keys, columns)}
             row: dict = {"m": m}
-            row.update({key: format_rational(x) for key, x in vals.items()})
-            for key, x in vals.items():
-                row[f"{key}_over_m"] = format_rational(x / m)
-            for key, x in vals.items():
-                row[f"{key}_integer"] = x.denominator == 1
-            for key, x in vals.items():
-                row[f"{key}_div_m"] = x.denominator == 1 and x.numerator % m == 0
+            row.update({key: _ratio_text(*x) for key, x in vals.items()})
+            for key, (num, den) in vals.items():
+                row[f"{key}_over_m"] = _ratio_text(*_reduced(num, den * m))
+            for key, (_, den) in vals.items():
+                row[f"{key}_integer"] = den == 1
+            for key, (num, den) in vals.items():
+                row[f"{key}_div_m"] = den == 1 and num % m == 0
             if diagonal:
                 row["div_n"] = all(
-                    x.denominator == 1 and x.numerator % n == 0
-                    for x in vals.values()
+                    den == 1 and num % n == 0 for num, den in vals.values()
                 )
             out.append(row)
         return out
@@ -252,12 +319,12 @@ class IntegralityReport(namedtuple(
             "model": self.model.to_json_dict(),
             "order": self.order,
             "rows": self.rows(),
-            "u": [format_rational(x) for x in self.table.u],
-            "v": [format_rational(x) for x in self.table.v],
-            "g0_in_q": [format_rational(x) for x in self.g0_in_q],
-            "g0_in_Q": [format_rational(x) for x in self.g0_in_Q],
-            "z_in_q": [format_rational(x) for x in self.z_in_q],
-            "z_in_Q": [format_rational(x) for x in self.z_in_Q],
+            "u": _texts(self.table.u_series),
+            "v": _texts(self.table.v_series),
+            "g0_in_q": _texts(self.g0_in_q_series),
+            "g0_in_Q": _texts(self.g0_in_Q_series),
+            "z_in_q": _texts(self.z_in_q_series),
+            "z_in_Q": _texts(self.z_in_Q_series),
             "checks": dict(self.checks),
         }
 
@@ -269,10 +336,6 @@ _Checks = namedtuple("_Checks", (
     "g0_in_Q_integral proposition_qQ_integral conjecture1_root_integral"
 ))
 CHECK_NAMES = _Checks._fields
-
-
-def _all_integer(values) -> bool:
-    return all(x.denominator == 1 for x in values)
 
 
 def _kth_root(series: Series, exponent: Series, k: int, label: str,
@@ -303,7 +366,7 @@ def integrality_report(model: Model, order: int) -> IntegralityReport:
     # The periods come from a running ratio of int floor divisions, which a
     # wrong ratio would corrupt silently; check the last against the closed
     # factorial form.
-    if md.g0.coeff(md.order) != alpha(model, md.order):
+    if md.g0.numerators[md.order] != alpha(model, md.order) * md.g0.denominator:
         raise ConsistencyError(
             f"running-ratio and closed-form periods disagree for {where}, "
             f"m={md.order}"
@@ -311,14 +374,17 @@ def integrality_report(model: Model, order: int) -> IntegralityReport:
 
     # z as a series in q and in Q: the Newton reversions are checked against
     # the closed Lagrange form before anything composes with them.
-    a_m = lagrange_coeffs(md.phi, order)
-    A_m = lagrange_coeffs(md.f, order)
-    zq, zQ = md.zq.coeffs, md.zQ.coeffs
-    for m in range(1, order + 1):
-        if a_m[m - 1] != zq[m] or A_m[m - 1] != zQ[m]:
-            raise ConsistencyError(
-                f"Lagrange and Newton reversions disagree for {where}, m={m}"
-            )
+    z_in_q = lagrange_coeffs(md.phi, order)
+    z_in_Q = lagrange_coeffs(md.f, order)
+    misses = [
+        m for m in (_first_difference(z_in_q, md.zq, order),
+                    _first_difference(z_in_Q, md.zQ, order))
+        if m is not None
+    ]
+    if misses:
+        raise ConsistencyError(
+            f"Lagrange and Newton reversions disagree for {where}, m={min(misses)}"
+        )
 
     # Each map is composed once; the composition feeds both the u/v routes
     # and the product checks.
@@ -329,21 +395,18 @@ def integrality_report(model: Model, order: int) -> IntegralityReport:
 
     checks = _Checks(
         product_plain=(
-            product_check(Q_of_q, list(table.b))
-            and product_check(q_of_Q, list(table.c))
+            product_check(Q_of_q, table.b_series)
+            and product_check(q_of_Q, table.c_series)
         ),
         product_alt=(
-            product_check(Q_of_q, list(table.bhat), alternating=True)
-            and product_check(q_of_Q, list(table.chat), alternating=True)
+            product_check(Q_of_q, table.bhat_series, alternating=True)
+            and product_check(q_of_Q, table.chat_series, alternating=True)
         ),
-        lagrange_integral=_all_integer(a_m) and _all_integer(A_m),
-        g0_in_q_integral=_all_integer(g0_in_q),
-        g0_in_Q_integral=_all_integer(g0_in_Q),
-        proposition_qQ_integral=(
-            md.q.coeff(1) == 1
-            and md.Q.coeff(1) == 1
-            and md.q.denominator == 1
-            and md.Q.denominator == 1
+        lagrange_integral=z_in_q.denominator == 1 and z_in_Q.denominator == 1,
+        g0_in_q_integral=g0_in_q.denominator == 1,
+        g0_in_Q_integral=g0_in_Q.denominator == 1,
+        proposition_qQ_integral=all(
+            s.denominator == 1 and s.numerators[1] == 1 for s in (md.q, md.Q)
         ),
         conjecture1_root_integral=(
             root_q.denominator == 1 and root_Q.denominator == 1
@@ -353,9 +416,9 @@ def integrality_report(model: Model, order: int) -> IntegralityReport:
         model=model,
         order=order,
         table=table,
-        g0_in_q=tuple(g0_in_q),
-        g0_in_Q=tuple(g0_in_Q),
-        z_in_q=tuple(a_m),
-        z_in_Q=tuple(A_m),
+        g0_in_q_series=g0_in_q,
+        g0_in_Q_series=g0_in_Q,
+        z_in_q_series=z_in_q,
+        z_in_Q_series=z_in_Q,
         checks=checks,
     )

@@ -18,9 +18,12 @@ The period coefficients alpha_m = (km)!/prod_i (w_i m)! that every series
 here is built from come from one running ratio alpha_m / alpha_(m-1), an
 exact int division per coefficient (:func:`period_coefficients`);
 :func:`alpha` keeps the closed factorial form as an independent oracle.
-The Mahler measure sums f(z) exactly by binary splitting and rounds once;
-it computes on reduced (numerator, denominator) int pairs throughout, so
-it never loads ``fractions``.
+The log tail h sums its harmonic bracket on ints over the reduced
+operator's parameters, so building :class:`MirrorData` never loads
+``fractions``; :func:`pf_operator` builds its ``Fraction`` parameters from
+the same ints.  The Mahler measure sums f(z) exactly by binary splitting
+and rounds once; it computes on reduced (numerator, denominator) int pairs
+throughout, so it never loads ``fractions`` either.
 """
 
 from __future__ import annotations
@@ -41,39 +44,13 @@ class ConvergenceError(ValueError):
 # coefficient-level data
 # ---------------------------------------------------------------------------
 
-def alpha(model: Model, m: int) -> Fraction:
+def alpha(model: Model, m: int) -> int:
     """Period coefficient (km)! / prod_i (w_i m)!, a positive integer."""
-    from fractions import Fraction
-
     if m < 0:
         raise ValueError("index must be nonnegative")
     num = math.factorial(model.k * m)
     den = math.prod(math.factorial(wi * m) for wi in model.w)
-    return Fraction(num, den)
-
-
-def multinomial_diag(kv, m: int) -> Fraction:
-    """Coefficient of (x_1...x_{n-1})^m in (x_1^{k_1}+..+x_{n-1}^{k_{n-1}}+1)^m.
-
-    Equals m!/prod_i (m/k_i)! when lcm(k_i) divides m, else 0.
-    """
-    from fractions import Fraction
-
-    if m < 1:
-        raise ValueError("index must be positive")
-    parts = tuple(kv)
-    k = math.lcm(*parts)
-    if m % k:
-        return Fraction(0)
-    den = math.prod(math.factorial(m // ki) for ki in parts)
-    return Fraction(math.factorial(m), den)
-
-
-def gamma(model: Model, m: int) -> Fraction:
-    """Coefficient of z^m in the logarithmic tail h(z), read off h_series."""
-    if m < 1:
-        raise ValueError("index must be positive")
-    return h_series(model, m).coeff(m)
+    return num // den
 
 
 def period_coefficients(model: Model, order: int) -> list[int]:
@@ -111,24 +88,48 @@ def f_series(model: Model, order: int) -> Series:
     return Series._from_ints(nums, den)
 
 
+def _sum_ratios(terms: Sequence[tuple[int, int]]) -> tuple[int, int]:
+    """sum p/q over (p, q) int pairs with q > 0, as one (numerator,
+    denominator) pair, by binary splitting: the halves are summed apart and
+    combined as p1*q2 + p2*q1 over q1*q2, so the products stay balanced."""
+    if len(terms) <= 1:
+        return terms[0] if terms else (0, 1)
+    mid = len(terms) // 2
+    p1, q1 = _sum_ratios(terms[:mid])
+    p2, q2 = _sum_ratios(terms[mid:])
+    return p1 * q2 + p2 * q1, q1 * q2
+
+
 def h_series(model: Model, order: int) -> Series:
     """gamma_m = alpha_m * sum_(j=1..m) [harmonic bracket at j].
 
     The bracket sum_(r in N) 1/(j - r) - sum_(r in D) 1/(j - r) runs over
     the roots of alpha_j / alpha_(j-1) (see :func:`pf_operator`); the
     common roots cancel, so it is sum_a 1/(j - 1 + a) - sum_b 1/(j - b)
-    over the parameters of the reduced operator.
-    """
-    from fractions import Fraction
+    over the parameters of the reduced operator.  With a and b as int
+    numerators over L (:func:`_parameters`), each term is L/(L(j-1) + a)
+    or -L/(Lj - b), and the bracket at j is summed into one int fraction.
 
-    op = pf_operator(model, "reduced")
+    The sum of the brackets has a denominator of thousands of digits for a
+    large k, which alpha_m cancels, so gamma runs on its own recurrence,
+    whose terms have small denominators:
+    gamma_j = r_j * gamma_(j-1) + alpha_j * [bracket at j], with
+    r_j = alpha_j / alpha_(j-1) = C * prod (L(j-1) + a) / prod (Lj - b).
+    """
+    L, a, b = _parameters(model, "reduced")
+    cn, cd = _growth(model)
     alphas = period_coefficients(model, order)
-    coeffs = [Fraction(0)]
-    acc = Fraction(0)
+    pairs = [(0, 1)]
+    num, den = 0, 1
     for j in range(1, order + 1):
-        acc += sum(1 / (j - 1 + a) for a in op.a) - sum(1 / (j - b) for b in op.b)
-        coeffs.append(alphas[j] * acc)
-    return Series(coeffs)
+        up = [L * (j - 1) + x for x in a]
+        down = [L * j - x for x in b]
+        tn, td = _sum_ratios([(L, q) for q in up] + [(-L, q) for q in down])
+        tn, td = _reduced(alphas[j] * tn, td)
+        rn, rd = num * cn * math.prod(up), den * cd * math.prod(down)
+        num, den = _reduced(rn * td + tn * rd, rd * td)
+        pairs.append((num, den))
+    return Series._from_pairs(pairs)
 
 
 def _map(exponent: Series) -> Series:

@@ -14,6 +14,9 @@ almost always 1 and a product is a plain integer convolution.  Two
 recurrences, series division and J.C.P. Miller's power recurrence, give
 ``invert``/``log`` and ``exp``/``**``; they carry integer numerators over a
 running denominator and rescale only when a division is not exact.
+The integrality report carries its columns (u, v, b, ..., z in q) in this
+same form, as a series whose z^m coefficient is entry m, and renders them
+from reduced int pairs, so it runs without ``fractions``.
 :attr:`Series.coeffs` and :meth:`Series.coeff` still hand out
 :class:`fractions.Fraction` values; the module imports ``fractions`` the
 first time one is built, since ``fractions`` loads ``re``, ``enum``,
@@ -163,6 +166,13 @@ class Series:
         s._den = den
         return s
 
+    @classmethod
+    def _from_pairs(cls, pairs: Sequence[tuple[int, int]]) -> "Series":
+        """Coefficients given as (numerator, denominator) int pairs, each
+        denominator positive, over the lcm of the denominators."""
+        den = lcm(*(d for _, d in pairs))
+        return cls._from_ints([n * (den // d) for n, d in pairs], den)
+
     # -- constructors -------------------------------------------------
 
     @classmethod
@@ -183,12 +193,6 @@ class Series:
         if order < 1:
             raise ValueError("identity needs order >= 1")
         return cls([0, 1], order)
-
-    @classmethod
-    def monomial(cls, value: int | Fraction, degree: int, order: int) -> "Series":
-        if not 0 <= degree <= order:
-            raise ValueError("monomial degree beyond order")
-        return cls([0] * degree + [value], order)
 
     # -- basic accessors ----------------------------------------------
 
@@ -362,10 +366,7 @@ class Series:
         """Logarithm of a series with constant term 1: theta(log a) = theta(a)/a."""
         if self._num[0] != self._den:
             raise ValueError("log needs constant term 1")
-        t = self.theta() / self
-        scale = lcm(*range(1, self.order + 1))  # coefficient m is divided by m
-        nums = [0] + [x * (scale // m) for m, x in enumerate(t._num[1:], start=1)]
-        return Series._from_ints(nums, t._den * scale)
+        return _theta_inverse(self.theta() / self)
 
     def __pow__(self, exponent):
         """``self ** e`` for any rational ``e``, by Miller's recurrence.
@@ -458,16 +459,34 @@ class Series:
         return g
 
 
-def lagrange_coeffs(phi: Series, count: int) -> list[Fraction]:
-    """Reversion coefficients of w = z*exp(phi(z)) via Lagrange inversion.
+def _theta_inverse(s: Series) -> Series:
+    """The series L with L(0) = 0 and theta(L) = s - s(0): coefficient m of
+    ``s`` divided by m, over one common denominator."""
+    scale = lcm(*range(1, s.order + 1))
+    nums = [0] + [x * (scale // m) for m, x in enumerate(s._num[1:], start=1)]
+    return Series._from_ints(nums, s._den * scale)
 
-    Returns ``a_1..a_count`` with z = sum a_m w^m, where a_m is the
-    coefficient of z^(m-1) in (1 + theta(phi)) * exp(-m*phi).  Needs
-    phi(0) = 0 and phi.order >= count - 1.  Serves as the independent
+
+def _coefficient_pairs(s: Series) -> list[tuple[int, int]]:
+    """Each coefficient of ``s`` as a reduced (numerator, denominator) pair."""
+    d = s._den
+    if d == 1:
+        return [(x, 1) for x in s._num]
+    out = []
+    for x in s._num:
+        g = gcd(x, d)
+        out.append((x // g, d // g))
+    return out
+
+
+def lagrange_coeffs(phi: Series, count: int) -> Series:
+    """Reversion of w = z*exp(phi(z)) via Lagrange inversion.
+
+    Returns z = sum a_m w^m as the series 0 + a_1 w + ... + a_count w^count,
+    where a_m is the coefficient of z^(m-1) in (1 + theta(phi)) * exp(-m*phi).
+    Needs phi(0) = 0 and phi.order >= count - 1.  Serves as the independent
     cross-check of :meth:`Series.revert`.
     """
-    from fractions import Fraction
-
     if count < 1:
         raise ValueError("count must be positive")
     if phi.numerators[0] != 0:
@@ -478,11 +497,10 @@ def lagrange_coeffs(phi: Series, count: int) -> list[Fraction]:
         )
     kernel = phi.theta() + 1
     kn, kd = kernel.numerators, kernel.denominator
-    out = []
+    out = [(0, 1)]
     for m in range(1, count + 1):
         # Only z^(m-1) of the product is read, so both factors stop there.
         factor = (phi.truncate(m - 1) * (-m)).exp()
         dot = sum(map(mul, kn[:m], factor.numerators[::-1]))
-        out.append(Fraction(dot, kd * factor.denominator))
-    return out
-
+        out.append((dot, kd * factor.denominator))
+    return Series._from_pairs(out)

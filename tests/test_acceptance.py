@@ -251,7 +251,7 @@ def test_c12_property_suite():
             phi = _random_phi(rng, 8)
             w = phi.exp().zshift(1)
             newton = w.revert()
-            assert lagrange_coeffs(phi, 9) == [newton.coeff(m) for m in range(1, 10)]
+            assert lagrange_coeffs(phi, 9) == newton.truncate(9)
 
         # dual-route u/v and product checks on every tabulated model
         acceptance_models = [

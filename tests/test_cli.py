@@ -8,14 +8,19 @@ import signal
 import stat
 import subprocess
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import mahlerq
-from mahlerq.cli import COMMANDS, DEFAULT_CACHE, batch_workers, main, parse_args, write_atomic
+from mahlerq.cli import (
+    COMMANDS, DEFAULT_CACHE, _json_text, batch_workers, main, parse_args, write_atomic,
+)
 from mahlerq.mirror import _SERIES_KEYS
 from mahlerq.weights import enumerate_solutions
+from oracles import monomial
 
 SRC = Path(mahlerq.__file__).resolve().parents[1]
 
@@ -198,7 +203,7 @@ class TestVerify:
 
         def tampered(cls, model, order):
             md = build(cls, model, order)
-            return md._replace(zq=md.zq + Series.monomial(1, 2, md.zq.order))
+            return md._replace(zq=md.zq + monomial(1, 2, md.zq.order))
 
         monkeypatch.setattr(MirrorData, "build", classmethod(tampered))
         code, out, err = run_cli("verify", "--model", "3,3,3", "--order", "4", capsys=capsys)
@@ -216,7 +221,7 @@ class TestVerify:
         def tampered(cls, model, order):
             md = build(cls, model, order)
             series = getattr(md, field)
-            return md._replace(**{field: series + Series.monomial(1, 1, series.order)})
+            return md._replace(**{field: series + monomial(1, 1, series.order)})
 
         monkeypatch.setattr(MirrorData, "build", classmethod(tampered))
         code, out, err = run_cli("verify", "--model", "3,3,3", "--order", "4", capsys=capsys)
@@ -234,7 +239,7 @@ class TestVerify:
 
         def corrupted(md, count):
             in_q, in_Q = exact(md, count)
-            return in_q, in_Q[:-1] + [in_Q[-1] + 1]
+            return in_q, in_Q + monomial(1, count, count)
 
         monkeypatch.setattr(inversion, "g0_expansions", corrupted)
         code, out, err = run_cli("verify", "--model", "3,3,3", "--order", "4", capsys=capsys)
@@ -252,6 +257,26 @@ class TestVerify:
         )
         payload = json.loads(out)
         assert all(row["b"] == "0" and row["c"] == "0" for row in payload["rows"])
+
+    def test_json_out_renders_once(self, tmp_path, capsys, monkeypatch):
+        import mahlerq.cli as cli
+
+        render = cli.report_json_text
+        calls = []
+
+        def counted(report):
+            calls.append(report.order)
+            return render(report)
+
+        monkeypatch.setattr(cli, "report_json_text", counted)
+        target = tmp_path / "report.json"
+        code, out, _ = run_cli(
+            "verify", "--model", "3,3,3", "--order", "4", "--format", "json",
+            "--out", str(target), capsys=capsys,
+        )
+        assert code == 0
+        assert calls == [4]
+        assert target.read_text() == out
 
     def test_out_file(self, tmp_path, capsys):
         target = tmp_path / "report.json"
@@ -537,6 +562,59 @@ class TestBatchWorkerFailures:
             "error: batch worker for model 2,4,4 was killed by signal "
             f"{int(signal.SIGKILL)}\n"
         )
+
+
+@contextmanager
+def no_digit_limit():
+    """Lift Python's limit on int <-> str digits, restoring it afterwards."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(previous)
+
+
+BIG = -(7**6000)  # 5071 decimal digits, past the default limit of 4300
+# Drawn by a map, since hypothesis would print a plain st.just(BIG) with repr.
+BIG_INTS = st.sampled_from([1, -1]).map(lambda sign: sign * BIG)
+# Every class of character that ensure_ascii treats apart: quote, backslash,
+# the named and the \u00XX control escapes, DEL (also \u007f), non-ASCII in
+# the BMP, a lone surrogate, and astral characters (a surrogate pair each).
+SPECIAL = st.sampled_from(
+    ['"', "\\", "\n", "\r", "\t", "\b", "\f", "\x00", "\x1f", "\x7f", "/",
+     "a", "7", "\u00e9", "\u2028", "\ufeff", "\ud800", "\U0001f600", "\U0010ffff"]
+)
+JSON_STRINGS = st.one_of(st.text(), st.text(SPECIAL))
+JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), BIG_INTS, JSON_STRINGS),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.dictionaries(JSON_STRINGS, children, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+class TestJsonWriter:
+    """The CLI's JSON writer prints what json.dumps prints, byte for byte."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(JSON_VALUES)
+    @example({"b": [BIG, -BIG, 0, -1], '"\\\x00\x7f': "\u00e9\U0001f600", "": {}, "l": []})
+    @example([[], {}, [[]], None, True, False, ""])
+    def test_equals_json_dumps(self, value):
+        with no_digit_limit():
+            assert _json_text(value, 2) == json.dumps(value, indent=2)
+            assert _json_text(value) == json.dumps(value)
+
+    def test_refuses_what_json_refuses(self):
+        for value in (1.5, (1, 2), {1: "a"}, object()):
+            with pytest.raises((TypeError, AttributeError)):
+                _json_text([value])
 
 
 class TestWriteAtomic:
@@ -838,10 +916,14 @@ class TestConsoleEntry:
         (("measure", "--model", "3,3,3", "--psi", "5/2", "--order", "40"), 0),
         (("measure", "--weights", "12:4,3,3,2", "--psi", "1"), 0),
         (("measure", "--model", "3,3,3", "--psi", "1/10"), 4),
-    ], ids=["import", "version", "measure", "measure-weights", "measure-outside"])
+        (("verify", "--model", "3,3,3", "--order", "6", "--format", "json"), 0),
+        (("verify", "--weights", "12:4,3,3,2", "--order", "5"), 0),
+    ], ids=["import", "version", "measure", "measure-weights", "measure-outside",
+            "verify-json", "verify-table"])
     def test_fractions_chain_is_not_loaded(self, argv, code):
-        # measure runs on int pairs; fractions would bring re, enum,
-        # decimal and numbers, compiled afresh by every run without bytecode.
+        # measure runs on int pairs and verify on int columns; fractions
+        # would bring re, enum, decimal and numbers, compiled afresh by every
+        # run without bytecode.
         proc = subprocess.run(
             [
                 sys.executable,
@@ -863,7 +945,7 @@ class TestConsoleEntry:
         assert proc.stderr.splitlines()[-1] == "[]"
 
     @pytest.mark.parametrize("argv, unneeded", [
-        (("verify", "--model", "3,3,3", "--order", "4", "--format", "json"), ()),
+        (("verify", "--model", "3,3,3", "--order", "4", "--format", "json"), ("json",)),
         (("measure", "--model", "2,2", "--psi", "2"), ("json",)),
         (("batch", "--n", "3", "--order", "4", "--jobs", "1", "--cache", "{cache}"), ()),
     ], ids=["verify", "measure", "batch"])
@@ -891,6 +973,27 @@ class TestConsoleEntry:
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr == "[]\n"
 
+    def test_verify_imports_no_fractions_chain_or_json_when_started_cold(self, tmp_path):
+        # As the benchmark starts its children: no site module, no bytecode
+        # written, and a bytecode cache that is empty, so every module
+        # imported is compiled from source.  -X importtime lists each one.
+        env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+                   PYTHONPYCACHEPREFIX=str(tmp_path / "pyc"))
+        proc = subprocess.run(
+            [sys.executable, "-S", "-X", "importtime", "-m", "mahlerq", "verify",
+             "--model", "3,3,3", "--order", "6", "--format", "json"],
+            capture_output=True, text=True, cwd=SRC, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["rows"][0]["b"] == "9"
+        imported = {
+            line.rsplit("|", 1)[1].strip()
+            for line in proc.stderr.splitlines()
+            if line.startswith("import time:") and "|" in line
+        }
+        assert "mahlerq.inversion" in imported
+        assert imported.isdisjoint(self.FRACTIONS_CHAIN + ["json"])
+
     def test_no_pool_or_thread_modules_after_a_forked_batch(self, tmp_path):
         unneeded = ["concurrent.futures", "multiprocessing", "threading", "socket"]
         proc = run_forked_batch(
@@ -914,19 +1017,24 @@ class TestConsoleEntry:
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr == "True\n" * 3
 
-    def test_workers_inherit_fractions_instead_of_importing_it(self, tmp_path):
-        # Every worker builds Fractions, and fractions loads re, enum,
-        # decimal and numbers: each worker would compile them afresh.
+    def test_no_process_of_a_forked_batch_loads_fractions(self, tmp_path):
+        # Workers compute and write their reports on ints, so neither they
+        # nor the parent, which reads the entries back, load fractions (and
+        # with it re, enum, decimal and numbers).  Each worker reports as it
+        # leaves through os._exit, the parent after main returns; one write
+        # per line, so that lines of concurrent workers do not interleave.
+        report = "os.write(2, b'%r\\n' % ('fractions' in sys.modules))"
         proc = run_forked_batch(
             tmp_path / "cache",
-            prologue="fork = os.fork\n"
-            "def checked_fork():\n"
-            "    print('fractions' in sys.modules, file=sys.stderr)\n"
-            "    return fork()\n"
-            "os.fork = checked_fork",
+            prologue="_exit = os._exit\n"
+            "def checked_exit(code):\n"
+            f"    {report}\n"
+            "    _exit(code)\n"
+            "os._exit = checked_exit",
+            epilogue=report,
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stderr == "True\n" * 3
+        assert proc.stderr == "False\n" * 4
 
     def test_children_print_nothing_to_a_block_buffered_stdout(self, tmp_path):
         proc = run_forked_batch(tmp_path / "cache")

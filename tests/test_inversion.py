@@ -19,6 +19,7 @@ from mahlerq import (
     u_series,
     v_series,
 )
+from oracles import monomial
 
 M22 = Model.from_kvector((2, 2))
 M333 = Model.from_kvector((3, 3, 3))
@@ -91,13 +92,13 @@ class TestMobius:
 class TestUV:
     def test_22_all_zero(self):
         md = MirrorData.build(M22, 13)
-        assert u_series(md, 12) == [0] * 12
-        assert v_series(md, 12) == [0] * 12
+        assert u_series(md, 12) == Series.zero(12)
+        assert v_series(md, 12) == Series.zero(12)
 
     def test_333_first_values(self):
         md = MirrorData.build(M333, 6)
-        assert u_series(md, 5)[0] == -9
-        assert v_series(md, 5)[0] == 9
+        assert u_series(md, 5).coeff(1) == -9
+        assert v_series(md, 5).coeff(1) == 9
 
     def test_rational_expressions_are_reciprocal(self):
         md = MirrorData.build(M333, 8)
@@ -116,7 +117,7 @@ class TestUV:
 
     def test_tampered_data_raises_consistency_fault(self):
         md = MirrorData.build(M333, 6)
-        bad_q = md.q + Series.monomial(1, 3, md.q.order)
+        bad_q = md.q + monomial(1, 3, md.q.order)
         tampered = md._replace(q=bad_q)
         with pytest.raises(ConsistencyError):
             v_series(tampered, 5)
@@ -124,15 +125,15 @@ class TestUV:
 
 class TestLambert:
     def test_zero_input(self):
-        assert lambert_invert([F(0)] * 6) == [0] * 6
+        assert lambert_invert([F(0)] * 6) == Series.zero(6)
 
     def test_333_columns(self):
         md = MirrorData.build(M333, 11)
         u = u_series(md, 10)
-        assert lambert_invert(u) == [9, -9, 0, 9, -9, 0, 9, -9, 0, 9]
+        assert lambert_invert(u) == Series([0, 9, -9, 0, 9, -9, 0, 9, -9, 0, 9])
         bhat = lambert_invert(u, alternating=True)
-        assert bhat[0] == -9
-        assert bhat[1] == F(-9, 2)
+        assert bhat.coeff(1) == -9
+        assert bhat.coeff(2) == F(-9, 2)
 
     @pytest.mark.parametrize("alternating", [False, True])
     def test_round_trip(self, alternating):
@@ -147,22 +148,33 @@ class TestLambert:
         table = LambertTable(u, v)
         assert table.order == 4
         assert table.u == tuple(u) and table.v == tuple(v)
-        assert table.b == tuple(lambert_invert(u))
-        assert table.bhat == tuple(lambert_invert(u, alternating=True))
-        assert table.c == tuple(lambert_invert(v))
-        assert table.chat == tuple(lambert_invert(v, alternating=True))
+        assert table.b_series == lambert_invert(u)
+        assert table.bhat_series == lambert_invert(u, alternating=True)
+        assert table.c_series == lambert_invert(v)
+        assert table.chat_series == lambert_invert(v, alternating=True)
+        assert table.b == lambert_invert(u).coeffs[1:]
+        assert all(type(x) is F for x in table.u + table.b + table.chat)
+        assert LambertTable(Series([0, *u]), Series([0, *v])) == table
 
     def test_table_rejects_columns_of_different_lengths(self):
         with pytest.raises(ValueError):
             LambertTable([F(1)] * 3, [F(1)] * 2)
 
+    def test_a_column_series_has_constant_term_0(self):
+        with pytest.raises(ValueError, match="constant term 0"):
+            lambert_invert(Series([1, 2, 3]))
+        with pytest.raises(ValueError, match="constant term 0"):
+            LambertTable(Series([0, 1]), Series([F(1, 2), 1]))
+
     @pytest.mark.parametrize("alternating", [False, True])
     def test_sieve_matches_literal_moebius_sums(self, alternating):
         u = [F((-1) ** m * (m * m + 3), m % 5 + 1) for m in range(1, 61)]
-        assert lambert_invert(u, alternating) == literal_inversion(u, alternating)
+        b = lambert_invert(u, alternating)
+        assert list(b.coeffs[1:]) == literal_inversion(u, alternating)
         md = MirrorData.build(Model.from_kvector((2, 3, 6)), 31)
         u = u_series(md, 30)
-        assert lambert_invert(u, alternating) == literal_inversion(u, alternating)
+        b = lambert_invert(u, alternating)
+        assert list(b.coeffs[1:]) == literal_inversion(u.coeffs[1:], alternating)
 
     def test_expansion_plain_definition(self):
         # 1 - b_1 * t/(1-t) with b_1 = 1: coefficients -1 everywhere
@@ -191,8 +203,7 @@ class TestProductCheck:
         u = u_series(md, 6)
         Qq = md.Q.compose(md.zq).truncate(6)
         for alternating in (False, True):
-            b = lambert_invert(u, alternating=alternating)
-            b[2] += 1
+            b = lambert_invert(u, alternating=alternating) + monomial(1, 3, 6)
             assert not product_check(Qq, b, alternating=alternating)
 
     @pytest.mark.parametrize("alternating", [False, True])
@@ -215,8 +226,8 @@ class TestProductCheck:
             exact = list(exponents)
             perturbed = exact[:]
             perturbed[M // 2] += F(1, 3)
-            top = target + Series.monomial(1, M, M)
-            doubled = target + Series.monomial(1, 1, M)
+            top = target + monomial(1, M, M)
+            doubled = target + monomial(1, 1, M)
             inputs = [(target, exact), (target, perturbed), (top, exact), (doubled, exact)]
             verdicts = [product_check(t, b, alternating) for t, b in inputs]
             assert verdicts == [True, False, False, False]
@@ -257,7 +268,7 @@ class TestBinomialFactor:
     M = 10
 
     def power(self, sign, m, e):
-        return (Series.one(self.M) - Series.monomial(sign, m, self.M)) ** e
+        return (Series.one(self.M) - monomial(sign, m, self.M)) ** e
 
     @pytest.mark.parametrize("sign", [1, -1])
     @pytest.mark.parametrize("m", [1, 3])
@@ -270,7 +281,8 @@ class TestBinomialFactor:
         md = MirrorData.build(Model.from_kvector((2, 3, 7, 42)), self.M + 1)
         b = lambert_invert(u_series(md, self.M))
         m, e = max(
-            ((m, m * bm) for m, bm in enumerate(b, start=1)), key=lambda p: abs(p[1])
+            ((m, m * bm) for m, bm in enumerate(b.coeffs[1:], start=1)),
+            key=lambda p: abs(p[1]),
         )
         assert abs(e) > 10**6
         assert binomial_factor(sign, m, e, self.M) == self.power(sign, m, e)
@@ -280,13 +292,14 @@ class TestG0Expansions:
     def test_22_in_Q(self):
         md = MirrorData.build(M22, 9)
         in_q, in_Q = g0_expansions(md, 8)
-        assert in_Q == [2] * 8
+        assert in_Q.coeffs[1:] == (2,) * 8
         assert in_q == in_Q  # q == Q here
 
     def test_333_integrality(self):
         md = MirrorData.build(M333, 11)
         in_q, in_Q = g0_expansions(md, 10)
-        assert all(x.denominator == 1 for x in in_q + in_Q)
+        assert in_q.denominator == 1 and in_Q.denominator == 1
+        assert all(x.denominator == 1 for x in in_q.coeffs + in_Q.coeffs)
 
     @pytest.mark.parametrize("order", [12, 20])
     @pytest.mark.parametrize(
@@ -297,7 +310,8 @@ class TestG0Expansions:
         in_q, in_Q = g0_expansions(md, order)
         for tail, inner in ((in_q, md.zq), (in_Q, md.zQ)):
             composed = md.g0.compose(inner)
-            assert tail == [composed.coeff(m) for m in range(1, order + 1)]
+            assert tail.coeffs[1:] == tuple(composed.coeff(m) for m in range(1, order + 1))
+            assert tail.coeff(0) == 0
 
     def test_order_guard(self):
         md = MirrorData.build(M333, 6)
@@ -315,8 +329,7 @@ class TestLagrangeIntegrality:
                 model = Model.from_kvector(kv)
                 phi_q = h_series(model, 20) / g0_series(model, 20)
                 for phi in (phi_q, f_series(model, 20)):
-                    coeffs = lagrange_coeffs(phi, 20)
-                    assert all(x.denominator == 1 for x in coeffs), model.name
+                    assert lagrange_coeffs(phi, 20).denominator == 1, model.name
 
 
 class TestFormatRational:
@@ -367,7 +380,7 @@ class TestReport:
         def tampered(cls, model, order):
             md = build(cls, model, order)
             series = getattr(md, field)
-            bump = Series.monomial(1, degree, series.order)
+            bump = monomial(1, degree, series.order)
             return md._replace(**{field: series + bump})
 
         monkeypatch.setattr(MirrorData, "build", classmethod(tampered))
@@ -384,9 +397,9 @@ class TestReport:
         exact = inversion.g0_expansions
 
         def corrupted(md, count):
-            tails = exact(md, count)
-            tails[field][m - 1] += 1
-            return tails
+            tails = list(exact(md, count))
+            tails[field] = tails[field] + monomial(1, m, count)
+            return tuple(tails)
 
         monkeypatch.setattr(inversion, "g0_expansions", corrupted)
         with pytest.raises(
@@ -406,7 +419,7 @@ class TestReport:
             if isinstance(exponent, int):
                 integer.append(exponent)
                 if len(integer) == call + 1:
-                    result = result + Series.monomial(1, 2, result.order)
+                    result = result + monomial(1, 2, result.order)
             return result
 
         monkeypatch.setattr(Series, "__pow__", skewed)
@@ -511,6 +524,23 @@ class TestReport:
         t = rep.table
         assert set(t.b) == set(t.bhat) == set(t.c) == set(t.chat) == {0}
         assert all(rep.checks.values())
+
+    def test_public_columns_read_as_fraction_tuples(self):
+        # The report carries its columns as series; reading one builds the
+        # tuple of Fractions that the Fraction-based report stored.
+        rep = integrality_report(M333, 6)
+        md = MirrorData.build(M333, 7)
+        assert rep.z_in_q == tuple(md.zq.coeff(m) for m in range(1, 7))
+        assert rep.z_in_Q == tuple(md.zQ.coeff(m) for m in range(1, 7))
+        g0_in_q = md.g0.compose(md.zq)
+        assert rep.g0_in_q == tuple(g0_in_q.coeff(m) for m in range(1, 7))
+        t = rep.table
+        columns = (t.u, t.v, t.b, t.bhat, t.c, t.chat,
+                   rep.g0_in_q, rep.g0_in_Q, rep.z_in_q, rep.z_in_Q)
+        for column in columns:
+            assert type(column) is tuple and len(column) == 6
+            assert all(type(x) is F for x in column)
+        assert t.bhat[1] == F(-9, 2) and t.c[1] == F(-63, 2)
 
     def test_verdicts_derived_not_stored(self):
         rep = integrality_report(M333, 4)

@@ -15,18 +15,17 @@ from mahlerq import (
     alpha,
     f_series,
     g0_series,
-    gamma,
     h_series,
     local_mirror_map,
     mahler_measure,
     mirror_map,
-    multinomial_diag,
     pf2_applicable,
     pf_apply,
     pf_operator,
 )
 from mahlerq.mirror import binary_splitting_sum, period_coefficients
 from mahlerq.weights import enumerate_solutions
+from oracles import gamma, multinomial_diag
 
 M22 = Model.from_kvector((2, 2))
 M333 = Model.from_kvector((3, 3, 3))
@@ -148,7 +147,7 @@ class TestGamma:
             op = pf_operator(model)
             prev = F(0)
             for m in range(1, 11):
-                ratio = alpha(model, m) / alpha(model, m - 1)
+                ratio = F(alpha(model, m), alpha(model, m - 1))
                 correction = sum(
                     1 / (m - 1 + aj) - 1 / (m - bj) for aj, bj in zip(op.a, op.b)
                 ) * alpha(model, m)
@@ -160,6 +159,18 @@ class TestGamma:
         assert [gamma(M236, m) for m in range(1, 7)] == list(h.coeffs[1:])
         with pytest.raises(ValueError):
             gamma(M236, 0)
+
+    @pytest.mark.parametrize("model, order", [
+        (M22, 12), (M333, 12), (M244, 12), (Model.from_kvector((3, 4, 4, 6)), 10),
+        (Model.from_weights(12, (4, 3, 3, 2)), 10), (Model.from_weights(5, (2, 3)), 10),
+        (Model.from_weights(7, (2, 2, 3)), 10), (Model.from_kvector((2, 3, 7, 43, 1806)), 3),
+    ], ids=lambda x: getattr(x, "name", x))
+    def test_int_bracket_equals_the_fraction_oracle(self, model, order):
+        # h_series sums each harmonic bracket on ints over the operator's
+        # parameters; the oracle sums it in Fractions over pf_operator's.
+        h = h_series(model, order)
+        assert h.coeff(0) == 0
+        assert list(h.coeffs[1:]) == [gamma(model, m) for m in range(1, order + 1)]
 
     def test_initial_value_formula(self):
         # gamma_1 == alpha_1 * sum_j (1/a_j - 1/(1-b_j))
@@ -213,7 +224,7 @@ class TestOperators:
                 lhs = op.constant * math.prod(
                     (m - 1 + aj) / (m - bj) for aj, bj in zip(op.a, op.b)
                 )
-                assert lhs == alpha(model, m) / alpha(model, m - 1)
+                assert lhs == F(alpha(model, m), alpha(model, m - 1))
 
     def test_ab2_partial_fraction_identity(self):
         for model in (M333, M244, M236):

@@ -95,7 +95,7 @@ def test_lagrange_matches_newton_reversion(phi):
     w = phi.exp().zshift(1)  # z * e^phi, order 8
     newton = w.revert()
     count = phi.order + 1
-    assert lagrange_coeffs(phi, count) == [newton.coeff(m) for m in range(1, count + 1)]
+    assert lagrange_coeffs(phi, count) == newton.truncate(count)
 
 
 @given(no_constant, no_constant)

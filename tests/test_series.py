@@ -9,6 +9,7 @@ import pytest
 
 import mahlerq
 from mahlerq import Series, lagrange_coeffs
+from oracles import monomial
 
 SRC = Path(mahlerq.__file__).resolve().parents[1]
 
@@ -151,7 +152,7 @@ class TestComposition:
 
     def test_compose_geometric_square(self):
         geo = Series([1, -1], 4).invert()
-        assert geo.compose(Series.monomial(1, 2, 4)).coeffs == (1, 0, 1, 0, 1)
+        assert geo.compose(monomial(1, 2, 4)).coeffs == (1, 0, 1, 0, 1)
 
     def test_compose_needs_zero_constant(self):
         with pytest.raises(ValueError):
@@ -180,13 +181,12 @@ class TestComposition:
 
 class TestLagrange:
     def test_phi_zero_gives_identity(self):
-        assert lagrange_coeffs(Series.zero(5), 4) == [1, 0, 0, 0]
+        assert lagrange_coeffs(Series.zero(5), 4) == Series.identity(4)
 
     def test_matches_revert(self):
         phi = Series([0, 2, F(-1, 3), 1, 0, 4], 8)
         w = phi.exp().zshift(1)  # z * e^phi at order 9
-        expected = [w.revert().coeff(m) for m in range(1, 9)]
-        assert lagrange_coeffs(phi, 8) == expected
+        assert lagrange_coeffs(phi, 8) == w.revert().truncate(8)
 
     def test_order_guard(self):
         with pytest.raises(ValueError):
