@@ -10,13 +10,15 @@ convergence.
 Every command runs in a fresh process, so the module imports only the
 standard-library modules the commands need.  ``csv`` is imported where
 ``--format csv`` needs it.  JSON output goes through one private writer,
-:func:`_json_text`, which prints what ``json.dumps`` prints, so ``json``
-is imported only where the batch cache is read.  ``fractions`` loads
-``re``, ``enum``, ``decimal`` and ``numbers``, so no module imports it at
-load time: the library builds a ``Fraction`` only where a public value is
-one.  ``verify`` computes and renders its report on ints, and ``measure``
-runs on int pairs end to end (its ``--psi`` is read with ``int()`` when it
-is a plain ``p`` or ``p/q``), so neither loads ``fractions`` or ``json``.
+:func:`_json_text`, which prints what ``json.dumps`` prints, and ``batch``
+reads its cache back through :func:`_json_load`, which drives the C
+scanner of ``_json`` that ``json`` itself wraps, so no command imports
+``json`` (and with it ``re`` and ``enum``).  ``fractions`` loads ``re``,
+``enum``, ``decimal`` and ``numbers``, so no module imports it at load
+time: the library builds a ``Fraction`` only where a public value is one.
+``verify`` computes and renders its report on ints, and ``measure`` runs on
+int pairs end to end (its ``--psi`` is read with ``int()`` when it is a
+plain ``p`` or ``p/q``), so neither loads ``fractions``.
 The command line is parsed from one table, :data:`COMMANDS`, which also
 gives the help text and every usage error.
 ``argparse`` is not used: importing it and building its parsers loads
@@ -25,13 +27,13 @@ gives the help text and every usage error.
 
 ``batch`` keeps one JSON report per model in its cache directory, written
 by :func:`write_atomic` (a sibling temporary file, then ``os.replace``).
-With more than one worker it forks one child per report still to compute,
-at most that many at once.  A child writes its entry and leaves through
+With more than one worker it forks one child per worker, once; child i
+writes the entries ``pending[i::workers]`` in turn and leaves through
 ``os._exit``, so the cache is the only result channel: the parent reads
-every entry, new or cached, through one validating reader.  After the
-first child that fails no further report is started; the running ones are
-waited for, their entries stay, and ``batch`` exits with the failed
-child's code (2 for a child killed by a signal).
+every entry, new or cached, through one validating reader.  Each worker
+stops at its own first failure; the other workers finish their shares,
+every entry they write stays valid, and ``batch`` exits with the code of
+the first child that failed (2 for a child killed by a signal).
 """
 
 from __future__ import annotations
@@ -464,13 +466,15 @@ def _batch_compute(spec: tuple[tuple[int, ...], int]) -> str:
     return report_json_text(integrality_report(model, order))
 
 
-def _write_entry(model: Model, order: int, path: str) -> int:
-    write_atomic(path, _batch_compute((model.kvec.parts, order)))
+def _write_entries(pending: list[tuple[Model, str]], order: int) -> int:
+    for model, path in pending:
+        write_atomic(path, _batch_compute((model.kvec.parts, order)))
     return 0
 
 
-def _fork_entry(model: Model, order: int, path: str) -> int:
-    """Fork a child that writes one cache entry; returns its pid.
+def _fork_worker(share: list[tuple[Model, str]], order: int) -> int:
+    """Fork a child that writes the entries of ``share`` in turn and stops at
+    its first failure; returns its pid.
 
     The child always ends in ``os._exit``, so it never returns into the
     caller's stack, flushes the buffers it inherited or runs atexit hooks.
@@ -481,7 +485,7 @@ def _fork_entry(model: Model, order: int, path: str) -> int:
         return pid
     code = 1
     try:
-        code = _exit_code(_write_entry, model, order, path)
+        code = _exit_code(_write_entries, share, order)
         sys.stderr.flush()
     except BaseException:
         # Outside the exit-code contract: report it as the interpreter would.
@@ -491,55 +495,87 @@ def _fork_entry(model: Model, order: int, path: str) -> int:
 
 
 def _fork_entries(pending: list[tuple[Model, str]], order: int, workers: int) -> int:
-    """Write the ``pending`` entries from forked children, ``workers`` at a time.
+    """Write the ``pending`` entries from ``workers`` forked children, child i
+    the entries ``pending[i::workers]``.
 
-    Returns 0, or the exit code of the first child that failed; after it no
-    child is started and the running ones are waited for.
+    Each child stops at its own first failure and the others finish their
+    shares.  Returns 0, or the exit code of the first child that failed.
+    The children write their entries through :func:`_json_text` and build
+    no ``Fraction``, so they import neither ``json`` nor ``fractions``.
     """
-    # The parent reads every entry back with json once the children are
-    # done; it is imported here, once, before the first fork.  The children
-    # write their entries through _json_text and build no Fraction, so they
-    # import neither json nor fractions.
-    import json
-
-    queue = list(pending)
-    running: dict[int, str] = {}  # pid -> model name
-    failed = None  # (model name, wait status) of the first failed child
+    running: dict[int, list[tuple[Model, str]]] = {}  # pid -> its share
+    failed = None  # (share, wait status) of the first failed child
     try:
-        while queue or running:
-            while queue and len(running) < workers:
-                model, path = queue.pop(0)
-                running[_fork_entry(model, order, path)] = model.name
+        for i in range(workers):
+            share = pending[i::workers]
+            running[_fork_worker(share, order)] = share
+        while running:
             pid, status = os.wait()
-            name = running.pop(pid)
+            share = running.pop(pid)
             if status and failed is None:
-                failed = (name, status)
-                queue.clear()
+                failed = (share, status)
     finally:
         for pid in running:
             os.waitpid(pid, 0)
     if failed is None:
         return 0
-    name, status = failed
+    share, status = failed
     if os.WIFSIGNALED(status):
+        for model, path in share:  # the first entry not written was in flight
+            if not os.path.exists(path):
+                break
         raise ValueError(
-            f"batch worker for model {name} was killed by signal {os.WTERMSIG(status)}"
+            f"batch worker for model {model.name} was killed by signal {os.WTERMSIG(status)}"
         )
     return os.waitstatus_to_exitcode(status)
+
+
+_JSON_SPACE = " \t\n\r"
+
+
+def _refuse_number(text: str):
+    raise ValueError(f"{text} is not an integer")
+
+
+def _json_load(text: str):
+    """The value of the JSON document ``text``, as ``json.loads`` reads it,
+    except that a float, ``NaN`` or ``Infinity`` is refused.
+
+    It drives the C scanner that ``json`` wraps, so it imports no Python
+    source: ``json`` would load ``json.decoder``, ``re`` and ``enum``.
+    Malformed JSON raises ``ValueError``.
+    """
+    hooks = {"parse_float": _refuse_number, "parse_constant": _refuse_number}
+    try:
+        from _json import make_scanner
+    except ImportError:  # not CPython: the same reader, through json
+        import json
+        return json.loads(text, **hooks)
+    scan = make_scanner(SimpleNamespace(
+        strict=True, object_hook=None, object_pairs_hook=None, parse_int=int, **hooks
+    ))
+    start = len(text) - len(text.lstrip(_JSON_SPACE))
+    try:
+        value, end = scan(text, start)
+    except StopIteration as exc:
+        raise ValueError(f"expecting a value at char {exc.value}") from None
+    if end != len(text.rstrip(_JSON_SPACE)):
+        raise ValueError(f"extra data at char {end}")
+    return value
 
 
 def _read_entry(path: str, model: Model, order: int) -> tuple[bool, bool]:
     """(every row integral, every check true) of the cache entry of ``model``
     at ``order``; a corrupted entry names its file.
 
-    The entry must hold one boolean per name of :data:`CHECK_NAMES` and the
-    rows m = 1..order, each with boolean integrality flags.
+    The entry is read by :func:`_json_load`, so a float or a constant where
+    an int belongs is corrupted, and so is one nested too deeply to read.
+    It must hold one boolean per name of :data:`CHECK_NAMES` and the rows
+    m = 1..order, each with boolean integrality flags.
     """
-    import json
-
     try:
         with open(path) as handle:
-            payload = json.load(handle)
+            payload = _json_load(handle.read())
         found = (payload["model"]["name"], payload["order"])
         if found != (model.name, order):
             raise ValueError(
@@ -560,7 +596,7 @@ def _read_entry(path: str, model: Model, order: int) -> tuple[bool, bool]:
         if not all(isinstance(x, bool) for x in flags):
             raise ValueError("its integrality flags are not all booleans")
         return all(flags), all(checks.values())
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+    except (ValueError, KeyError, TypeError, AttributeError, RecursionError) as exc:
         raise ValueError(f"corrupted cache entry {path}: {exc}") from exc
 
 
@@ -644,8 +680,7 @@ def cmd_batch(args) -> int:
             if code:
                 return code
         else:
-            for model, path in pending:
-                _write_entry(model, args.order, path)
+            _write_entries(pending, args.order)
         verdicts += [_read_entry(path, model, args.order) for model, path in pending]
 
     all_integer = sum(integral for integral, _ in verdicts)

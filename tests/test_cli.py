@@ -16,7 +16,8 @@ from hypothesis import example, given, settings, strategies as st
 
 import mahlerq
 from mahlerq.cli import (
-    COMMANDS, DEFAULT_CACHE, _json_text, batch_workers, main, parse_args, write_atomic,
+    COMMANDS, DEFAULT_CACHE, _json_load, _json_text, batch_workers, main, parse_args,
+    write_atomic,
 )
 from mahlerq.mirror import _SERIES_KEYS
 from mahlerq.weights import enumerate_solutions
@@ -384,6 +385,16 @@ class TestBatch:
                 {**row, "b_integer": "true"} for row in json.loads(own)["rows"]
             ]}
         ),
+        lambda own, other: "[" * 100000 + "]" * 100000,  # too deep to read
+        lambda own, other: json.dumps({**json.loads(own), "order": 4.0}),  # a float order
+        lambda own, other: json.dumps(  # a float m
+            {**json.loads(own), "rows": [
+                {**row, "m": float(row["m"])} for row in json.loads(own)["rows"]
+            ]}
+        ),
+        lambda own, other: json.dumps(  # every check NaN
+            {**json.loads(own), "checks": dict.fromkeys(json.loads(own)["checks"], NAN)}
+        ),
     ])
     def test_corrupted_cache_entry_names_its_file(self, tmp_path, capsys, damage):
         from mahlerq import Model
@@ -511,15 +522,16 @@ class TestBatchWorkerFailures:
 
     @pytest.fixture
     def patch_report(self, monkeypatch):
-        """Replace ``integrality_report`` for model 2,4,4 in forked workers only."""
+        """Replace ``integrality_report`` for one model (2,4,4 unless named) in
+        forked workers only."""
         import mahlerq.cli as cli
 
         exact = cli.integrality_report
         parent = os.getpid()
 
-        def patch(fault):
+        def patch(fault, name="2,4,4"):
             def report(model, order):
-                if model.name == "2,4,4":
+                if model.name == name:
                     # A fault in this process would end the test run itself.
                     assert os.getpid() != parent, "report computed without a fork"
                     fault()
@@ -553,6 +565,36 @@ class TestBatchWorkerFailures:
             "internal-consistency fault: u-series routes disagree for model 2,4,4 at m=1\n"
         )
 
+    @pytest.mark.parametrize("name, written", [
+        ("2,3,6", [(2, 4, 4)]),
+        ("2,4,4", [(2, 3, 6), (3, 3, 3)]),
+    ])
+    def test_each_worker_stops_at_its_own_first_failure(
+        self, tmp_path, capfd, patch_report, name, written
+    ):
+        # Worker 0 writes 2,3,6 and then 3,3,3, worker 1 writes 2,4,4.  A
+        # fault stops the worker it happens in; the other finishes its share.
+        from mahlerq import Model, integrality_report
+        from mahlerq.cli import cache_path, report_json_text
+        from mahlerq.inversion import ConsistencyError
+
+        def fault():
+            raise ConsistencyError(f"u-series routes disagree for model {name} at m=1")
+
+        patch_report(fault, name)
+        cache = tmp_path / "cache"
+        code, out, err = self.run_batch(cache, capfd)
+        assert code == 3
+        assert out == ""
+        assert err == (
+            f"internal-consistency fault: u-series routes disagree for model {name} at m=1\n"
+        )
+        models = [Model.from_kvector(kv) for kv in written]
+        entries = [Path(cache_path(str(cache), model, 4)) for model in models]
+        assert sorted(cache.glob("*.json")) == sorted(entries)
+        for model, entry in zip(models, entries):
+            assert entry.read_text() == report_json_text(integrality_report(model, 4))
+
     def test_killed_worker_exits_2(self, tmp_path, capfd, patch_report):
         patch_report(lambda: os.kill(os.getpid(), signal.SIGKILL))
         code, out, err = self.run_batch(tmp_path / "cache", capfd)
@@ -578,6 +620,7 @@ def no_digit_limit():
         sys.set_int_max_str_digits(previous)
 
 
+NAN = float("nan")
 BIG = -(7**6000)  # 5071 decimal digits, past the default limit of 4300
 # Drawn by a map, since hypothesis would print a plain st.just(BIG) with repr.
 BIG_INTS = st.sampled_from([1, -1]).map(lambda sign: sign * BIG)
@@ -615,6 +658,63 @@ class TestJsonWriter:
         for value in (1.5, (1, 2), {1: "a"}, object()):
             with pytest.raises((TypeError, AttributeError)):
                 _json_text([value])
+
+
+# Characters that make or break JSON syntax, and a control character, which
+# a string may not hold unescaped.
+MUTATIONS = st.sampled_from(list('{}[]",:0-1e.\\u') + ["\x01"])
+
+
+class TestJsonReader:
+    """The cache reader reads what json.loads reads, and refuses floats."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(JSON_VALUES, st.sampled_from([None, 2]))
+    @example({"b": [BIG, -BIG, 0, -1], '"\\\x00\x7f': "\u00e9\U0001f600", "": {}}, 2)
+    def test_reads_back_what_the_writer_writes(self, value, indent):
+        with no_digit_limit():
+            assert _json_load(_json_text(value, indent)) == value
+
+    @settings(max_examples=400, deadline=None)
+    @given(JSON_VALUES, st.sampled_from([None, 2]), st.lists(
+        st.tuples(st.integers(min_value=0), st.booleans(), MUTATIONS),
+        min_size=1, max_size=3,
+    ))
+    @example([1, "a", {"b": None}], None, [(2, True, "."), (3, True, "0")])  # a float
+    @example([1, "a", {"b": None}], None, [(5, False, "\x01")])  # a raw control char
+    def test_agrees_with_json_loads_on_mutated_text(self, value, indent, edits):
+        with no_digit_limit():
+            text = _json_text(value, indent)
+            for at, insert, char in edits:
+                at %= len(text) + 1
+                text = text[:at] + char + text[at + (not insert):]
+            numbers = []  # each float or constant json.loads met
+            try:
+                expected = json.loads(
+                    text, parse_float=numbers.append, parse_constant=numbers.append
+                )
+            except ValueError:
+                numbers = None
+            if numbers == []:
+                assert _json_load(text) == expected
+            else:
+                with pytest.raises(ValueError):
+                    _json_load(text)
+
+    def test_whitespace_bom_trailing_data_and_truncation(self):
+        from mahlerq import Model, integrality_report
+        from mahlerq.cli import report_json_text
+
+        assert _json_load(" \t\n\r[1, {}]\r\n\t ") == [1, {}]
+        for text in ("\ufeff[]", "[1] [2]", "{} x", "[]]", "1 2", "", " ", "[1.5]",
+                     "-Infinity", "[1e3]"):
+            with pytest.raises(ValueError):
+                _json_load(text)
+        entry = report_json_text(integrality_report(Model.from_kvector((2, 2)), 3))
+        assert _json_load(entry)["order"] == 3
+        for cut in range(len(entry.rstrip())):
+            with pytest.raises(ValueError):
+                _json_load(entry[:cut])
 
 
 class TestWriteAtomic:
@@ -873,9 +973,9 @@ class TestConsoleEntry:
         assert proc.stdout.strip() == "0.1.0"
 
     def test_pool_is_not_imported_at_start_up(self):
-        # Only `--format csv` needs csv, and only JSON output and the batch
-        # cache need json.  Each command runs in a fresh process, so every
-        # module imported at start-up is paid for by every run.
+        # Only `--format csv` needs csv, and no command needs json.  Each
+        # command runs in a fresh process, so every module imported at
+        # start-up is paid for by every run.
         unneeded = [
             "argparse",
             "json",
@@ -947,7 +1047,8 @@ class TestConsoleEntry:
     @pytest.mark.parametrize("argv, unneeded", [
         (("verify", "--model", "3,3,3", "--order", "4", "--format", "json"), ("json",)),
         (("measure", "--model", "2,2", "--psi", "2"), ("json",)),
-        (("batch", "--n", "3", "--order", "4", "--jobs", "1", "--cache", "{cache}"), ()),
+        (("batch", "--n", "3", "--order", "4", "--jobs", "1", "--cache", "{cache}"),
+         ("json",)),
     ], ids=["verify", "measure", "batch"])
     def test_no_parser_locale_or_archive_modules_after_a_command(
         self, tmp_path, argv, unneeded
@@ -1003,19 +1104,49 @@ class TestConsoleEntry:
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr == "[]\n"
 
-    def test_workers_inherit_json_instead_of_importing_it(self, tmp_path):
-        # Every worker writes JSON.  Without bytecode on disk, a worker that
-        # imported json itself would compile it once per report.
+    def test_no_process_of_a_batch_imports_json_when_started_cold(self, tmp_path):
+        # Workers write their entries through the private writer and the
+        # parent reads them back through the C scanner, so no process loads
+        # json and the re and enum it brings, which a child started as the
+        # benchmark starts it would compile from source on every run.
+        env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+                   PYTHONPYCACHEPREFIX=str(tmp_path / "pyc"))
+        unneeded = {"json", "json.decoder", "json.scanner", "re", "enum"}
+        for summary in ("0 cached, 3 computed", "3 cached, 0 computed"):
+            proc = subprocess.run(
+                [sys.executable, "-S", "-X", "importtime", "-c",
+                 "import os, sys\n"
+                 "os.cpu_count = lambda: 2\n"
+                 "from mahlerq.cli import main\n"
+                 "sys.exit(main(sys.argv[1:]))",
+                 "batch", "--n", "3", "--order", "4", "--jobs", "2",
+                 "--cache", str(tmp_path / "cache")],
+                capture_output=True, text=True, cwd=SRC, env=env,
+            )
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout.startswith(summary + "\n")
+            imported = {
+                line.rsplit("|", 1)[1].strip()
+                for line in proc.stderr.splitlines()
+                if line.startswith("import time:") and "|" in line
+            }
+            assert "mahlerq.inversion" in imported
+            assert imported.isdisjoint(unneeded)
+
+    def test_forks_once_per_worker(self, tmp_path):
         proc = run_forked_batch(
             tmp_path / "cache",
-            prologue="fork = os.fork\n"
-            "def checked_fork():\n"
-            "    print('json' in sys.modules, file=sys.stderr)\n"
+            prologue="forks = []\n"
+            "fork = os.fork\n"
+            "def counted_fork():\n"
+            "    forks.append(os.getpid())\n"
             "    return fork()\n"
-            "os.fork = checked_fork",
+            "os.fork = counted_fork",
+            epilogue="print(len(forks), file=sys.stderr)",
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stderr == "True\n" * 3
+        assert proc.stdout.startswith("0 cached, 3 computed\n")
+        assert proc.stderr == "2\n"
 
     def test_no_process_of_a_forked_batch_loads_fractions(self, tmp_path):
         # Workers compute and write their reports on ints, so neither they
@@ -1034,7 +1165,7 @@ class TestConsoleEntry:
             epilogue=report,
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stderr == "False\n" * 4
+        assert proc.stderr == "False\n" * 3
 
     def test_children_print_nothing_to_a_block_buffered_stdout(self, tmp_path):
         proc = run_forked_batch(tmp_path / "cache")
