@@ -53,14 +53,13 @@ from .inversion import (
 )
 from .mirror import (
     _SERIES_KEYS,
-    _ratio_text,
     ConvergenceError,
     MirrorData,
     mahler_measure,
     pf2_applicable,
     pf_operator,
 )
-from .series import _coefficient_pairs
+from .series import _coefficient_texts, _ratio_text
 from .weights import KVector, Model, aut_order, counts, enumerate_solutions
 
 DEFAULT_CACHE = "~/.cache/mahlerq"
@@ -341,7 +340,7 @@ def render_enumerate(n: int, fmt: str) -> str:
 def render_series(model: Model, order: int, which: str, fmt: str) -> str:
     md = MirrorData.build(model, order)
     series = md.series(which)
-    values = [_ratio_text(*p) for p in _coefficient_pairs(series)]
+    values = _coefficient_texts(series)
     if fmt == "json":
         return _json_text(values)
     if fmt == "csv":
@@ -460,15 +459,13 @@ def batch_workers(jobs: int, pending: int) -> int:
     return min(jobs, os.cpu_count() or 1, pending)
 
 
-def _batch_compute(spec: tuple[tuple[int, ...], int]) -> str:
-    parts, order = spec
-    model = Model.from_kvector(KVector(parts))
+def _batch_compute(model: Model, order: int) -> str:
     return report_json_text(integrality_report(model, order))
 
 
 def _write_entries(pending: list[tuple[Model, str]], order: int) -> int:
     for model, path in pending:
-        write_atomic(path, _batch_compute((model.kvec.parts, order)))
+        write_atomic(path, _batch_compute(model, order))
     return 0
 
 

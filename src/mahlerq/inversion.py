@@ -52,8 +52,9 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .series import Series, _coefficient_pairs, _theta_inverse, lagrange_coeffs
-from .mirror import MirrorData, _ratio_text, _reduced, alpha
+from .series import (Series, _coefficient_pairs, _coefficient_texts, _ratio_text, _reduced,
+                     _theta_inverse, lagrange_coeffs)
+from .mirror import MirrorData, alpha
 from .weights import Model
 
 
@@ -228,11 +229,6 @@ def format_rational(x: Fraction) -> str:
     return _ratio_text(x.numerator, x.denominator)
 
 
-def _texts(column: Series) -> list[str]:
-    """Entries 1..M of a column as ``str`` prints their Fractions."""
-    return [_ratio_text(*p) for p in _coefficient_pairs(column)[1:]]
-
-
 def _entries(field: str) -> property:
     """A public column: the entries of the series in ``field`` as a tuple
     of Fractions, built on access."""
@@ -319,12 +315,12 @@ class IntegralityReport(namedtuple(
             "model": self.model.to_json_dict(),
             "order": self.order,
             "rows": self.rows(),
-            "u": _texts(self.table.u_series),
-            "v": _texts(self.table.v_series),
-            "g0_in_q": _texts(self.g0_in_q_series),
-            "g0_in_Q": _texts(self.g0_in_Q_series),
-            "z_in_q": _texts(self.z_in_q_series),
-            "z_in_Q": _texts(self.z_in_Q_series),
+            "u": _coefficient_texts(self.table.u_series)[1:],
+            "v": _coefficient_texts(self.table.v_series)[1:],
+            "g0_in_q": _coefficient_texts(self.g0_in_q_series)[1:],
+            "g0_in_Q": _coefficient_texts(self.g0_in_Q_series)[1:],
+            "z_in_q": _coefficient_texts(self.z_in_q_series)[1:],
+            "z_in_Q": _coefficient_texts(self.z_in_Q_series)[1:],
             "checks": dict(self.checks),
         }
 
@@ -364,8 +360,8 @@ def integrality_report(model: Model, order: int) -> IntegralityReport:
     md = MirrorData.build(model, order + 1)
     where = f"model {model.name} at order {order}"
     # The periods come from a running ratio of int floor divisions, which a
-    # wrong ratio would corrupt silently; check the last against the closed
-    # factorial form.
+    # wrong ratio would corrupt silently (h runs on the same ratio); check
+    # the last against the closed factorial form.
     if md.g0.numerators[md.order] != alpha(model, md.order) * md.g0.denominator:
         raise ConsistencyError(
             f"running-ratio and closed-form periods disagree for {where}, "

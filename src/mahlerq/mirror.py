@@ -15,11 +15,13 @@ and a numeric evaluation of the logarithmic Mahler measure of
 psi - P(x)/(k*x_1...x_{n-1}) through the same series data.
 
 The period coefficients alpha_m = (km)!/prod_i (w_i m)! that every series
-here is built from come from one running ratio alpha_m / alpha_(m-1), an
+here is built from come from one ratio over the reduced operator's
+parameters, alpha_j / alpha_(j-1) = C prod(L(j-1) + a) / prod(Lj - b), an
 exact int division per coefficient (:func:`period_coefficients`);
 :func:`alpha` keeps the closed factorial form as an independent oracle.
-The log tail h sums its harmonic bracket on ints over the reduced
-operator's parameters, so building :class:`MirrorData` never loads
+The log tail h runs its recurrence on the same ratio and sums its harmonic
+bracket on ints, so one period pass serves a whole :class:`MirrorData`:
+h reads the coefficients of g0, f = theta^(-1)(g0 - 1), and no step loads
 ``fractions``; :func:`pf_operator` builds its ``Fraction`` parameters from
 the same ints.  The Mahler measure sums f(z) exactly by binary splitting
 and rounds once; it computes on reduced (numerator, denominator) int pairs
@@ -32,7 +34,7 @@ import math
 from collections import Counter, namedtuple
 from collections.abc import Sequence
 
-from .series import Series, _exact
+from .series import Series, _coefficient_texts, _exact, _ratio_text, _reduced, _theta_inverse
 from .weights import Model
 
 
@@ -54,23 +56,27 @@ def alpha(model: Model, m: int) -> int:
 
 
 def period_coefficients(model: Model, order: int) -> list[int]:
-    """alpha_0..alpha_order by the running ratio alpha_m / alpha_(m-1).
-
-    alpha_m = alpha_(m-1) * prod_(a=1..k) (k(m-1)+a)
-                          / prod_i prod_(b=1..w_i) (w_i(m-1)+b),
-    and the quotient is the integer alpha_m, so each division is exact.
-    """
+    """alpha_0..alpha_order by alpha_j = alpha_(j-1) * C * prod(up) / prod(down), one ratio
+    over the reduced parameters (:func:`_ratio_factors`); alpha_j is an int, so each division
+    is exact."""
     if order < 0:
         raise ValueError("order must be nonnegative")
-    k, w = model.k, model.w
+    cn, cd = _growth(model)
     value = 1
     out = [value]
-    for m in range(order):
-        num = math.prod(range(k * m + 1, k * m + k + 1))
-        den = math.prod(math.prod(range(wi * m + 1, wi * m + wi + 1)) for wi in w)
-        value = value * num // den
+    for up, down in _ratio_factors(model, order):
+        value = value * cn * math.prod(up) // (cd * math.prod(down))
         out.append(value)
     return out
+
+
+def _ratio_factors(model: Model, order: int):
+    """For j = 1..order, the factors of alpha_j / alpha_(j-1) = C * prod(up) / prod(down):
+    up = L(j-1) + a and down = Lj - b over the reduced parameters (:func:`_parameters`),
+    equally many a side, so the powers of L cancel."""
+    L, a, b = _parameters(model, "reduced")
+    for j in range(1, order + 1):
+        yield [L * (j - 1) + x for x in a], [L * j - x for x in b]
 
 
 # ---------------------------------------------------------------------------
@@ -82,10 +88,8 @@ def g0_series(model: Model, order: int) -> Series:
 
 
 def f_series(model: Model, order: int) -> Series:
-    alphas = period_coefficients(model, order)
-    den = math.lcm(*range(1, order + 1))
-    nums = [0] + [alphas[m] * (den // m) for m in range(1, order + 1)]
-    return Series._from_ints(nums, den)
+    """f = theta^(-1)(g0 - 1), coefficient m being alpha_m / m."""
+    return _theta_inverse(g0_series(model, order))
 
 
 def _sum_ratios(terms: Sequence[tuple[int, int]]) -> tuple[int, int]:
@@ -107,23 +111,27 @@ def h_series(model: Model, order: int) -> Series:
     the roots of alpha_j / alpha_(j-1) (see :func:`pf_operator`); the
     common roots cancel, so it is sum_a 1/(j - 1 + a) - sum_b 1/(j - b)
     over the parameters of the reduced operator.  With a and b as int
-    numerators over L (:func:`_parameters`), each term is L/(L(j-1) + a)
-    or -L/(Lj - b), and the bracket at j is summed into one int fraction.
+    numerators over L, each term is L/up or -L/down with the factors of
+    :func:`_ratio_factors`, and the bracket at j is summed into one int
+    fraction.
 
     The sum of the brackets has a denominator of thousands of digits for a
     large k, which alpha_m cancels, so gamma runs on its own recurrence,
     whose terms have small denominators:
-    gamma_j = r_j * gamma_(j-1) + alpha_j * [bracket at j], with
-    r_j = alpha_j / alpha_(j-1) = C * prod (L(j-1) + a) / prod (Lj - b).
+    gamma_j = r_j * gamma_(j-1) + alpha_j * [bracket at j], with the same
+    ratio r_j = C * prod(up) / prod(down) as the periods.  :func:`_log_tail` runs it
+    on periods already built, so a caller that holds g0 needs no second pass.
     """
-    L, a, b = _parameters(model, "reduced")
+    return _log_tail(model, g0_series(model, order).numerators)
+
+
+def _log_tail(model: Model, alphas: Sequence[int]) -> Series:
+    """:func:`h_series` on the periods alpha_0..alpha_N it is given."""
+    L = _parameters(model, "reduced")[0]
     cn, cd = _growth(model)
-    alphas = period_coefficients(model, order)
     pairs = [(0, 1)]
     num, den = 0, 1
-    for j in range(1, order + 1):
-        up = [L * (j - 1) + x for x in a]
-        down = [L * j - x for x in b]
+    for j, (up, down) in enumerate(_ratio_factors(model, len(alphas) - 1), start=1):
         tn, td = _sum_ratios([(L, q) for q in up] + [(-L, q) for q in down])
         tn, td = _reduced(alphas[j] * tn, td)
         rn, rd = num * cn * math.prod(up), den * cd * math.prod(down)
@@ -148,7 +156,8 @@ def mirror_map(model: Model, order: int) -> Series:
     """q(z) = z * exp(h(z)/g0(z))."""
     if order < 1:
         raise ValueError("maps need order >= 1")
-    return _map(h_series(model, order - 1) / g0_series(model, order - 1))
+    g0 = g0_series(model, order - 1)
+    return _map(_log_tail(model, g0.numerators) / g0)
 
 
 # ---------------------------------------------------------------------------
@@ -181,19 +190,6 @@ class PFOperator(namedtuple("PFOperator", "constant a b form")):
             if set(1 - aj for aj in a) & set(b):
                 raise ValueError("reduced parameter multisets must be disjoint")
         return super().__new__(cls, constant, a, b, form)
-
-
-def _reduced(num: int, den: int) -> tuple[int, int]:
-    """num/den (den != 0) in lowest terms with a positive denominator."""
-    g = math.gcd(num, den)
-    if den < 0:
-        g = -g
-    return num // g, den // g
-
-
-def _ratio_text(num: int, den: int) -> str:
-    """A reduced pair as ``str`` prints the Fraction: "p" or "p/q"."""
-    return str(num) if den == 1 else f"{num}/{den}"
 
 
 def _growth(model: Model) -> tuple[int, int]:
@@ -291,14 +287,15 @@ class MirrorData(namedtuple("MirrorData", "model order g0 h f phi Q q zq zQ")):
 
     @classmethod
     def build(cls, model: Model, order: int) -> "MirrorData":
-        """Each period series is built once, at ``order``, and phi = h/g0 is
-        divided once; the maps read their truncation to order - 1, which in
-        reduced form equals the series built at that order."""
+        """One period pass builds g0 at ``order``; h reads its coefficients,
+        f = theta^(-1)(g0 - 1), and phi = h/g0 is divided once.  The maps read
+        their truncation to order - 1, which in reduced form equals the series
+        built at that order."""
         if order < 1:
             raise ValueError("order must be at least 1")
         g0 = g0_series(model, order)
-        h = h_series(model, order)
-        f = f_series(model, order)
+        h = _log_tail(model, g0.numerators)
+        f = _theta_inverse(g0)
         phi = h / g0
         Q = _map(f.truncate(order - 1))
         q = _map(phi.truncate(order - 1))
@@ -310,11 +307,8 @@ class MirrorData(namedtuple("MirrorData", "model order g0 h f phi Q q zq zQ")):
         return getattr(self, key)
 
     def to_json_dict(self) -> dict:
-        def dump(s: Series) -> list[str]:
-            return [str(c) for c in s.coeffs]
-
         payload = {"model": self.model.to_json_dict(), "order": self.order}
-        payload.update({key: dump(getattr(self, key)) for key in _SERIES_KEYS})
+        payload.update({key: _coefficient_texts(getattr(self, key)) for key in _SERIES_KEYS})
         return payload
 
 

@@ -42,13 +42,6 @@ from math import gcd, lcm
 from operator import mul
 
 
-def as_rational(value: int | Fraction) -> Fraction:
-    """Coerce an exact scalar.  Floats are rejected: no inexact mode exists."""
-    from fractions import Fraction
-
-    return Fraction(*_exact(value))
-
-
 def _pair(value) -> tuple[int, int] | None:
     """(numerator, denominator) in lowest terms of an int or a Fraction,
     None for any other value.
@@ -248,15 +241,15 @@ class Series:
         return hash((self._num, self._den))
 
     def __repr__(self) -> str:
-        return f"Series({[str(c) for c in self.coeffs]})"
+        return f"Series({_coefficient_texts(self)})"
 
     def __str__(self) -> str:
         terms = []
-        for m, c in enumerate(self.coeffs):
-            if c == 0:
+        for m, c in enumerate(_coefficient_texts(self)):
+            if c == "0":
                 continue
             if m == 0:
-                terms.append(str(c))
+                terms.append(c)
             elif m == 1:
                 terms.append(f"{c}*z")
             else:
@@ -477,6 +470,24 @@ def _coefficient_pairs(s: Series) -> list[tuple[int, int]]:
         g = gcd(x, d)
         out.append((x // g, d // g))
     return out
+
+
+def _reduced(num: int, den: int) -> tuple[int, int]:
+    """num/den (den != 0) in lowest terms with a positive denominator."""
+    g = gcd(num, den)
+    if den < 0:
+        g = -g
+    return num // g, den // g
+
+
+def _ratio_text(num: int, den: int) -> str:
+    """A reduced pair as ``str`` prints the Fraction: "p" or "p/q"."""
+    return str(num) if den == 1 else f"{num}/{den}"
+
+
+def _coefficient_texts(s: Series) -> list[str]:
+    """Each coefficient of ``s`` as ``str`` prints its Fraction."""
+    return [_ratio_text(*p) for p in _coefficient_pairs(s)]
 
 
 def lagrange_coeffs(phi: Series, count: int) -> Series:

@@ -30,7 +30,7 @@ def test_traced_pass_reaches_every_wrapped_layer():
     with tracer.installed():
         inversion.integrality_report(Model.from_kvector((3, 3, 3)), 4)
         mirror.mahler_measure(Model.from_kvector((2, 2)), 2, 16)
-        cli._batch_compute(((2, 3, 6), 3))
+        cli._batch_compute(Model.from_kvector((2, 3, 6)), 3)
     assert inversion.integrality_report is original
 
     calls = {name: rec[0] for name, rec in tracer.spans.items()}

@@ -1018,8 +1018,9 @@ class TestConsoleEntry:
         (("measure", "--model", "3,3,3", "--psi", "1/10"), 4),
         (("verify", "--model", "3,3,3", "--order", "6", "--format", "json"), 0),
         (("verify", "--weights", "12:4,3,3,2", "--order", "5"), 0),
+        (("series", "--model", "3,3,3", "--order", "6", "--which", "h", "--format", "json"), 0),
     ], ids=["import", "version", "measure", "measure-weights", "measure-outside",
-            "verify-json", "verify-table"])
+            "verify-json", "verify-table", "series-h-json"])
     def test_fractions_chain_is_not_loaded(self, argv, code):
         # measure runs on int pairs and verify on int columns; fractions
         # would bring re, enum, decimal and numbers, compiled afresh by every

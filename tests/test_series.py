@@ -204,6 +204,7 @@ class TestScalarTypes:
             "a, x = Series([1, 2, 3, 4]), Series([0, 2, 3, 5])\n"
             "values = [a * a, a + 1, 1 - a, 3 * a, a / 2, a / a, a ** 3, a ** -2,\n"
             "          x.revert(), x.exp(), a.log(), a.invert(), a.compose(x)]\n"
+            "texts = repr(a / 3), str(a.log())\n"
             "print('fractions' in sys.modules, end=' ')\n"
             "values[0].coeffs\n"
             "print('fractions' in sys.modules)\n"
