@@ -24,8 +24,8 @@ bracket on ints, so one period pass serves a whole :class:`MirrorData`:
 h reads the coefficients of g0, f = theta^(-1)(g0 - 1), and no step loads
 ``fractions``; :func:`pf_operator` builds its ``Fraction`` parameters from
 the same ints.  The Mahler measure sums f(z) exactly by binary splitting
-and rounds once; it computes on reduced (numerator, denominator) int pairs
-throughout, so it never loads ``fractions`` either.
+on that same ratio, with no period list, and rounds once; it computes on
+int pairs throughout, so it never loads ``fractions`` either.
 """
 
 from __future__ import annotations
@@ -316,28 +316,31 @@ class MirrorData(namedtuple("MirrorData", "model order g0 h f phi Q q zq zQ")):
 # numeric Mahler measure
 # ---------------------------------------------------------------------------
 
-def binary_splitting_sum(coeffs: Sequence[int], p: int, s: int) -> int:
-    """Exact sum_m coeffs[m] * p^m * s^(N-m) with N = len(coeffs) - 1.
+def _f_split(model: Model, p: int, s: int, order: int) -> tuple[int, int, int, int]:
+    """f_N(z) = sum_(j=1..N) alpha_j z^j / j at z = p/s as ints (P, Q, B, T)
+    with alpha_N z^N = P/Q and f_N(z) = T/(B*Q).
 
-    This is s^N times the value at z = p/s of the polynomial with the
-    given coefficients.  Binary splitting (Haible & Papanikolaou 1998):
-    a block [lo, hi) is the triple T = sum_(lo<=m<hi) coeffs[m] p^(m-lo)
-    s^(hi-1-m), P = p^(hi-lo), Q = s^(hi-lo), and adjacent blocks combine
-    as T = T_L Q_R + P_L T_R.  The products stay balanced, where a Horner
-    loop would multiply each coefficient by a full power of s.
+    Hypergeometric binary splitting (Haible & Papanikolaou 1998) on the term
+    ratio alpha_j z / alpha_(j-1) of :func:`_ratio_factors`: leaf j is
+    P_j = cn p prod(up), Q_j = cd s prod(down), B_j = j and T_j = P_j, with
+    C = cn/cd, and adjacent blocks combine as P = P_L P_R, Q = Q_L Q_R,
+    B = B_L B_R and T = B_R Q_R T_L + B_L P_L T_R, so the products stay
+    balanced and no common denominator is formed.
     """
-    if not coeffs:
-        raise ValueError("need at least one coefficient")
+    cn, cd = _growth(model)
+    leaves = [(cn * p * math.prod(up), cd * s * math.prod(down))
+              for up, down in _ratio_factors(model, order)]
 
-    def split(lo: int, hi: int) -> tuple[int, int, int]:
+    def split(lo: int, hi: int) -> tuple[int, int, int, int]:
         if hi - lo == 1:
-            return coeffs[lo], p, s
+            P, Q = leaves[lo]
+            return P, Q, hi, P
         mid = (lo + hi) // 2
-        t_left, p_left, q_left = split(lo, mid)
-        t_right, p_right, q_right = split(mid, hi)
-        return t_left * q_right + p_left * t_right, p_left * p_right, q_left * q_right
+        P_L, Q_L, B_L, T_L = split(lo, mid)
+        P_R, Q_R, B_R, T_R = split(mid, hi)
+        return P_L * P_R, Q_L * Q_R, B_L * B_R, B_R * Q_R * T_L + B_L * P_L * T_R
 
-    return split(0, len(coeffs))[0]
+    return split(0, order)
 
 
 class MahlerMeasure(namedtuple(
@@ -370,14 +373,16 @@ class MahlerMeasure(namedtuple(
 def mahler_measure(model: Model, psi, order: int) -> MahlerMeasure:
     """Evaluate m(F_psi) = log(psi) - f(z)/k at z = (k*psi)^(-k).
 
-    With z = p/s and f's int numerators c_m over the denominator d, the
-    integer sum_m c_m p^m s^(N-m) is formed exactly by binary splitting and
-    divided once by s^N * d; that int true division is the only rounding,
-    so the float is f(z) correctly rounded.  Valid strictly inside the disk
-    |z| * C < 1, where C = k^k/prod w_i^{w_i} is the growth rate of the
-    period coefficients; psi must be a positive real (exact) number: an
-    int, a Fraction or a (numerator, denominator) pair of ints.  The tail
-    bound is a geometric series on the last summed term f_N z^N.
+    f_N(z) = sum_(j<=N) alpha_j z^j / j is summed exactly as one int ratio
+    T/(B*Q) by binary splitting on the reduced operator's term ratio
+    (:func:`_f_split`), with no period list; that int true division is the
+    only rounding, so the float is f_N(z) correctly rounded.  Valid
+    strictly inside the disk |z| * C < 1, where C = k^k/prod w_i^{w_i} is
+    the growth rate of the period coefficients; psi must be a positive real
+    (exact) number: an int, a Fraction or a (numerator, denominator) pair
+    of ints.  The tail bound is a geometric series on the last summed term
+    alpha_N z^N / N.  A measure M(F_psi) = exp(m) beyond the float range
+    raises ValueError.
     """
     if isinstance(psi, tuple):
         num, den = psi
@@ -401,10 +406,15 @@ def mahler_measure(model: Model, psi, order: int) -> MahlerMeasure:
             f"the disk of convergence of model {model.name} "
             f"(need |z| < 1/{_ratio_text(cn, cd)})"
         )
-    f = f_series(model, order)
-    acc = binary_splitting_sum(f.numerators, p, s)
-    fz = acc / (s**order * f.denominator)  # int true division rounds correctly
+    P, Q, B, T = _f_split(model, p, s, order)
+    fz = T / (B * Q)  # int true division rounds correctly
     log_m = math.log(num) - math.log(den) - fz / k
+    try:
+        measure = math.exp(log_m)
+    except OverflowError:
+        raise ValueError(
+            f"M(F_psi) = exp({log_m!r}) overflows a float at psi = {_ratio_text(num, den)}"
+        ) from None
     # Tail: for m > N the term ratio alpha_{m+1} z / alpha_m is bounded by
     # rho = C*|z| * prod_j max(1, (N+a_j)/(N+1-b_j)), each factor being
     # monotone in m toward 1.  With a_j and b_j over L, rho = rn/rd.
@@ -418,16 +428,15 @@ def mahler_measure(model: Model, psi, order: int) -> MahlerMeasure:
     if rn >= rd:
         tail = math.inf
     else:
-        # The last summed term alpha_N z^N / N, times rho/(1 - rho), is one
-        # int true division: the float of that Fraction, bit for bit.
-        t_num, t_den = f.numerators[N] * p**N, f.denominator * s**N
-        tail = (t_num * rn) / (t_den * (rd - rn)) / k
+        # The last summed term alpha_N z^N / N = P/(N*Q), times rho/(1 - rho),
+        # is one int true division: the float of that Fraction, bit for bit.
+        tail = (P * rn) / (N * Q * (rd - rn)) / k
     return MahlerMeasure(
         model_name=model.name,
         psi_pair=(num, den),
         z_pair=(p, s),
         order=order,
         log_measure=log_m,
-        measure=math.exp(log_m),
+        measure=measure,
         tail_bound=tail,
     )

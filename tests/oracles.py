@@ -8,7 +8,8 @@ compares the two checks the library's int arithmetic.
 import math
 from fractions import Fraction as F
 
-from mahlerq import Series, alpha, pf_operator
+from mahlerq import MahlerMeasure, Series, alpha, f_series, pf_operator
+from mahlerq.mirror import _growth, _parameters
 
 
 def monomial(value, degree: int, order: int) -> Series:
@@ -44,3 +45,79 @@ def gamma(model, m: int) -> F:
         F(0),
     )
     return alpha(model, m) * bracket
+
+
+def binary_splitting_sum(coeffs, p: int, s: int) -> int:
+    """Exact sum_m coeffs[m] * p^m * s^(N-m) with N = len(coeffs) - 1.
+
+    This is s^N times the value at z = p/s of the polynomial with the
+    given coefficients.  Binary splitting (Haible & Papanikolaou 1998):
+    a block [lo, hi) is the triple T = sum_(lo<=m<hi) coeffs[m] p^(m-lo)
+    s^(hi-1-m), P = p^(hi-lo), Q = s^(hi-lo), and adjacent blocks combine
+    as T = T_L Q_R + P_L T_R.
+    """
+    if not coeffs:
+        raise ValueError("need at least one coefficient")
+
+    def split(lo: int, hi: int) -> tuple[int, int, int]:
+        if hi - lo == 1:
+            return coeffs[lo], p, s
+        mid = (lo + hi) // 2
+        t_left, p_left, q_left = split(lo, mid)
+        t_right, p_right, q_right = split(mid, hi)
+        return t_left * q_right + p_left * t_right, p_left * p_right, q_left * q_right
+
+    return split(0, len(coeffs))[0]
+
+
+def measure_by_f_series(model, psi: F, order: int) -> MahlerMeasure:
+    """mahler_measure by the route it took before summing on the term ratio:
+    f's numerators over one common denominator from :func:`f_series`,
+    summed by :func:`binary_splitting_sum` at z = p/s and divided once by
+    s^N times that denominator; the tail bound reads f's last coefficient.
+    psi must lie inside the disk of convergence."""
+    k, N = model.k, order
+    num, den = psi.numerator, psi.denominator
+    z = 1 / (k * psi) ** k
+    p, s = z.numerator, z.denominator
+    f = f_series(model, N)
+    fz = binary_splitting_sum(f.numerators, p, s) / (s**N * f.denominator)
+    log_m = math.log(num) - math.log(den) - fz / k
+    cn, cd = _growth(model)
+    L, a, b = _parameters(model, "reduced")
+    rn, rd = cn * p, cd * s
+    for aj, bj in zip(a, b):
+        x, y = N * L + aj, (N + 1) * L - bj
+        if x > y:
+            rn, rd = rn * x, rd * y
+    if rn >= rd:
+        tail = math.inf
+    else:
+        t_num, t_den = f.numerators[N] * p**N, f.denominator * s**N
+        tail = (t_num * rn) / (t_den * (rd - rn)) / k
+    return MahlerMeasure(model.name, (num, den), (p, s), N, log_m, math.exp(log_m), tail)
+
+
+def jensen_measure_4444(psi: float, grid: int) -> float:
+    """m(F_psi) for the model (4,4,4,4) by Jensen's formula, as a float.
+
+    Up to the monomial 4 x1 x2 x3, F_psi is x3^4 - 4 psi x1 x2 x3 + (x1^4 +
+    x2^4 + 1) with a monic x3 side, so m(F_psi) is the torus mean over
+    (x1, x2) of the sum of log+|root| over its roots in x3, minus log 4.
+    The roots are the eigenvalues of one companion matrix per point of a
+    grid x grid midpoint rule.  x1 -> i x1 (or x2 -> i x2) maps the roots
+    to i times themselves, so the integrand has period pi/2 in each angle
+    and the first quarter of the grid in each direction has the same mean.
+    """
+    import numpy as np
+
+    if grid % 4:
+        raise ValueError("grid must be a multiple of 4")
+    x = np.exp(2j * np.pi * (np.arange(grid // 4) + 0.5) / grid)
+    x1, x2 = (u.ravel() for u in np.meshgrid(x, x))
+    companion = np.zeros((x1.size, 4, 4), dtype=complex)
+    companion[:, 1, 0] = companion[:, 2, 1] = companion[:, 3, 2] = 1
+    companion[:, 0, 2] = 4 * psi * x1 * x2
+    companion[:, 0, 3] = -(x1**4 + x2**4 + 1)
+    roots = np.linalg.eigvals(companion)
+    return float(np.log(np.maximum(np.abs(roots), 1)).sum(axis=1).mean()) - math.log(4)

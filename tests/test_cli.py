@@ -790,6 +790,13 @@ class TestMeasure:
         code, _, _ = run_cli("measure", "--model", "2,2", capsys=capsys)  # no --psi
         assert code == 2
 
+    def test_measure_beyond_float_range_exits_2(self, capsys):
+        code, out, err = run_cli(
+            "measure", "--model", "3,3,3", "--psi", "1e400", "--order", "5", capsys=capsys
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: M(F_psi) = exp(") and err.endswith(f"psi = 1{'0' * 400}\n")
+
     @pytest.mark.parametrize("text, code", [
         ("2", 0), ("5/2", 0), (" 5/2 ", 0), ("+5/2", 0), ("0.1", 4), ("1e-1", 4),
         ("abc", 2), ("1/0", 2), ("-2", 2),

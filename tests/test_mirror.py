@@ -23,9 +23,10 @@ from mahlerq import (
     pf_apply,
     pf_operator,
 )
-from mahlerq.mirror import binary_splitting_sum, period_coefficients
+from mahlerq.mirror import _f_split, period_coefficients
 from mahlerq.weights import enumerate_solutions
-from oracles import gamma, multinomial_diag
+from oracles import (binary_splitting_sum, gamma, jensen_measure_4444, measure_by_f_series,
+                     multinomial_diag)
 
 M22 = Model.from_kvector((2, 2))
 M333 = Model.from_kvector((3, 3, 3))
@@ -419,6 +420,14 @@ class TestMahlerMeasure:
             result.tail_bound + err / scale + 1e-12
         )
 
+    @pytest.mark.parametrize("psi", [F(3, 2), F(2), F(81, 80)], ids=str)
+    def test_4444_jensen_oracle(self, psi):
+        # Near the edge psi_0 = 1 the series converges slowly: at 81/80 the
+        # order-200 truncation is off by ~4e-11, inside its tail bound.
+        result = mahler_measure(Model.from_kvector((4, 4, 4, 4)), psi, 200)
+        coarse, fine = jensen_measure_4444(float(psi), 200), jensen_measure_4444(float(psi), 400)
+        assert abs(result.log_measure - coarse) <= result.tail_bound + abs(coarse - fine) + 1e-14
+
     @pytest.mark.parametrize(
         "kv, psi, order",
         [((2, 2), F(9, 8), 40), ((3, 3, 3), F(41, 40), 120), ((2, 3, 6), F(1, 2), 60),
@@ -478,3 +487,83 @@ class TestMahlerMeasure:
     def test_rejects_nonpositive_psi(self):
         with pytest.raises(ValueError):
             mahler_measure(M22, F(-2), 8)
+
+    def test_measure_beyond_float_range_names_psi(self):
+        # m = log psi - f(z)/3 is ~921 at psi = 10^400, and exp(921) is no float.
+        with pytest.raises(ValueError, match=r"overflows a float at psi = 10{400}$"):
+            mahler_measure(M333, 10**400, 5)
+        assert mahler_measure(M333, 10**300, 5).measure == pytest.approx(1e300, rel=1e-12)
+
+
+# Every model with n <= 4, three --weights models and one n = 5 model.
+MEASURE_MODELS = [Model.from_kvector(kv) for n in (2, 3, 4) for kv in enumerate_solutions(n)] + [
+    Model.from_weights(12, (4, 3, 3, 2)), Model.from_weights(5, (2, 3)),
+    Model.from_weights(7, (2, 2, 3)),
+]
+M5 = Model.from_kvector((2, 3, 7, 43, 1806))
+# The measure-sweep points of bench/run.py: order 800, psi just outside the disk.
+SWEEP = [(kv, F(psi)) for kv, grid in [
+    ((3, 3, 3), ("81/80", "83/80", "87/80", "89/80")),
+    ((2, 3, 6), ("37/80", "39/80", "41/80", "43/80")),
+    ((2, 4, 4), ("57/80", "59/80", "61/80", "63/80")),
+    ((4, 4, 4, 4), ("81/80", "83/80", "87/80", "89/80")),
+] for psi in grid]
+
+
+def psi_near_edge(model):
+    """The first psi on the grid of 1/80 past psi_0 = prod_i w_i^(-w_i/k), the
+    edge of the disk of convergence (81/80 for psi_0 = 1)."""
+    psi0 = math.exp(-sum(wi * math.log(wi) for wi in model.w) / model.k)
+    return F(math.ceil(psi0 * 80) + 1, 80)
+
+
+class TestMeasureAgainstFSeriesRoute:
+    """mahler_measure sums f(z) on the term ratio; the f_series route of
+    tests/oracles.py forms f's coefficients over one denominator first.
+    Both divide the same exact rational once, so every field agrees."""
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 40, 200])
+    @pytest.mark.parametrize("model", MEASURE_MODELS, ids=lambda m: m.name)
+    def test_records_equal(self, model, order):
+        for psi in (psi_near_edge(model), psi_near_edge(model) + 1):
+            assert mahler_measure(model, psi, order) == measure_by_f_series(model, psi, order)
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 40])
+    def test_records_equal_n5(self, order):
+        psi = psi_near_edge(M5)
+        assert mahler_measure(M5, psi, order) == measure_by_f_series(M5, psi, order)
+
+    @pytest.mark.parametrize("kv, psi", SWEEP, ids=str)
+    def test_sweep_records_equal(self, kv, psi):
+        model = Model.from_kvector(kv)
+        assert mahler_measure(model, psi, 800) == measure_by_f_series(model, psi, 800)
+
+    def test_infinite_tail_bound(self):
+        # 12:4,3,3,2 pairs a = 5/6 with b = 1/2 and a = 11/12 with b = 2/3: at
+        # order 1 the bound on the term ratio past N reaches 1 for this psi,
+        # so the geometric tail has no sum.
+        model = Model.from_weights(12, (4, 3, 3, 2))
+        result = mahler_measure(model, F(27, 80), 1)
+        assert result.tail_bound == math.inf
+        assert result == measure_by_f_series(model, F(27, 80), 1)
+
+    @pytest.mark.parametrize("model", MEASURE_MODELS, ids=lambda m: m.name)
+    def test_split_is_f_at_z_exactly(self, model):
+        z = 1 / (model.k * psi_near_edge(model)) ** model.k
+        for order in (1, 2, 5, 60):
+            P, Q, B, T = _f_split(model, z.numerator, z.denominator, order)
+            exact = sum(F(alpha(model, j), j) * z**j for j in range(1, order + 1))
+            assert F(T, B * Q) == exact
+            assert T / (B * Q) == float(exact)
+            assert F(P, Q) == alpha(model, order) * z**order
+
+    def test_reads_no_period_list(self, monkeypatch):
+        import mahlerq.mirror as mirror
+
+        def unused(*args):
+            raise AssertionError("mahler_measure built a period list")
+
+        monkeypatch.setattr(mirror, "f_series", unused)
+        monkeypatch.setattr(mirror, "period_coefficients", unused)
+        result = mahler_measure(M333, F(81, 80), 800)
+        assert result.log_measure < 0 < result.tail_bound < 1e-15
