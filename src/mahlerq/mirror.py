@@ -322,13 +322,13 @@ def _f_split(model: Model, p: int, s: int, order: int) -> tuple[int, int, int, i
 
     Hypergeometric binary splitting (Haible & Papanikolaou 1998) on the term
     ratio alpha_j z / alpha_(j-1) of :func:`_ratio_factors`: leaf j is
-    P_j = cn p prod(up), Q_j = cd s prod(down), B_j = j and T_j = P_j, with
-    C = cn/cd, and adjacent blocks combine as P = P_L P_R, Q = Q_L Q_R,
-    B = B_L B_R and T = B_R Q_R T_L + B_L P_L T_R, so the products stay
-    balanced and no common denominator is formed.
+    P_j/Q_j = cn p prod(up) / (cd s prod(down)) in lowest terms, B_j = j
+    and T_j = P_j, with C = cn/cd, and adjacent blocks combine as
+    P = P_L P_R, Q = Q_L Q_R, B = B_L B_R and T = B_R Q_R T_L + B_L P_L T_R,
+    so the products stay balanced and no common denominator is formed.
     """
     cn, cd = _growth(model)
-    leaves = [(cn * p * math.prod(up), cd * s * math.prod(down))
+    leaves = [_reduced(cn * p * math.prod(up), cd * s * math.prod(down))
               for up, down in _ratio_factors(model, order)]
 
     def split(lo: int, hi: int) -> tuple[int, int, int, int]:
@@ -376,13 +376,15 @@ def mahler_measure(model: Model, psi, order: int) -> MahlerMeasure:
     f_N(z) = sum_(j<=N) alpha_j z^j / j is summed exactly as one int ratio
     T/(B*Q) by binary splitting on the reduced operator's term ratio
     (:func:`_f_split`), with no period list; that int true division is the
-    only rounding, so the float is f_N(z) correctly rounded.  Valid
-    strictly inside the disk |z| * C < 1, where C = k^k/prod w_i^{w_i} is
-    the growth rate of the period coefficients; psi must be a positive real
-    (exact) number: an int, a Fraction or a (numerator, denominator) pair
-    of ints.  The tail bound is a geometric series on the last summed term
-    alpha_N z^N / N.  A measure M(F_psi) = exp(m) beyond the float range
-    raises ValueError.
+    only rounding, so the float is f_N(z) correctly rounded.  The sum
+    converges for |z| * C < 1, C = k^k/prod w_i^{w_i} being the growth rate
+    of the period coefficients, but for a k-vector model it is m(F_psi) only
+    for real psi >= n/k, where F_psi has no zeros on the torus off a null
+    set: n/k is the disk edge for a diagonal model and inside the disk for
+    the others.  psi must be a positive real (exact) number: an int, a
+    Fraction or a (numerator, denominator) pair of ints.  The tail bound is
+    a geometric series on the last summed term alpha_N z^N / N.  A measure
+    M(F_psi) = exp(m) beyond the float range raises ValueError.
     """
     if isinstance(psi, tuple):
         num, den = psi

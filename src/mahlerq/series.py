@@ -406,15 +406,13 @@ class Series:
         if inner._num[0] != 0:
             raise ValueError("composition needs inner constant term 0")
         n = min(self.order, inner.order)
-        f, g, d = self._num, inner._num, inner._den
+        f, g, d = self._num, inner._num[1:], inner._den
         acc = [f[n]]
         scale = 1
         for m in range(n - 1, -1, -1):
             scale *= d
-            k = n - m  # acc holds H_(m+1) mod z^k
-            acc = [f[m] * scale] + [
-                sum(map(mul, g[1 : j + 1], acc[j - 1 :: -1])) for j in range(1, k + 1)
-            ]
+            # acc holds H_(m+1) mod z^(n-m); G*H_(m+1) = z*(G/z)*H_(m+1)
+            acc = [f[m] * scale] + _convolve(g, acc, n - m - 1)
         return Series._from_ints(acc, scale * self._den)
 
     def revert(self) -> "Series":
@@ -422,9 +420,10 @@ class Series:
 
         Newton iteration with order doubling: with g correct mod
         z^(p+1), one step of g -= (f(g) - z)/f'(g) is correct mod
-        z^(2p+2).  The quotient is formed after stripping the valuation
-        of the numerator, so the derivative is only ever needed below
-        full order.
+        z^(2p+2).  Each step composes once: f'(g) = f(g)'/g' by the chain
+        rule, exactly, since g'(0) != 0.  The quotient is formed after
+        stripping the valuation of the numerator, so f'(g) is only ever
+        needed below full order.
         """
         N = self.order
         a = self._num
@@ -435,19 +434,19 @@ class Series:
         g = Series.identity(1)._scale(self._den, a[1])  # z / f'(0)
         if N == 1:
             return g
-        fprime = self.derivative()
         prec = 1
         while prec < N:
             prec = min(2 * prec, N)
             # zero-extend; the step repairs the tail
             gt = Series._from_ints(g._num + (0,) * (prec - g.order), g._den)
-            err = self.truncate(prec).compose(gt) - Series.identity(prec)
+            composed = self.truncate(prec).compose(gt)
+            err = composed - Series.identity(prec)
             val = err.valuation()
             if val is None:
                 g = gt
                 continue
-            d = fprime.truncate(prec - 1).compose(gt.truncate(prec - 1))
-            quot = err.shift_down(val) / d.truncate(prec - val)
+            d = composed.derivative().truncate(prec - val) / gt.derivative()
+            quot = err.shift_down(val) / d
             g = gt - quot.zshift(val).truncate(prec)
         return g
 
@@ -493,8 +492,9 @@ def _coefficient_texts(s: Series) -> list[str]:
 def lagrange_coeffs(phi: Series, count: int) -> Series:
     """Reversion of w = z*exp(phi(z)) via Lagrange inversion.
 
-    Returns z = sum a_m w^m as the series 0 + a_1 w + ... + a_count w^count,
-    where a_m is the coefficient of z^(m-1) in (1 + theta(phi)) * exp(-m*phi).
+    Returns z = sum a_m w^m as the series 0 + a_1 w + ... + a_count w^count.
+    Since z = w*exp(-phi(z)), the Lagrange inversion formula gives
+    a_m = [z^(m-1)] exp(-m*phi) / m, one coefficient of one exponential.
     Needs phi(0) = 0 and phi.order >= count - 1.  Serves as the independent
     cross-check of :meth:`Series.revert`.
     """
@@ -506,12 +506,9 @@ def lagrange_coeffs(phi: Series, count: int) -> Series:
         raise ValueError(
             f"phi order {phi.order} too small for {count} coefficients"
         )
-    kernel = phi.theta() + 1
-    kn, kd = kernel.numerators, kernel.denominator
     out = [(0, 1)]
     for m in range(1, count + 1):
-        # Only z^(m-1) of the product is read, so both factors stop there.
+        # Only z^(m-1) of the exponential is read, so phi stops there.
         factor = (phi.truncate(m - 1) * (-m)).exp()
-        dot = sum(map(mul, kn[:m], factor.numerators[::-1]))
-        out.append((dot, kd * factor.denominator))
+        out.append((factor.numerators[m - 1], m * factor.denominator))
     return Series._from_pairs(out)

@@ -121,3 +121,30 @@ def jensen_measure_4444(psi: float, grid: int) -> float:
     companion[:, 0, 3] = -(x1**4 + x2**4 + 1)
     roots = np.linalg.eigvals(companion)
     return float(np.log(np.maximum(np.abs(roots), 1)).sum(axis=1).mean()) - math.log(4)
+
+
+def jensen_measure_quadratic(kv, psi: float, grid: int) -> float:
+    """m(F_psi) for a k-vector (2, k_2, .., k_n) by Jensen's formula, as a float.
+
+    With y = x_2...x_(n-1) and c = x_2^k_2 + .. + x_(n-1)^k_(n-1) + 1,
+    -k x_1 y F_psi = x_1^2 - k psi y x_1 + c is monic of degree 2 in x_1,
+    so m(F_psi) is the torus mean over (x_2, .., x_(n-1)) of the sum of
+    log+|root| over its two roots, minus log k.  The roots are solved in
+    closed form: the larger one as (b + sqrt(b^2 - 4c))/2 with the branch of
+    the square root that avoids cancellation, the other as c over it.  The
+    mean is the midpoint rule on grid points per angle.
+    """
+    import numpy as np
+
+    if kv[0] != 2 or len(kv) < 3:
+        raise ValueError("needs a k-vector (2, k_2, .., k_n) with n >= 3")
+    k = math.lcm(*kv)
+    angles = np.exp(2j * np.pi * (np.arange(grid) + 0.5) / grid)
+    xs = [x.ravel() for x in np.meshgrid(*[angles] * (len(kv) - 2), indexing="ij")]
+    c = sum(x**ki for x, ki in zip(xs, kv[1:-1])) + 1
+    b = k * psi * np.prod(xs, axis=0)
+    root = np.sqrt(b * b - 4 * c)
+    root = np.where((b.conj() * root).real >= 0, root, -root)
+    large = (b + root) / 2
+    logs = np.log(np.maximum(np.abs(large), 1)) + np.log(np.maximum(np.abs(c / large), 1))
+    return float(logs.mean()) - math.log(k)

@@ -465,6 +465,20 @@ class TestReport:
         assert len(outside) == 4
         assert expanded == [8]
 
+    def test_report_composes_twelve_times(self, monkeypatch):
+        compose = Series.compose
+        calls = []
+
+        def counted(outer, inner):
+            calls.append(inner.order)
+            return compose(outer, inner)
+
+        monkeypatch.setattr(Series, "compose", counted)
+        integrality_report(M333, 8)
+        # One composition per Newton step, four steps in each of the two
+        # reversions at order 9, and the four compositions of the routes.
+        assert len(calls) == 12
+
     def test_h_over_g0_is_divided_once(self, monkeypatch):
         from mahlerq.mirror import g0_series
 
@@ -478,11 +492,12 @@ class TestReport:
 
         monkeypatch.setattr(Series, "__truediv__", recording)
         integrality_report(M333, 8)
-        # phi = h/g0 once in the build; four Newton steps in each of the two
-        # reversions at order 9; g0(z(Q)) = u/(theta(u) + u) in
+        # phi = h/g0 once in the build; in each of the two reversions at
+        # order 9, four Newton steps that each divide (f o g)' by g' and
+        # then the error by that f'(g); g0(z(Q)) = u/(theta(u) + u) in
         # g0_expansions; the logarithmic derivatives of Q(zq), zq and q(zQ);
         # and the v route's division by g0(z(Q)).
-        assert len(divisors) == 14
+        assert len(divisors) == 22
         assert divisors.count(g0_series(M333, 9)) == 1
 
     def test_structure_and_schema(self):

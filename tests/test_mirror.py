@@ -25,8 +25,8 @@ from mahlerq import (
 )
 from mahlerq.mirror import _f_split, period_coefficients
 from mahlerq.weights import enumerate_solutions
-from oracles import (binary_splitting_sum, gamma, jensen_measure_4444, measure_by_f_series,
-                     multinomial_diag)
+from oracles import (binary_splitting_sum, gamma, jensen_measure_4444, jensen_measure_quadratic,
+                     measure_by_f_series, multinomial_diag)
 
 M22 = Model.from_kvector((2, 2))
 M333 = Model.from_kvector((3, 3, 3))
@@ -426,6 +426,37 @@ class TestMahlerMeasure:
         # order-200 truncation is off by ~4e-11, inside its tail bound.
         result = mahler_measure(Model.from_kvector((4, 4, 4, 4)), psi, 200)
         coarse, fine = jensen_measure_4444(float(psi), 200), jensen_measure_4444(float(psi), 400)
+        assert abs(result.log_measure - coarse) <= result.tail_bound + abs(coarse - fine) + 1e-14
+
+    @pytest.mark.parametrize(
+        "kv, psi",
+        [((2, 3, 6), F(1, 2)), ((2, 3, 6), F(1)), ((2, 4, 4), F(3, 4)), ((2, 4, 4), F(1)),
+         ((2, 3, 7, 42), F(2, 21)), ((2, 3, 7, 42), F(1, 10))],
+        ids=str,
+    )
+    def test_jensen_oracle_from_n_over_k(self, kv, psi):
+        # On the torus |P/(k x_1...x_(n-1))| <= n/k, so for psi >= n/k the
+        # zeros of F_psi stay off the torus (but for one point at n/k) and
+        # log psi - f(z)/k is m(F_psi).
+        self._assert_jensen(kv, psi)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="defect: for C^(1/k)/k < psi < n/k the series converges, but F_psi "
+        "has zeros on the torus, so log psi - f(z)/k is not m(F_psi)",
+    )
+    @pytest.mark.parametrize(
+        "kv, psi", [((2, 3, 6), F(37, 80)), ((2, 4, 4), F(57, 80)), ((2, 3, 7, 42), F(3, 40))],
+        ids=str,
+    )
+    def test_jensen_oracle_inside_the_disk_below_n_over_k(self, kv, psi):
+        self._assert_jensen(kv, psi)
+
+    @staticmethod
+    def _assert_jensen(kv, psi):
+        result = mahler_measure(Model.from_kvector(kv), psi, 800)
+        coarse = jensen_measure_quadratic(kv, float(psi), 200)
+        fine = jensen_measure_quadratic(kv, float(psi), 400)
         assert abs(result.log_measure - coarse) <= result.tail_bound + abs(coarse - fine) + 1e-14
 
     @pytest.mark.parametrize(

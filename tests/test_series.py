@@ -178,6 +178,24 @@ class TestComposition:
         with pytest.raises(ValueError):
             Series([0, 0, 1]).revert()
 
+    @pytest.mark.parametrize("order, steps", [(9, 4), (29, 5)])
+    def test_revert_composes_once_per_newton_step(self, monkeypatch, order, steps):
+        # Precision doubles 1 -> 2 -> 4 -> 8 -> 9 (and ... -> 16 -> 29), and
+        # each step reads f'(g) off the derivative of the f(g) it composed.
+        compose = Series.compose
+        calls = []
+
+        def counted(outer, inner):
+            calls.append(inner.order)
+            return compose(outer, inner)
+
+        monkeypatch.setattr(Series, "compose", counted)
+        f = Series([0, 2, 1, F(-1, 3), 5], order)
+        g = f.revert()
+        assert len(calls) == steps
+        monkeypatch.undo()
+        assert f.compose(g) == Series.identity(order)
+
 
 class TestLagrange:
     def test_phi_zero_gives_identity(self):
