@@ -59,7 +59,7 @@ from .mirror import (
     pf2_applicable,
     pf_operator,
 )
-from .series import _coefficient_texts, _ratio_text
+from .series import _coefficient_texts, _ratio_text, _reduced
 from .weights import KVector, Model, aut_order, counts, enumerate_solutions
 
 DEFAULT_CACHE = "~/.cache/mahlerq"
@@ -241,34 +241,16 @@ def parse_args(argv: list[str]):
 # rendering
 # ---------------------------------------------------------------------------
 
-# json.dumps with ensure_ascii escapes the quote, the backslash and five
-# control characters by name, the other controls and U+007F as \u00XX, and
-# every character above U+007F as \uXXXX (a surrogate pair above U+FFFF).
-_JSON_ESCAPES = {i: f"\\u{i:04x}" for i in (*range(0x20), 0x7F)}
-_JSON_ESCAPES.update({
-    ord('"'): '\\"', ord("\\"): "\\\\", ord("\n"): "\\n", ord("\r"): "\\r",
-    ord("\t"): "\\t", ord("\b"): "\\b", ord("\f"): "\\f",
-})
-
-
 def _json_string(text: str) -> str:
-    """``text`` as a JSON string literal, escaped as ``json.dumps`` does."""
-    if not (text.isascii() and text.isprintable() and '"' not in text
-            and "\\" not in text):
-        text = text.translate(_JSON_ESCAPES)
-        if not text.isascii():
-            out = []
-            for ch in text:
-                code = ord(ch)
-                if code < 0x80:
-                    out.append(ch)
-                elif code < 0x10000:
-                    out.append(f"\\u{code:04x}")
-                else:  # a UTF-16 surrogate pair
-                    code -= 0x10000
-                    out.append(f"\\u{0xd800 | code >> 10:04x}\\u{0xdc00 | code & 0x3ff:04x}")
-            text = "".join(out)
-    return f'"{text}"'
+    """``text`` as a JSON string literal, escaped as ``json.dumps`` does.
+
+    No string a command writes needs an escape, so no command imports ``json``.
+    """
+    if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
+        return f'"{text}"'
+    import json  # a string that needs escaping
+
+    return json.dumps(text)
 
 
 def _json_text(value, indent: int | None = None, level: int = 0) -> str:
@@ -715,6 +697,12 @@ def cmd_measure(args) -> int:
     print(f"M(F_psi) = {result.measure!r}")
     print(f"tail_bound <= {result.tail_bound!r}")
     print(f"z = {_ratio_text(*result.z_pair)}")
+    num, den = result.psi_pair
+    if num * model.k < model.n * den:
+        edge = _ratio_text(*_reduced(model.n, model.k))
+        print(f"note: psi = {_ratio_text(num, den)} is below n/k = {edge}, where F_psi vanishes "
+              "on the torus, so the value printed is log psi - f(z)/k and not m(F_psi)",
+              file=sys.stderr)
     return 0
 
 

@@ -34,7 +34,7 @@ import math
 from collections import Counter, namedtuple
 from collections.abc import Sequence
 
-from .series import Series, _coefficient_texts, _exact, _ratio_text, _reduced, _theta_inverse
+from .series import Series, _exact, _ratio_text, _reduced, _theta_inverse
 from .weights import Model
 
 
@@ -306,11 +306,6 @@ class MirrorData(namedtuple("MirrorData", "model order g0 h f phi Q q zq zQ")):
             raise KeyError(f"unknown series {key!r}; choose from {_SERIES_KEYS}")
         return getattr(self, key)
 
-    def to_json_dict(self) -> dict:
-        payload = {"model": self.model.to_json_dict(), "order": self.order}
-        payload.update({key: _coefficient_texts(getattr(self, key)) for key in _SERIES_KEYS})
-        return payload
-
 
 # ---------------------------------------------------------------------------
 # numeric Mahler measure
@@ -378,12 +373,13 @@ def mahler_measure(model: Model, psi, order: int) -> MahlerMeasure:
     (:func:`_f_split`), with no period list; that int true division is the
     only rounding, so the float is f_N(z) correctly rounded.  The sum
     converges for |z| * C < 1, C = k^k/prod w_i^{w_i} being the growth rate
-    of the period coefficients, but for a k-vector model it is m(F_psi) only
-    for real psi >= n/k, where F_psi has no zeros on the torus off a null
-    set: n/k is the disk edge for a diagonal model and inside the disk for
-    the others.  psi must be a positive real (exact) number: an int, a
-    Fraction or a (numerator, denominator) pair of ints.  The tail bound is
-    a geometric series on the last summed term alpha_N z^N / N.  A measure
+    of the period coefficients, but for a k-vector and a weights model alike
+    it is m(F_psi) only for real psi >= n/k (n weights; ``measure`` notes a
+    smaller psi on stderr), where F_psi has no zeros on the torus off a null
+    set: n/k is the disk edge for a diagonal model, inside the disk otherwise.
+    psi must be a positive real (exact) number: an int, a Fraction or a
+    (numerator, denominator) pair of ints.  The tail bound is a geometric
+    series on the last summed term alpha_N z^N / N.  A measure
     M(F_psi) = exp(m) beyond the float range raises ValueError.
     """
     if isinstance(psi, tuple):

@@ -464,11 +464,7 @@ def _coefficient_pairs(s: Series) -> list[tuple[int, int]]:
     d = s._den
     if d == 1:
         return [(x, 1) for x in s._num]
-    out = []
-    for x in s._num:
-        g = gcd(x, d)
-        out.append((x // g, d // g))
-    return out
+    return [_reduced(x, d) for x in s._num]
 
 
 def _reduced(num: int, den: int) -> tuple[int, int]:

@@ -10,21 +10,22 @@ hypersurfaces whose exponent vector is supplied by hand.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
+from collections import Counter, namedtuple
 from collections.abc import Iterable
 
 
-class KVector:
+class KVector(tuple):
     """Non-decreasing tuple of integers >= 2 whose reciprocals sum to 1.
 
-    An immutable value: equal parts mean equal vectors with equal hashes.
-    It is a slotted class rather than a named tuple because it iterates
-    over its parts, while a named tuple pickles by iterating over its fields.
+    A tuple validated on construction, so iteration, read-only attributes
+    and pickling come from ``tuple``; unpickling passes the items back
+    through ``__new__``, which validates them again.  A KVector equals
+    only another KVector, never a plain tuple with the same parts.
     """
 
-    __slots__ = ("parts",)
+    __slots__ = ()
 
-    def __init__(self, parts: Iterable[int]):
+    def __new__(cls, parts: Iterable[int]):
         p = tuple(int(x) for x in parts)
         if len(p) < 2:
             raise ValueError("a weight system needs at least two parts")
@@ -35,37 +36,30 @@ class KVector:
         lcm = math.lcm(*p)
         if sum(lcm // k for k in p) != lcm:
             raise ValueError(f"reciprocals of {p} do not sum to 1")
-        object.__setattr__(self, "parts", p)
+        return super().__new__(cls, p)
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return KVector, (self.parts,)
-
+    # Not NotImplemented: tuple's own __eq__ would then equate a plain tuple.
     def __eq__(self, other: object) -> bool:
-        if other.__class__ is not KVector:
-            return NotImplemented
-        return self.parts == other.parts
+        return other.__class__ is KVector and tuple.__eq__(self, other)
 
-    def __hash__(self) -> int:
-        return hash(self.parts)
+    def __ne__(self, other: object) -> bool:
+        return not self == other
+
+    __hash__ = tuple.__hash__
+
+    @property
+    def parts(self) -> tuple[int, ...]:
+        return tuple(self)
+
+    @property
+    def n(self) -> int:
+        return len(self)
 
     def __repr__(self) -> str:
         return f"KVector(parts={self.parts!r})"
 
-    @property
-    def n(self) -> int:
-        return len(self.parts)
-
-    def __iter__(self):
-        return iter(self.parts)
-
     def __str__(self) -> str:
-        return ",".join(str(p) for p in self.parts)
+        return ",".join(map(str, self))
 
 
 class Model(namedtuple("Model", "k w kvec name")):
@@ -147,16 +141,12 @@ def enumerate_solutions(n: int) -> list[KVector]:
                 search(prefix + (k,), rest // g, den * k // g, slots - 1)
 
     search((), 1, 1, n)
-    out.sort(key=lambda kv: kv.parts)
     return out
 
 
 def aut_order(kv: KVector) -> int:
     """Order of the symmetry group: product of multiplicity factorials."""
-    mult: dict[int, int] = {}
-    for p in kv.parts:
-        mult[p] = mult.get(p, 0) + 1
-    return math.prod(math.factorial(c) for c in mult.values())
+    return math.prod(math.factorial(c) for c in Counter(kv).values())
 
 
 def counts(sols: list[KVector]) -> tuple[int, Fraction]:

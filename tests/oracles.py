@@ -148,3 +148,25 @@ def jensen_measure_quadratic(kv, psi: float, grid: int) -> float:
     large = (b + root) / 2
     logs = np.log(np.maximum(np.abs(large), 1)) + np.log(np.maximum(np.abs(c / large), 1))
     return float(logs.mean()) - math.log(k)
+
+
+def jensen_measure_5221(psi: float, grid: int) -> float:
+    """m(F_psi) for the weights model (5; 2, 2, 1) by Jensen's formula, as a float.
+
+    Its Laurent polynomial is L = y1 + y2 + y1^-2 y2^-2, whose constant
+    terms [y^0] L^(5m) are the period coefficients alpha_m, and F_psi =
+    psi - L/5.  Times -y1^2 y2^2, 5 F_psi is y2^2 times the monic cubic
+    y1^3 - (5 psi - y2) y1^2 + y2^-2 in y1, and |y2^2| = 1 on the torus, so
+    m(F_psi) is the circle mean over y2 of the sum of log+|root| over the
+    cubic's roots, minus log 5.  The roots are the eigenvalues of one
+    companion matrix per point of a midpoint rule on grid points.
+    """
+    import numpy as np
+
+    y2 = np.exp(2j * np.pi * (np.arange(grid) + 0.5) / grid)
+    companion = np.zeros((grid, 3, 3), dtype=complex)
+    companion[:, 1, 0] = companion[:, 2, 1] = 1
+    companion[:, 0, 0] = 5 * psi - y2
+    companion[:, 0, 2] = -(y2**-2)
+    roots = np.linalg.eigvals(companion)
+    return float(np.log(np.maximum(np.abs(roots), 1)).sum(axis=1).mean()) - math.log(5)

@@ -155,6 +155,13 @@ class TestSeries:
         )
         assert json.loads(out) == ["0", "1", "-2", "3"]
 
+    def test_csv_format(self, capsys):
+        code, out, _ = run_cli(
+            "series", "--model", "2,2", "--order", "3", "--which", "zQ",
+            "--format", "csv", capsys=capsys,
+        )
+        assert (code, out) == (0, "0,0\n1,1\n2,-2\n3,3\n")
+
 
 class TestPf:
     def test_333(self, capsys):
@@ -315,6 +322,14 @@ class TestVerify:
         assert out == ""
         assert err == "error: give --model or --weights, not both\n"
 
+    @pytest.mark.parametrize("model_args, message", [
+        (("--weights", "6"), "--weights expects the form k:w1,w2,..."),
+        ((), "a model is required (--model or --weights)"),
+    ], ids=["weights-without-colon", "no-model"])
+    def test_malformed_or_missing_model_exits_2(self, capsys, model_args, message):
+        code, out, err = run_cli("verify", *model_args, "--order", "2", capsys=capsys)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_flags_column_marks_fractions(self, capsys):
         code, out, _ = run_cli(
             "verify", "--model", "3,3,3", "--order", "2", "--format", "csv",
@@ -362,6 +377,14 @@ class TestBatch:
         code, _, _ = run_cli("batch", "--n", "2", "--order", "4", capsys=capsys)
         assert code == 0
         assert len(list(cache.glob("*.json"))) == 1
+
+    def test_zero_jobs_exits_2(self, tmp_path, capsys):
+        code, out, err = run_cli(
+            "batch", "--n", "3", "--order", "4", "--jobs", "0", "--cache", str(tmp_path),
+            capsys=capsys,
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: --order and --jobs must be positive\n"
 
     def test_unwritable_cache_exits_2(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"
@@ -796,6 +819,20 @@ class TestMeasure:
         )
         assert (code, out) == (2, "")
         assert err.startswith("error: M(F_psi) = exp(") and err.endswith(f"psi = 1{'0' * 400}\n")
+
+    @pytest.mark.parametrize("model, psi, noted", [
+        ("2,3,6", "37/80", True), ("2,3,6", "1/2", False), ("2,2", "2", False),
+    ])
+    def test_notes_a_psi_below_n_over_k(self, capsys, model, psi, noted):
+        # Below n/k, F_psi vanishes on the torus and the printed value is not
+        # m(F_psi); stdout and the exit code stay as they are.
+        code, out, err = run_cli("measure", "--model", model, "--psi", psi, capsys=capsys)
+        assert code == 0 and out.startswith("m(F_psi) = ")
+        note = (
+            "note: psi = 37/80 is below n/k = 1/2, where F_psi vanishes on the torus, "
+            "so the value printed is log psi - f(z)/k and not m(F_psi)\n"
+        )
+        assert err == (note if noted else "")
 
     @pytest.mark.parametrize("text, code", [
         ("2", 0), ("5/2", 0), (" 5/2 ", 0), ("+5/2", 0), ("0.1", 4), ("1e-1", 4),

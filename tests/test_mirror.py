@@ -3,6 +3,7 @@
 import cmath
 import math
 from fractions import Fraction as F
+from functools import partial
 
 import pytest
 
@@ -25,13 +26,14 @@ from mahlerq import (
 )
 from mahlerq.mirror import _f_split, period_coefficients
 from mahlerq.weights import enumerate_solutions
-from oracles import (binary_splitting_sum, gamma, jensen_measure_4444, jensen_measure_quadratic,
-                     measure_by_f_series, multinomial_diag)
+from oracles import (binary_splitting_sum, gamma, jensen_measure_4444, jensen_measure_5221,
+                     jensen_measure_quadratic, measure_by_f_series, multinomial_diag)
 
 M22 = Model.from_kvector((2, 2))
 M333 = Model.from_kvector((3, 3, 3))
 M244 = Model.from_kvector((2, 4, 4))
 M236 = Model.from_kvector((2, 3, 6))
+M5221 = Model.from_weights(5, (2, 2, 1))  # not the model of any k-vector
 
 
 class TestAlpha:
@@ -373,13 +375,8 @@ class TestMirrorData:
         with pytest.raises(KeyError):
             md.series("nope")
 
-    def test_json_round_trip(self):
-        md = MirrorData.build(M236, 4)
-        payload = md.to_json_dict()
-        assert payload["order"] == 4
-        assert payload["model"]["lcm"] == 6
-        assert payload["g0"][1] == "60"
-        assert all(len(payload[key]) == 5 for key in ("g0", "h", "f", "Q", "q"))
+    def test_str_lists_the_nonzero_terms(self):
+        assert str(MirrorData.build(M333, 3).q) == "1*z + 15*z^2 + 279*z^3 + O(z^4)"
 
 
 class TestMahlerMeasure:
@@ -438,7 +435,25 @@ class TestMahlerMeasure:
         # On the torus |P/(k x_1...x_(n-1))| <= n/k, so for psi >= n/k the
         # zeros of F_psi stay off the torus (but for one point at n/k) and
         # log psi - f(z)/k is m(F_psi).
-        self._assert_jensen(kv, psi)
+        self._assert_jensen(Model.from_kvector(kv), psi)
+
+    def test_5221_laurent_polynomial_gives_alpha(self):
+        # The constant term of L^(5m), L = y1 + y2 + y1^-2 y2^-2, is alpha_m:
+        # the Laurent polynomial of jensen_measure_5221 is the model's.
+        power = {(0, 0): 1}
+        for m in range(1, 4):
+            for _ in range(5):
+                step = {}
+                for (a, b), c in power.items():
+                    for da, db in ((1, 0), (0, 1), (-2, -2)):
+                        step[a + da, b + db] = step.get((a + da, b + db), 0) + c
+                power = step
+            assert power[0, 0] == alpha(M5221, m)
+
+    @pytest.mark.parametrize("psi", [F(3, 5), F(1), F(2)], ids=str)
+    def test_weights_model_jensen_oracle_from_n_over_k(self, psi):
+        # n/k = 3/5 for (5; 2, 2, 1), and the same bound on the torus holds.
+        self._assert_jensen(M5221, psi)
 
     @pytest.mark.xfail(
         strict=True,
@@ -446,17 +461,22 @@ class TestMahlerMeasure:
         "has zeros on the torus, so log psi - f(z)/k is not m(F_psi)",
     )
     @pytest.mark.parametrize(
-        "kv, psi", [((2, 3, 6), F(37, 80)), ((2, 4, 4), F(57, 80)), ((2, 3, 7, 42), F(3, 40))],
-        ids=str,
+        "model, psi",
+        [(M236, F(37, 80)), (M244, F(57, 80)), (Model.from_kvector((2, 3, 7, 42)), F(3, 40)),
+         (M5221, F(29, 50))],
+        ids=lambda value: getattr(value, "name", str(value)),
     )
-    def test_jensen_oracle_inside_the_disk_below_n_over_k(self, kv, psi):
-        self._assert_jensen(kv, psi)
+    def test_jensen_oracle_inside_the_disk_below_n_over_k(self, model, psi):
+        self._assert_jensen(model, psi)
 
     @staticmethod
-    def _assert_jensen(kv, psi):
-        result = mahler_measure(Model.from_kvector(kv), psi, 800)
-        coarse = jensen_measure_quadratic(kv, float(psi), 200)
-        fine = jensen_measure_quadratic(kv, float(psi), 400)
+    def _assert_jensen(model, psi):
+        result = mahler_measure(model, psi, 800)
+        if model.kvec is None:
+            jensen = jensen_measure_5221
+        else:
+            jensen = partial(jensen_measure_quadratic, model.kvec)
+        coarse, fine = jensen(float(psi), 200), jensen(float(psi), 400)
         assert abs(result.log_measure - coarse) <= result.tail_bound + abs(coarse - fine) + 1e-14
 
     @pytest.mark.parametrize(
