@@ -24,13 +24,11 @@ from .mirror import (
     mahler_measure,
     mirror_map,
     pf2_applicable,
-    pf_apply,
     pf_operator,
 )
 from .inversion import (
     ConsistencyError,
     IntegralityReport,
-    LambertTable,
     format_rational,
     g0_expansions,
     integrality_report,
@@ -48,7 +46,6 @@ __all__ = [
     "ConvergenceError",
     "IntegralityReport",
     "KVector",
-    "LambertTable",
     "MahlerMeasure",
     "MirrorData",
     "Model",
@@ -73,7 +70,6 @@ __all__ = [
     "mahler_measure",
     "mirror_map",
     "pf2_applicable",
-    "pf_apply",
     "pf_operator",
     "product_check",
     "u_series",

@@ -38,14 +38,13 @@ between two routes halts with :class:`ConsistencyError` rather than
 returning data.
 
 Every column of the report (u, v, b, bhat, c, chat, g0 in q and in Q, z in
-q and in Q) is carried as a :class:`Series` with constant term 0 whose z^m
-coefficient is entry m: int numerators over one denominator, so the sieve,
-the product checks and the integrality verdicts run on ints, and a column
-is integral exactly when its denominator is 1.  :meth:`IntegralityReport.rows`
-and :meth:`IntegralityReport.to_json_dict` render from reduced int pairs,
-so computing and printing a report never loads ``fractions``; the public
-columns (``table.u``, ``report.z_in_q``, ...) read as tuples of
-``Fraction`` built on access.
+q and in Q) is a field of :class:`IntegralityReport` holding a
+:class:`Series` with constant term 0 whose z^m coefficient is entry m:
+int numerators over one denominator, so the sieve, the product checks and
+the integrality verdicts run on ints, and a column is integral exactly
+when its denominator is 1.  :meth:`IntegralityReport.rows` and
+:meth:`IntegralityReport.to_json_dict` render from reduced int pairs, so
+computing and printing a report never loads ``fractions``.
 """
 
 from __future__ import annotations
@@ -62,12 +61,11 @@ class ConsistencyError(RuntimeError):
     """Two independent computation routes disagreed; results are not trusted."""
 
 
-def _column(values) -> Series:
-    """A column as a series with constant term 0 whose z^m coefficient is
-    entry m: a Series is taken as it is, a sequence of exact scalars gives
-    entries 1..len(values)."""
+def _column(values: Series) -> Series:
+    """``values`` checked as a column: a series with constant term 0 whose
+    z^m coefficient is entry m."""
     if not isinstance(values, Series):
-        return Series([0, *values])
+        raise TypeError(f"a column is a Series, got {type(values).__name__}")
     if values.numerators[0]:
         raise ValueError("a column series needs constant term 0")
     return values
@@ -158,14 +156,14 @@ def v_series(md: MirrorData, count: int) -> Series:
 # Moebius / Lambert inversion
 # ---------------------------------------------------------------------------
 
-def lambert_invert(u, alternating: bool = False) -> Series:
+def lambert_invert(u: Series, alternating: bool = False) -> Series:
     """Invert 1 + sum u_m t^m into Lambert-series coefficients.
 
     Plain:        b_m = -(1/m^2) sum_{d|m} mu(m/d) u_d
     Alternating:  bhat_m = -(1/m^2) sum_{d|m} mu(m/d) (-1)^d u_d
 
-    ``u`` is a column (a series with constant term 0, or the sequence
-    u_1..u_M), and so is the result.  Since u_m = -sum_{d|m} d^2 b_d, a
+    ``u`` is a column (a series with constant term 0 whose z^m coefficient
+    is u_m), and so is the result.  Since u_m = -sum_{d|m} d^2 b_d, a
     sieve over the divisor lattice inverts it: once slot d holds its
     finished sum, subtracting it from every proper multiple of d leaves
     sum_{d|m} mu(m/d) u_d in slot m.  The sieve runs on the numerators.
@@ -182,7 +180,7 @@ def lambert_invert(u, alternating: bool = False) -> Series:
     )
 
 
-def lambert_series(b, order: int, alternating: bool = False) -> Series:
+def lambert_series(b: Series, order: int, alternating: bool = False) -> Series:
     """Expand 1 - sum_m b_m m^2 t^m/(1-t^m) (or its (-t)^m variant) to ``order``.
 
     ``b`` is a column, as :func:`lambert_invert` returns it.  Brute-force
@@ -191,6 +189,8 @@ def lambert_series(b, order: int, alternating: bool = False) -> Series:
     the round-trip oracle.
     """
     b = _column(b)
+    if order < 0:
+        raise ValueError("order must be nonnegative")
     num, den = b.numerators, b.denominator
     coeffs = [den] + [0] * order
     for m in range(1, min(b.order, order) + 1):
@@ -200,10 +200,10 @@ def lambert_series(b, order: int, alternating: bool = False) -> Series:
     return Series._from_ints(coeffs, den)
 
 
-def product_check(target: Series, b, alternating: bool = False) -> bool:
+def product_check(target: Series, b: Series, alternating: bool = False) -> bool:
     """Verify target = t * prod_{m<=M} (1 - (+-t)^m)^(m*b_m) mod t^(M+1).
 
-    ``b`` is the column b_1..b_M.  The log L of the product obeys
+    ``b`` is the column of b_1..b_M.  The log L of the product obeys
     1 + theta(L) = lam = lambert_series(b), so L_i = lam_i / i and the
     product is exp(L): one exponential, no factor-by-factor product.  The
     Lambert identity u + theta(u) = lam * u for u = target/t follows from
@@ -229,67 +229,27 @@ def format_rational(x: Fraction) -> str:
     return _ratio_text(x.numerator, x.denominator)
 
 
-def _entries(field: str) -> property:
-    """A public column: the entries of the series in ``field`` as a tuple
-    of Fractions, built on access."""
-    return property(lambda self: getattr(self, field).coeffs[1:])
-
-
-class LambertTable(namedtuple(
-    "LambertTable", "order u_series v_series b_series bhat_series c_series chat_series"
-)):
-    """u, v and their four Moebius inversions, m = 1..order.
-
-    Built from u and v alone (columns, see :func:`lambert_invert`): b,
-    bhat, c and chat are derived once here.  Each ``*_series`` field holds
-    a column as a series; ``u``, ``v``, ``b``, ``bhat``, ``c`` and ``chat``
-    read its entries as a tuple of Fractions.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, u, v):
-        u, v = _column(u), _column(v)
-        if u.order != v.order:
-            raise ValueError("u and v must have the same length")
-        columns = (lambert_invert(x, alt) for x in (u, v) for alt in (False, True))
-        return super().__new__(cls, u.order, u, v, *columns)
-
-    def __getnewargs__(self):
-        return self.u_series, self.v_series
-
-    u = _entries("u_series")
-    v = _entries("v_series")
-    b = _entries("b_series")
-    bhat = _entries("bhat_series")
-    c = _entries("c_series")
-    chat = _entries("chat_series")
-
-
 class IntegralityReport(namedtuple(
     "IntegralityReport",
-    "model order table g0_in_q_series g0_in_Q_series z_in_q_series z_in_Q_series checks",
+    "model order u v b bhat c chat g0_in_q g0_in_Q z_in_q z_in_Q checks",
 )):
-    """Computed table plus cross-checks for one model at one order.
+    """Computed columns plus cross-checks for one model at one order.
 
-    The expansions of g0 and z in q and in Q are columns (see
-    :class:`LambertTable`); ``g0_in_q``, ``g0_in_Q``, ``z_in_q`` and
-    ``z_in_Q`` read their entries as tuples of Fractions.  Per-row verdicts
-    (integrality, divisibility) are always derived from the stored exact
-    values on demand, never stored separately.
+    u and v are the expansions of q d/dq log Q - 1 and Q d/dQ log q - 1;
+    b, bhat, c and chat are their Moebius inversions (see
+    :func:`lambert_invert`); g0_in_q, g0_in_Q, z_in_q and z_in_Q are g0 - 1
+    and z rewritten in q and in Q.  Each of these fields is a column: a
+    :class:`Series` of order ``order`` with constant term 0 whose z^m
+    coefficient is entry m.  Per-row verdicts (integrality, divisibility)
+    are always derived from the stored exact values on demand, never
+    stored separately.
     """
 
     __slots__ = ()
 
-    g0_in_q = _entries("g0_in_q_series")
-    g0_in_Q = _entries("g0_in_Q_series")
-    z_in_q = _entries("z_in_q_series")
-    z_in_Q = _entries("z_in_Q_series")
-
     def rows(self) -> list[dict]:
-        t = self.table
         keys = ("b", "bhat", "c", "chat")
-        columns = [_coefficient_pairs(getattr(t, f"{key}_series")) for key in keys]
+        columns = [_coefficient_pairs(getattr(self, key)) for key in keys]
         out = []
         diagonal = self.model.is_diagonal()
         n = self.model.n
@@ -315,12 +275,12 @@ class IntegralityReport(namedtuple(
             "model": self.model.to_json_dict(),
             "order": self.order,
             "rows": self.rows(),
-            "u": _coefficient_texts(self.table.u_series)[1:],
-            "v": _coefficient_texts(self.table.v_series)[1:],
-            "g0_in_q": _coefficient_texts(self.g0_in_q_series)[1:],
-            "g0_in_Q": _coefficient_texts(self.g0_in_Q_series)[1:],
-            "z_in_q": _coefficient_texts(self.z_in_q_series)[1:],
-            "z_in_Q": _coefficient_texts(self.z_in_Q_series)[1:],
+            "u": _coefficient_texts(self.u)[1:],
+            "v": _coefficient_texts(self.v)[1:],
+            "g0_in_q": _coefficient_texts(self.g0_in_q)[1:],
+            "g0_in_Q": _coefficient_texts(self.g0_in_Q)[1:],
+            "z_in_q": _coefficient_texts(self.z_in_q)[1:],
+            "z_in_Q": _coefficient_texts(self.z_in_Q)[1:],
             "checks": dict(self.checks),
         }
 
@@ -385,18 +345,15 @@ def integrality_report(model: Model, order: int) -> IntegralityReport:
     # Each map is composed once; the composition feeds both the u/v routes
     # and the product checks.
     Q_of_q, q_of_Q, g0_in_q, g0_in_Q, u, v = _routes(md, order)
-    table = LambertTable(u, v)
+    b, bhat, c, chat = (lambert_invert(x, alt) for x in (u, v) for alt in (False, True))
     root_q = _kth_root(md.q, md.phi, model.k, "q", where)
     root_Q = _kth_root(md.Q, md.f, model.k, "Q", where)
 
     checks = _Checks(
-        product_plain=(
-            product_check(Q_of_q, table.b_series)
-            and product_check(q_of_Q, table.c_series)
-        ),
+        product_plain=product_check(Q_of_q, b) and product_check(q_of_Q, c),
         product_alt=(
-            product_check(Q_of_q, table.bhat_series, alternating=True)
-            and product_check(q_of_Q, table.chat_series, alternating=True)
+            product_check(Q_of_q, bhat, alternating=True)
+            and product_check(q_of_Q, chat, alternating=True)
         ),
         lagrange_integral=z_in_q.denominator == 1 and z_in_Q.denominator == 1,
         g0_in_q_integral=g0_in_q.denominator == 1,
@@ -408,13 +365,5 @@ def integrality_report(model: Model, order: int) -> IntegralityReport:
             root_q.denominator == 1 and root_Q.denominator == 1
         ),
     )._asdict()
-    return IntegralityReport(
-        model=model,
-        order=order,
-        table=table,
-        g0_in_q_series=g0_in_q,
-        g0_in_Q_series=g0_in_Q,
-        z_in_q_series=z_in_q,
-        z_in_Q_series=z_in_Q,
-        checks=checks,
-    )
+    return IntegralityReport(model, order, u, v, b, bhat, c, chat,
+                             g0_in_q, g0_in_Q, z_in_q, z_in_Q, checks)

@@ -243,31 +243,6 @@ def pf2_applicable(model: Model) -> bool:
     )
 
 
-def pf_apply(op: PFOperator, regular: Series, logpart: Series,
-             model: Model | None = None) -> tuple[Series, Series]:
-    """Residual prod_j (theta - b_j) phi - C z prod_j (theta + a_j) phi of
-    phi = regular + logpart * log z, as its (regular, logpart) pair.
-
-    Both parts are truncated to the smaller of the two orders; a plain
-    series is passed with ``Series.zero(order)`` as its log part.  A
-    residual of zero in both parts certifies that phi solves the operator
-    modulo z^(order+1).
-    """
-    if model is not None and op.constant != pf_operator(model, op.form).constant:
-        raise ValueError("operator constant does not match the model")
-    n = min(regular.order, logpart.order)
-
-    def factors(shifts):
-        # (theta + s)(R + L log z) = theta(R) + L + s R + (theta(L) + s L) log z
-        R, L = regular.truncate(n), logpart.truncate(n)
-        for s in shifts:
-            R, L = R.theta() + L + s * R, L.theta() + s * L
-        return R, L
-
-    lhs, rhs = factors(-bj for bj in op.b), factors(op.a)
-    return tuple(x - (op.constant * y).zshift(1).truncate(n) for x, y in zip(lhs, rhs))
-
-
 # ---------------------------------------------------------------------------
 # bundled per-model data
 # ---------------------------------------------------------------------------

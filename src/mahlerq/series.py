@@ -31,7 +31,8 @@ threads safe by construction.
 :class:`Series` is the kernel's only series type.  A logarithmic solution
 ``R(z) + L(z)*log z`` is the plain pair ``(R, L)``: the Euler operator
 ``theta = z*d/dz`` sends it to ``(theta(R) + L, theta(L))``, so no
-symbolic ``log z`` object is ever needed (see ``mirror.pf_apply``).
+symbolic ``log z`` object is ever needed (see ``pf_apply`` in
+``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -261,6 +262,8 @@ class Series:
 
     def truncate(self, order: int) -> "Series":
         """Drop coefficients above ``order`` (never extends)."""
+        if order < 0:
+            raise ValueError("order must be nonnegative")
         if order > self.order:
             raise ValueError("truncate cannot extend a series")
         if order == self.order:

@@ -17,10 +17,11 @@ from collections.abc import Iterable
 class KVector(tuple):
     """Non-decreasing tuple of integers >= 2 whose reciprocals sum to 1.
 
-    A tuple validated on construction, so iteration, read-only attributes
-    and pickling come from ``tuple``; unpickling passes the items back
-    through ``__new__``, which validates them again.  A KVector equals
-    only another KVector, never a plain tuple with the same parts.
+    A tuple validated on construction, so iteration and read-only
+    attributes come from ``tuple``; unpickling, under every protocol,
+    passes the items back through ``__new__``, which validates them again.
+    A KVector equals only another KVector, never a plain tuple with the
+    same parts.
     """
 
     __slots__ = ()
@@ -46,6 +47,11 @@ class KVector(tuple):
         return not self == other
 
     __hash__ = tuple.__hash__
+
+    # Without it, pickle protocols 0 and 1 rebuild a tuple subclass through
+    # copyreg._reconstructor, which calls tuple.__new__ and skips validation.
+    def __reduce__(self):
+        return KVector, (tuple(self),)
 
     @property
     def parts(self) -> tuple[int, ...]:

@@ -6,7 +6,6 @@ import pytest
 
 from mahlerq import (
     ConsistencyError,
-    LambertTable,
     MirrorData,
     Model,
     Series,
@@ -70,10 +69,11 @@ def binomial_factor(sign: int, m: int, exponent: F, order: int) -> Series:
 
 
 def literal_product(b, alternating):
-    """t * prod_{m<=M} (1 - (+-t)^m)^(m*b_m) mod t^(M+1), factor by factor."""
-    M = len(b)
+    """t * prod_{m<=M} (1 - (+-t)^m)^(m*b_m) mod t^(M+1), factor by factor,
+    for the column b of b_1..b_M."""
+    M = b.order
     prod = Series.one(M)
-    for m, bm in enumerate(b, start=1):
+    for m, bm in enumerate(b.coeffs[1:], start=1):
         prod = prod * binomial_factor((-1) ** m if alternating else 1, m, m * bm, M)
     return prod.zshift(1).truncate(M)
 
@@ -125,7 +125,7 @@ class TestUV:
 
 class TestLambert:
     def test_zero_input(self):
-        assert lambert_invert([F(0)] * 6) == Series.zero(6)
+        assert lambert_invert(Series.zero(6)) == Series.zero(6)
 
     def test_333_columns(self):
         md = MirrorData.build(M333, 11)
@@ -138,38 +138,38 @@ class TestLambert:
     @pytest.mark.parametrize("alternating", [False, True])
     def test_round_trip(self, alternating):
         u = [F(3), F(-7, 2), F(0), F(11), F(-1, 3), F(5)]
-        b = lambert_invert(u, alternating=alternating)
+        b = lambert_invert(Series([0, *u]), alternating=alternating)
         expanded = lambert_series(b, 6, alternating=alternating)
         assert [expanded.coeff(m) for m in range(1, 7)] == u
 
     def test_table_derives_its_columns_from_u_and_v(self):
-        u = [F(3), F(-7, 2), F(0), F(11)]
-        v = [F(-1, 3), F(5), F(2), F(0)]
-        table = LambertTable(u, v)
-        assert table.order == 4
-        assert table.u == tuple(u) and table.v == tuple(v)
-        assert table.b_series == lambert_invert(u)
-        assert table.bhat_series == lambert_invert(u, alternating=True)
-        assert table.c_series == lambert_invert(v)
-        assert table.chat_series == lambert_invert(v, alternating=True)
-        assert table.b == lambert_invert(u).coeffs[1:]
-        assert all(type(x) is F for x in table.u + table.b + table.chat)
-        assert LambertTable(Series([0, *u]), Series([0, *v])) == table
-
-    def test_table_rejects_columns_of_different_lengths(self):
-        with pytest.raises(ValueError):
-            LambertTable([F(1)] * 3, [F(1)] * 2)
+        for parts in ((3, 3, 3), (2, 3, 6)):
+            rep = integrality_report(Model.from_kvector(parts), 6)
+            assert rep.b == lambert_invert(rep.u)
+            assert rep.bhat == lambert_invert(rep.u, alternating=True)
+            assert rep.c == lambert_invert(rep.v)
+            assert rep.chat == lambert_invert(rep.v, alternating=True)
 
     def test_a_column_series_has_constant_term_0(self):
         with pytest.raises(ValueError, match="constant term 0"):
             lambert_invert(Series([1, 2, 3]))
-        with pytest.raises(ValueError, match="constant term 0"):
-            LambertTable(Series([0, 1]), Series([F(1, 2), 1]))
+
+    def test_a_column_is_a_series(self):
+        with pytest.raises(TypeError, match="a column is a Series"):
+            lambert_invert([1, 2])
+        with pytest.raises(TypeError, match="a column is a Series"):
+            lambert_series([F(1)], 4)
+        with pytest.raises(TypeError, match="a column is a Series"):
+            product_check(Series.identity(4), [F(0)] * 4)
+
+    def test_expansion_refuses_a_negative_order(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            lambert_series(Series([0, 1, 2]), -3)
 
     @pytest.mark.parametrize("alternating", [False, True])
     def test_sieve_matches_literal_moebius_sums(self, alternating):
         u = [F((-1) ** m * (m * m + 3), m % 5 + 1) for m in range(1, 61)]
-        b = lambert_invert(u, alternating)
+        b = lambert_invert(Series([0, *u]), alternating)
         assert list(b.coeffs[1:]) == literal_inversion(u, alternating)
         md = MirrorData.build(Model.from_kvector((2, 3, 6)), 31)
         u = u_series(md, 30)
@@ -178,14 +178,14 @@ class TestLambert:
 
     def test_expansion_plain_definition(self):
         # 1 - b_1 * t/(1-t) with b_1 = 1: coefficients -1 everywhere
-        out = lambert_series([F(1)], 4)
+        out = lambert_series(Series([0, 1]), 4)
         assert out.coeffs == (1, -1, -1, -1, -1)
 
 
 class TestProductCheck:
     def test_22_trivial(self):
         target = Series.identity(6)  # Q(q) = q when all exponents vanish
-        assert product_check(target, [F(0)] * 6)
+        assert product_check(target, Series.zero(6))
 
     def test_333_both_variants(self):
         md = MirrorData.build(M333, 11)
@@ -213,19 +213,16 @@ class TestProductCheck:
     def test_agrees_with_the_literal_product(self, parts, M, alternating):
         rep = integrality_report(Model.from_kvector(parts), M)
         md = MirrorData.build(rep.model, M + 1)
-        table = rep.table
         cases = [
-            (md.Q.compose(md.zq).truncate(M), table.bhat if alternating else table.b),
-            (md.q.compose(md.zQ).truncate(M), table.chat if alternating else table.c),
+            (md.Q.compose(md.zq).truncate(M), rep.bhat if alternating else rep.b),
+            (md.q.compose(md.zQ).truncate(M), rep.chat if alternating else rep.c),
         ]
         if parts == (3, 3, 3):  # fractional exponents, bhat_2 = -9/2
-            assert any(x.denominator != 1 for x in table.bhat)
+            assert any(x.denominator != 1 for x in rep.bhat.coeffs[1:])
         if parts == (2, 3, 7, 42):  # exponents m*b_m beyond 10^6
-            assert max(abs(m * bm) for m, bm in enumerate(table.b, start=1)) > 10**6
-        for target, exponents in cases:
-            exact = list(exponents)
-            perturbed = exact[:]
-            perturbed[M // 2] += F(1, 3)
+            assert max(abs(m * bm) for m, bm in enumerate(rep.b.coeffs[1:], start=1)) > 10**6
+        for target, exact in cases:
+            perturbed = exact + monomial(F(1, 3), M // 2 + 1, M)
             top = target + monomial(1, M, M)
             doubled = target + monomial(1, 1, M)
             inputs = [(target, exact), (target, perturbed), (top, exact), (doubled, exact)]
@@ -259,7 +256,7 @@ class TestProductCheck:
 
     def test_empty_exponents_are_refused(self):
         with pytest.raises(ValueError, match="at least one exponent"):
-            product_check(Series.identity(4), [])
+            product_check(Series.identity(4), Series([0]))
 
 
 class TestBinomialFactor:
@@ -536,26 +533,30 @@ class TestReport:
 
     def test_22_report_all_zero(self):
         rep = integrality_report(M22, 8)
-        t = rep.table
-        assert set(t.b) == set(t.bhat) == set(t.c) == set(t.chat) == {0}
+        assert rep.b == rep.bhat == rep.c == rep.chat == Series.zero(8)
         assert all(rep.checks.values())
 
     def test_public_columns_read_as_fraction_tuples(self):
-        # The report carries its columns as series; reading one builds the
-        # tuple of Fractions that the Fraction-based report stored.
+        # Each column is a field holding a series with constant term 0 whose
+        # z^m coefficient is entry m; its coeffs read the entries as the
+        # Fractions that the Fraction-based report stored.
         rep = integrality_report(M333, 6)
+        assert rep._fields == (
+            "model", "order", "u", "v", "b", "bhat", "c", "chat",
+            "g0_in_q", "g0_in_Q", "z_in_q", "z_in_Q", "checks",
+        )
         md = MirrorData.build(M333, 7)
-        assert rep.z_in_q == tuple(md.zq.coeff(m) for m in range(1, 7))
-        assert rep.z_in_Q == tuple(md.zQ.coeff(m) for m in range(1, 7))
+        assert rep.z_in_q.coeffs[1:] == tuple(md.zq.coeff(m) for m in range(1, 7))
+        assert rep.z_in_Q.coeffs[1:] == tuple(md.zQ.coeff(m) for m in range(1, 7))
         g0_in_q = md.g0.compose(md.zq)
-        assert rep.g0_in_q == tuple(g0_in_q.coeff(m) for m in range(1, 7))
-        t = rep.table
-        columns = (t.u, t.v, t.b, t.bhat, t.c, t.chat,
+        assert rep.g0_in_q.coeffs[1:] == tuple(g0_in_q.coeff(m) for m in range(1, 7))
+        columns = (rep.u, rep.v, rep.b, rep.bhat, rep.c, rep.chat,
                    rep.g0_in_q, rep.g0_in_Q, rep.z_in_q, rep.z_in_Q)
         for column in columns:
-            assert type(column) is tuple and len(column) == 6
-            assert all(type(x) is F for x in column)
-        assert t.bhat[1] == F(-9, 2) and t.c[1] == F(-63, 2)
+            assert type(column) is Series and column.order == 6
+            assert column.coeff(0) == 0
+            assert all(type(x) is F for x in column.coeffs[1:])
+        assert rep.bhat.coeff(2) == F(-9, 2) and rep.c.coeff(2) == F(-63, 2)
 
     def test_verdicts_derived_not_stored(self):
         rep = integrality_report(M333, 4)

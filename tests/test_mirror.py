@@ -21,13 +21,12 @@ from mahlerq import (
     mahler_measure,
     mirror_map,
     pf2_applicable,
-    pf_apply,
     pf_operator,
 )
 from mahlerq.mirror import _f_split, period_coefficients
 from mahlerq.weights import enumerate_solutions
 from oracles import (binary_splitting_sum, gamma, jensen_measure_4444, jensen_measure_5221,
-                     jensen_measure_quadratic, measure_by_f_series, multinomial_diag)
+                     jensen_measure_quadratic, measure_by_f_series, multinomial_diag, pf_apply)
 
 M22 = Model.from_kvector((2, 2))
 M333 = Model.from_kvector((3, 3, 3))

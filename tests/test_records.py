@@ -14,7 +14,6 @@ import pytest
 from mahlerq import (
     IntegralityReport,
     KVector,
-    LambertTable,
     MahlerMeasure,
     MirrorData,
     Model,
@@ -35,7 +34,6 @@ def _records():
         PFOperator: pf_operator(M333, "local"),
         MirrorData: MirrorData.build(M333, 5),
         MahlerMeasure: mahler_measure(M333, 2, 16),
-        LambertTable: report.table,
         IntegralityReport: report,
     }
 
@@ -59,6 +57,26 @@ class TestRecord:
             value.order = 99
         with pytest.raises(AttributeError):
             value.extra = 1
+
+
+class TestKVectorPickle:
+    """Under every protocol, unpickling a KVector validates its parts again;
+    protocols 0 and 1 would otherwise rebuild the tuple without __new__."""
+
+    @pytest.mark.parametrize("protocol", [0, 1])
+    def test_round_trip_under_the_oldest_protocols(self, protocol):
+        kv = KVector((2, 3, 6))
+        copy = pickle.loads(pickle.dumps(kv, protocol))
+        assert type(copy) is KVector
+        assert copy == kv
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_tampered_parts_are_refused(self, protocol):
+        data = pickle.dumps(KVector((2, 3, 6)), protocol)
+        six, seven = (b"I6\n", b"I7\n") if protocol == 0 else (b"K\x06", b"K\x07")
+        assert data.count(six) == 1
+        with pytest.raises(ValueError, match=r"reciprocals of \(2, 3, 7\) do not sum to 1"):
+            pickle.loads(data.replace(six, seven))
 
 
 class TestKVectorValue:

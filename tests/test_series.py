@@ -31,6 +31,13 @@ class TestBasics:
         assert Series([1], 3).coeffs == (1, 0, 0, 0)
         assert Series([1, 2, 3, 4], 1).coeffs == (1, 2)
 
+    def test_truncate_refuses_a_negative_order(self):
+        s = Series([1, 2, 3])
+        assert s.truncate(0) == Series([1])
+        for order in (-1, -3):
+            with pytest.raises(ValueError, match="nonnegative"):
+                s.truncate(order)
+
     def test_floats_rejected(self):
         with pytest.raises(TypeError):
             Series([0.5])
