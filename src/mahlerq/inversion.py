@@ -14,28 +14,30 @@ turns the expansion into the product forms
 and symmetrically Q d/dQ log q = 1 + sum v_m Q^m yields c_m, chat_m with
 q = Q prod (1 - Q^m)^{m c_m}.
 
-:func:`integrality_report` computes this as one chain over one
-:class:`MirrorData`, each intermediate once: the periods (the last checked
-against its closed factorial form), the reversions zq and zQ (checked
-against Lagrange inversion of phi = h/g0 and of f), the expansions of g0
-in q and in Q, the compositions Q(zq) and q(zQ), u and v as their
-logarithmic derivatives, the Moebius inversion of u and v by a divisor
-sieve, the product forms above checked against the compositions, and the
-k-th roots of q/z and Q/z (checked by their k-th powers).  The log L of a
-product satisfies 1 + theta(L) = 1 - sum m^2 b_m t^m/(1 - t^m), the Lambert
-series, so each product form is one identity, composition = t exp(L); it
-implies the Lambert identity for the logarithmic derivative, not rechecked.
+The report runs one side per map, the same steps with the maps swapped.
+The side of X (q or Q, with X = z exp(e_X), e_X = phi or f) has the other
+map Y and K_Y = theta_z log Y (K_Q = g0, K_q = 1 + theta(phi)).  It checks
+the reversion z_X against Lagrange inversion of e_X, composes Y(z_X) and
+K_Y(z_X) once each, takes its column X d/dX log Y(z_X) - 1 (u or v), and
+Moebius-inverts that by a divisor sieve; both product forms are checked
+against Y(z_X).  The log L of a product satisfies 1 + theta(L) = 1 - sum
+m^2 b_m t^m/(1 - t^m), the Lambert series, so each product form is one
+identity, composition = t exp(L); it implies the Lambert identity for the
+logarithmic derivative, not rechecked.  The last period is checked against
+its closed factorial form before the sides, the k-th roots of q/z and Q/z
+by their k-th powers after them.
 
-The second route to u and v is the chain rule
-t d/dt log X(z(t)) = (theta_z log X)(z(t)) * t d/dt log z(t), with
-theta_z log Q = g0 and theta_z log q = 1 + theta(phi):
+The column's second route is the chain rule
+t d/dt log Y(z(t)) = (theta_z log Y)(z(t)) * t d/dt log z(t):
 
-    1 + u = g0(z(q)) * q d/dq log z(q),   1 + v = (1 + theta(phi))(z(Q)) / g0(z(Q)),
+    X d/dX log Y(z_X) = K_Y(z_X) / K_X(z_X),   K_X(z_X) = 1/(X d/dX log z_X),
 
-where g0(z(Q)) = 1/(Q d/dQ log z(Q)).  Both routes read the g0 expansions,
-which are thus checked too.  Everything is exact, and any disagreement
-between two routes halts with :class:`ConsistencyError` rather than
-returning data.
+so K_X(z_X) = s/(theta(s) + s) with s = z_X/z needs no composition.  The
+g0 columns are K_Y(z_q) on the q side and K_X(z_Q) on the Q side, each on
+its side's checked route; :func:`g0_expansions` is an independent oracle
+for them that the report does not call.  Everything is exact, and any
+disagreement between two routes halts with :class:`ConsistencyError`
+rather than returning data.
 
 Every column of the report (u, v, b, bhat, c, chat, g0 in q and in Q, z in
 q and in Q) is a field of :class:`IntegralityReport` holding a
@@ -86,12 +88,6 @@ def _entry_text(s: Series, m: int) -> str:
 # u and v expansions (dual-route)
 # ---------------------------------------------------------------------------
 
-def _dlog(s: Series) -> Series:
-    """t d/dt log s(t) = (theta(u) + u)/u for s = t*u, one order below s."""
-    u = s.shift_down(1)
-    return (u.theta() + u) / u
-
-
 def _checked_dlog(composed: Series, chained: Series, count: int, label: str,
                   where: str) -> Series:
     """The column of coefficients 1..count of t d/dt log composed(t), where
@@ -106,7 +102,8 @@ def _checked_dlog(composed: Series, chained: Series, count: int, label: str,
             f"{label}-series composition for {where} is not t + O(t^2): "
             f"it starts {_entry_text(composed, 0)} + {_entry_text(composed, 1)}*t"
         )
-    direct = _dlog(composed).truncate(count)
+    unit = composed.shift_down(1)
+    direct = ((unit.theta() + unit) / unit).truncate(count)
     m = _first_difference(direct, chained, count)
     if m is not None:
         raise ConsistencyError(
@@ -117,10 +114,41 @@ def _checked_dlog(composed: Series, chained: Series, count: int, label: str,
     return direct - 1
 
 
+def _side(X: Series, e_X: Series, z_X: Series, Y: Series, K_Y: Series,
+          count: int, label: str, where: str) -> tuple:
+    """The side of the map X = z exp(e_X), with reversion z_X, of the report
+    (see the module docstring); Y is the other map, K_Y = theta_z log Y.
+
+    Returns, as columns to ``count``: z in X by Lagrange inversion (checked
+    against z_X), K_Y(z_X) - 1, K_X(z_X) - 1, X d/dX log Y(z_X) - 1
+    (checked against the chain rule; ``label`` names it in an error) and
+    its plain and alternating Moebius inversions; then the product-check
+    verdicts of those two on Y(z_X).  X must exceed ``count`` in order, as
+    a logarithmic derivative loses one.
+    """
+    if X.order <= count:
+        raise ValueError("mirror data order must exceed the coefficient count")
+    z_in_X = lagrange_coeffs(e_X, count)
+    m = _first_difference(z_in_X, z_X, count)
+    if m is not None:
+        raise ConsistencyError(
+            f"Lagrange and Newton reversions disagree for {where}, m={m}"
+        )
+    Y_of_z = Y.compose(z_X)
+    K_Y_of_z = K_Y.compose(z_X).truncate(count)
+    unit = z_X.shift_down(1).truncate(count)
+    K_X_of_z = unit / (unit.theta() + unit)
+    column = _checked_dlog(Y_of_z, K_Y_of_z / K_X_of_z, count, label, where)
+    plain, alt = (lambert_invert(column, a) for a in (False, True))
+    return (z_in_X, K_Y_of_z - 1, K_X_of_z - 1, column, plain, alt,
+            product_check(Y_of_z, plain), product_check(Y_of_z, alt, alternating=True))
+
+
 def g0_expansions(md: MirrorData, count: int) -> tuple[Series, Series]:
     """g0 rewritten in q and in Q, as columns (g0 - 1, to order count);
     md.order must exceed count, as g0(z(Q)) = 1/(Q d/dQ log z(Q)) =
-    u/(theta(u) + u), with u = zQ/z, is one order below zQ."""
+    u/(theta(u) + u), with u = zQ/z, is one order below zQ.  An oracle for
+    the report's g0 columns, which its sides form on their own routes."""
     if md.order <= count:
         raise ValueError("mirror data order must exceed the coefficient count")
     in_q = md.g0.compose(md.zq)
@@ -129,27 +157,16 @@ def g0_expansions(md: MirrorData, count: int) -> tuple[Series, Series]:
     return in_q.truncate(count) - 1, in_Q.truncate(count) - 1
 
 
-def _routes(md: MirrorData, count: int) -> tuple:
-    """Q(q), q(Q), g0 in q, g0 in Q, u and v, each computed once; u and v
-    are checked against their chain-rule routes (see the module docstring)."""
-    g0_in_q, g0_in_Q = g0_expansions(md, count)
-    Q_of_q = md.Q.compose(md.zq)
-    q_of_Q = md.q.compose(md.zQ)
-    kernel = (md.phi.theta() + 1).compose(md.zQ)
-    where = f"model {md.model.name} at order {count}"
-    u = _checked_dlog(Q_of_q, (g0_in_q + 1) * _dlog(md.zq), count, "u", where)
-    v = _checked_dlog(q_of_Q, kernel / (g0_in_Q + 1), count, "v", where)
-    return Q_of_q, q_of_Q, g0_in_q, g0_in_Q, u, v
-
-
 def u_series(md: MirrorData, count: int) -> Series:
     """The column u_1..u_count of q d/dq log Q(q) - 1; md.order must exceed count."""
-    return _routes(md, count)[4]
+    where = f"model {md.model.name} at order {count}"
+    return _side(md.q, md.phi, md.zq, md.Q, md.g0, count, "u", where)[3]
 
 
 def v_series(md: MirrorData, count: int) -> Series:
     """The column v_1..v_count of Q d/dQ log q(Q) - 1; md.order must exceed count."""
-    return _routes(md, count)[5]
+    where = f"model {md.model.name} at order {count}"
+    return _side(md.Q, md.f, md.zQ, md.q, md.phi.theta() + 1, count, "v", where)[3]
 
 
 # ---------------------------------------------------------------------------
@@ -309,11 +326,12 @@ def _kth_root(series: Series, exponent: Series, k: int, label: str,
 
 
 def integrality_report(model: Model, order: int) -> IntegralityReport:
-    """Full pipeline: mirror data, reversions, u/v, Moebius tables, product
-    and integrality checks.  Deterministic for a given (model, order).
+    """Full pipeline: mirror data, one side per map (reversion check, u or
+    v on two routes, Moebius tables, product checks), k-th roots and the
+    integrality checks.  Deterministic for a given (model, order).
 
     The mirror data is built one order deeper than requested so that both
-    u/v routes cover every reported coefficient.
+    routes of each side cover every reported coefficient.
     """
     if order < 1:
         raise ValueError("order must be at least 1")
@@ -328,42 +346,23 @@ def integrality_report(model: Model, order: int) -> IntegralityReport:
             f"m={md.order}"
         )
 
-    # z as a series in q and in Q: the Newton reversions are checked against
-    # the closed Lagrange form before anything composes with them.
-    z_in_q = lagrange_coeffs(md.phi, order)
-    z_in_Q = lagrange_coeffs(md.f, order)
-    misses = [
-        m for m in (_first_difference(z_in_q, md.zq, order),
-                    _first_difference(z_in_Q, md.zQ, order))
-        if m is not None
-    ]
-    if misses:
-        raise ConsistencyError(
-            f"Lagrange and Newton reversions disagree for {where}, m={min(misses)}"
-        )
-
-    # Each map is composed once; the composition feeds both the u/v routes
-    # and the product checks.
-    Q_of_q, q_of_Q, g0_in_q, g0_in_Q, u, v = _routes(md, order)
-    b, bhat, c, chat = (lambert_invert(x, alt) for x in (u, v) for alt in (False, True))
+    z_in_q, g0_in_q, _, u, b, bhat, plain_q, alt_q = _side(
+        md.q, md.phi, md.zq, md.Q, md.g0, order, "u", where)
+    z_in_Q, _, g0_in_Q, v, c, chat, plain_Q, alt_Q = _side(
+        md.Q, md.f, md.zQ, md.q, md.phi.theta() + 1, order, "v", where)
     root_q = _kth_root(md.q, md.phi, model.k, "q", where)
     root_Q = _kth_root(md.Q, md.f, model.k, "Q", where)
 
     checks = _Checks(
-        product_plain=product_check(Q_of_q, b) and product_check(q_of_Q, c),
-        product_alt=(
-            product_check(Q_of_q, bhat, alternating=True)
-            and product_check(q_of_Q, chat, alternating=True)
-        ),
+        product_plain=plain_q and plain_Q,
+        product_alt=alt_q and alt_Q,
         lagrange_integral=z_in_q.denominator == 1 and z_in_Q.denominator == 1,
         g0_in_q_integral=g0_in_q.denominator == 1,
         g0_in_Q_integral=g0_in_Q.denominator == 1,
         proposition_qQ_integral=all(
             s.denominator == 1 and s.numerators[1] == 1 for s in (md.q, md.Q)
         ),
-        conjecture1_root_integral=(
-            root_q.denominator == 1 and root_Q.denominator == 1
-        ),
+        conjecture1_root_integral=root_q.denominator == 1 and root_Q.denominator == 1,
     )._asdict()
     return IntegralityReport(model, order, u, v, b, bhat, c, chat,
                              g0_in_q, g0_in_Q, z_in_q, z_in_Q, checks)

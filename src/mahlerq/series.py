@@ -241,6 +241,10 @@ class Series:
     def __hash__(self) -> int:
         return hash((self._num, self._den))
 
+    def __reduce__(self):
+        # Slots pickle by default only from protocol 2; this covers them all.
+        return Series._from_ints, (self._num, self._den)
+
     def __repr__(self) -> str:
         return f"Series({_coefficient_texts(self)})"
 

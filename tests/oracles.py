@@ -2,13 +2,15 @@
 
 Each one computes its value another way than the library does, in
 ``Fraction`` arithmetic where that is the plainer route, so a test that
-compares the two checks the library's int arithmetic.
+compares the two checks the library's int arithmetic.  One helper,
+:func:`corrupt_g0_column`, instead breaks a value inside the report so a
+test can see the report's own cross-check catch it.
 """
 
 import math
 from fractions import Fraction as F
 
-from mahlerq import MahlerMeasure, Series, alpha, f_series, pf_operator
+from mahlerq import MahlerMeasure, MirrorData, Series, alpha, f_series, pf_operator
 from mahlerq.mirror import _growth, _parameters
 
 
@@ -17,6 +19,26 @@ def monomial(value, degree: int, order: int) -> Series:
     if not 0 <= degree <= order:
         raise ValueError("monomial degree beyond order")
     return Series([0] * degree + [value], order)
+
+
+def corrupt_g0_column(monkeypatch, model, order: int, side: str, degree: int) -> None:
+    """Make ``integrality_report(model, order)`` add z^degree to the g0
+    column of ``side``: g0(z(q)), which the q side composes, or g0(z(Q)) =
+    s/(theta(s) + s) with s = z(Q)/z, which the Q side divides."""
+    md = MirrorData.build(model, order + 1)
+    if side == "q":
+        name, hit = "compose", lambda outer, inner: outer == md.g0 and inner == md.zq
+    else:
+        unit = md.zQ.shift_down(1)
+        kernel = unit.theta() + unit
+        name, hit = "__truediv__", lambda num, den: num == unit and den == kernel
+    exact = getattr(Series, name)
+
+    def corrupted(a, b):
+        result = exact(a, b)
+        return result + monomial(1, degree, result.order) if hit(a, b) else result
+
+    monkeypatch.setattr(Series, name, corrupted)
 
 
 def multinomial_diag(kv, m: int) -> int:

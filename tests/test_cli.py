@@ -21,7 +21,7 @@ from mahlerq.cli import (
 )
 from mahlerq.mirror import _SERIES_KEYS
 from mahlerq.weights import enumerate_solutions
-from oracles import monomial
+from oracles import corrupt_g0_column, monomial
 
 SRC = Path(mahlerq.__file__).resolve().parents[1]
 
@@ -241,15 +241,9 @@ class TestVerify:
         )
 
     def test_corrupted_g0_expansion_exits_3(self, monkeypatch, capsys):
-        import mahlerq.inversion as inversion
+        from mahlerq import Model
 
-        exact = inversion.g0_expansions
-
-        def corrupted(md, count):
-            in_q, in_Q = exact(md, count)
-            return in_q, in_Q + monomial(1, count, count)
-
-        monkeypatch.setattr(inversion, "g0_expansions", corrupted)
+        corrupt_g0_column(monkeypatch, Model.from_kvector((3, 3, 3)), 4, "Q", 4)
         code, out, err = run_cli("verify", "--model", "3,3,3", "--order", "4", capsys=capsys)
         assert code == 3
         assert out == ""

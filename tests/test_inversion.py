@@ -18,7 +18,7 @@ from mahlerq import (
     u_series,
     v_series,
 )
-from oracles import monomial
+from oracles import corrupt_g0_column, monomial
 
 M22 = Model.from_kvector((2, 2))
 M333 = Model.from_kvector((3, 3, 3))
@@ -114,6 +114,22 @@ class TestUV:
             u_series(md, 9)
         with pytest.raises(ValueError):
             v_series(md, 4)  # both routes lose one order to a log derivative
+
+    @pytest.mark.parametrize("column", [u_series, v_series])
+    def test_each_side_composes_twice(self, monkeypatch, column):
+        # One side composes the other map and its kernel K_Y with its own
+        # reversion, and nothing else.
+        md = MirrorData.build(M333, 9)
+        compose = Series.compose
+        calls = []
+
+        def counted(outer, inner):
+            calls.append(inner.order)
+            return compose(outer, inner)
+
+        monkeypatch.setattr(Series, "compose", counted)
+        column(md, 8)
+        assert len(calls) == 2
 
     def test_tampered_data_raises_consistency_fault(self):
         md = MirrorData.build(M333, 6)
@@ -309,6 +325,10 @@ class TestG0Expansions:
             composed = md.g0.compose(inner)
             assert tail.coeffs[1:] == tuple(composed.coeff(m) for m in range(1, order + 1))
             assert tail.coeff(0) == 0
+        # The report forms its g0 columns on its two sides without calling
+        # g0_expansions, which is their independent oracle.
+        rep = integrality_report(Model.from_kvector(parts), order)
+        assert (rep.g0_in_q, rep.g0_in_Q) == (in_q, in_Q)
 
     def test_order_guard(self):
         md = MirrorData.build(M333, 6)
@@ -389,16 +409,9 @@ class TestReport:
     def test_corrupted_g0_expansion_raises_consistency_fault(
         self, monkeypatch, field, label, m
     ):
-        import mahlerq.inversion as inversion
-
-        exact = inversion.g0_expansions
-
-        def corrupted(md, count):
-            tails = list(exact(md, count))
-            tails[field] = tails[field] + monomial(1, m, count)
-            return tuple(tails)
-
-        monkeypatch.setattr(inversion, "g0_expansions", corrupted)
+        # Field 0 is g0 in q, the q side's g0(zq); field 1 is g0 in Q, the
+        # Q side's 1/(Q d/dQ log zQ).  Each feeds its side's chain route.
+        corrupt_g0_column(monkeypatch, M333, 6, "qQ"[field], m)
         with pytest.raises(
             ConsistencyError,
             match=f"{label}-series routes disagree for model 3,3,3 at order 6, m={m}:",
@@ -429,11 +442,8 @@ class TestReport:
 
     @pytest.mark.parametrize("parts", [(3, 3, 3), (2, 3, 6), (4, 4, 4, 4)])
     def test_no_composition_is_repeated(self, monkeypatch, parts):
-        import mahlerq.inversion as inversion
-
         compose, revert = Series.compose, Series.revert
-        expansions = inversion.g0_expansions
-        seen, outside, reverting, expanded = [], [], [0], []
+        seen, outside, reverting = [], [], [0]
 
         def recording(outer, inner):
             seen.append((outer, inner))
@@ -448,19 +458,13 @@ class TestReport:
             finally:
                 reverting[0] -= 1
 
-        def counted(md, count):
-            expanded.append(count)
-            return expansions(md, count)
-
         monkeypatch.setattr(Series, "compose", recording)
         monkeypatch.setattr(Series, "revert", nested)
-        monkeypatch.setattr(inversion, "g0_expansions", counted)
         integrality_report(Model.from_kvector(parts), 8)
         assert len(seen) - len(set(seen)) == 0
-        # Q(zq), q(zQ), g0(zq) and (1 + theta(phi))(zQ); the reversions
-        # compose internally.
+        # Q(zq) and g0(zq) on the q side, q(zQ) and (1 + theta(phi))(zQ) on
+        # the Q side; the reversions compose internally.
         assert len(outside) == 4
-        assert expanded == [8]
 
     def test_report_composes_twelve_times(self, monkeypatch):
         compose = Series.compose
@@ -491,10 +495,12 @@ class TestReport:
         integrality_report(M333, 8)
         # phi = h/g0 once in the build; in each of the two reversions at
         # order 9, four Newton steps that each divide (f o g)' by g' and
-        # then the error by that f'(g); g0(z(Q)) = u/(theta(u) + u) in
-        # g0_expansions; the logarithmic derivatives of Q(zq), zq and q(zQ);
-        # and the v route's division by g0(z(Q)).
-        assert len(divisors) == 22
+        # then the error by that f'(g); and on each side, its kernel
+        # K_X(z_X) = s/(theta(s) + s) with s = z_X/z, the logarithmic
+        # derivative of Y(z_X), and the chain route's division by K_X(z_X).
+        # The q side's chain route too divides by its own kernel; it forms
+        # no product with the logarithmic derivative of zq.
+        assert len(divisors) == 23
         assert divisors.count(g0_series(M333, 9)) == 1
 
     def test_structure_and_schema(self):

@@ -1,4 +1,5 @@
-"""The record types are immutable values that survive pickling.
+"""The record types, and the series they hold, are immutable values that
+survive pickling under every protocol.
 
 ``batch`` itself passes reports between processes only as JSON cache
 entries, but pickling is a library property: a caller that sends records
@@ -8,6 +9,7 @@ report quietly.
 """
 
 import pickle
+from fractions import Fraction
 
 import pytest
 
@@ -18,6 +20,7 @@ from mahlerq import (
     MirrorData,
     Model,
     PFOperator,
+    Series,
     integrality_report,
     mahler_measure,
     pf_operator,
@@ -35,6 +38,7 @@ def _records():
         MirrorData: MirrorData.build(M333, 5),
         MahlerMeasure: mahler_measure(M333, 2, 16),
         IntegralityReport: report,
+        Series: Series([Fraction(1, 6), -2, 0, Fraction(5, 4)]),
     }
 
 
@@ -45,7 +49,7 @@ RECORDS = _records()
 class TestRecord:
     def test_pickle_round_trip(self, cls):
         value = RECORDS[cls]
-        for protocol in (2, pickle.HIGHEST_PROTOCOL):
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
             copy = pickle.loads(pickle.dumps(value, protocol))
             assert type(copy) is cls
             assert copy == value
@@ -57,6 +61,14 @@ class TestRecord:
             value.order = 99
         with pytest.raises(AttributeError):
             value.extra = 1
+
+
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+def test_series_pickle_keeps_its_int_pair(protocol):
+    value = RECORDS[Series]
+    copy = pickle.loads(pickle.dumps(value, protocol))
+    assert copy.numerators == value.numerators == (2, -24, 0, 15)
+    assert copy.denominator == value.denominator == 12
 
 
 class TestKVectorPickle:
