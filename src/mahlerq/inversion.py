@@ -32,12 +32,12 @@ t d/dt log Y(z(t)) = (theta_z log Y)(z(t)) * t d/dt log z(t):
 
     X d/dX log Y(z_X) = K_Y(z_X) / K_X(z_X),   K_X(z_X) = 1/(X d/dX log z_X),
 
-so K_X(z_X) = s/(theta(s) + s) with s = z_X/z needs no composition.  The
-g0 columns are K_Y(z_q) on the q side and K_X(z_Q) on the Q side, each on
-its side's checked route; :func:`g0_expansions` is an independent oracle
-for them that the report does not call.  Everything is exact, and any
-disagreement between two routes halts with :class:`ConsistencyError`
-rather than returning data.
+so K_X(z_X) = s/(theta(s) + s) with s = z_X/z needs no composition; each
+side checks its direct route times K_X(z_X) against K_Y(z_X).  The g0
+columns are K_Y(z_q) on the q side and K_X(z_Q) on the Q side, each on its
+side's checked route; :func:`g0_expansions` is an independent oracle for
+them that the report does not call.  Everything is exact, and any
+disagreement between two routes halts with :class:`ConsistencyError`.
 
 Every column of the report (u, v, b, bhat, c, chat, g0 in q and in Q, z in
 q and in Q) is a field of :class:`IntegralityReport` holding a
@@ -88,59 +88,60 @@ def _entry_text(s: Series, m: int) -> str:
 # u and v expansions (dual-route)
 # ---------------------------------------------------------------------------
 
-def _checked_dlog(composed: Series, chained: Series, count: int, label: str,
-                  where: str) -> Series:
-    """The column of coefficients 1..count of t d/dt log composed(t), where
-    composed = t + ...
-
-    ``chained`` is the same logarithmic derivative by the chain rule; the
-    two routes must agree on coefficients 0..count.  ``where`` names the
-    model and order in an error.
+def _checked_column(z_X: Series, Y: Series, K_Y: Series, count: int, label: str,
+                    where: str) -> tuple:
+    """Y(z_X), then as columns to ``count`` K_Y(z_X) - 1, K_X(z_X) - 1 and
+    X d/dX log Y(z_X) - 1, for the side of the map X with reversion z_X;
+    z_X must exceed ``count`` in order, as a logarithmic derivative loses
+    one.  The direct route (theta(w) + w)/w, Y(z_X) = t*w, must satisfy the
+    chain rule direct * K_X(z_X) = K_Y(z_X) to order ``count``; as K_X(z_X)
+    has constant term 1, the two first differ where direct and
+    K_Y(z_X)/K_X(z_X) do.  ``label`` and ``where`` name the column, model
+    and order in an error.
     """
-    if composed.truncate(1) != Series.identity(1):
+    if z_X.order <= count:
+        raise ValueError("mirror data order must exceed the coefficient count")
+    Y_of_z = Y.compose(z_X)
+    K_Y_of_z = K_Y.compose(z_X).truncate(count)
+    s = z_X.shift_down(1).truncate(count)
+    K_X_of_z = s / (s.theta() + s)
+    if Y_of_z.truncate(1) != Series.identity(1):
         raise ConsistencyError(
             f"{label}-series composition for {where} is not t + O(t^2): "
-            f"it starts {_entry_text(composed, 0)} + {_entry_text(composed, 1)}*t"
+            f"it starts {_entry_text(Y_of_z, 0)} + {_entry_text(Y_of_z, 1)}*t"
         )
-    unit = composed.shift_down(1)
-    direct = ((unit.theta() + unit) / unit).truncate(count)
-    m = _first_difference(direct, chained, count)
+    w = Y_of_z.shift_down(1)
+    direct = ((w.theta() + w) / w).truncate(count)
+    m = _first_difference(direct * K_X_of_z, K_Y_of_z, count)
     if m is not None:
         raise ConsistencyError(
             f"{label}-series routes disagree for {where}, m={m}: "
             f"composition gives {_entry_text(direct, m)}, "
-            f"chain rule gives {_entry_text(chained, m)}"
+            f"chain rule gives {_entry_text(K_Y_of_z / K_X_of_z, m)}"
         )
-    return direct - 1
+    return Y_of_z, K_Y_of_z - 1, K_X_of_z - 1, direct - 1
 
 
-def _side(X: Series, e_X: Series, z_X: Series, Y: Series, K_Y: Series,
-          count: int, label: str, where: str) -> tuple:
+def _side(e_X: Series, z_X: Series, Y: Series, K_Y: Series, count: int,
+          label: str, where: str) -> tuple:
     """The side of the map X = z exp(e_X), with reversion z_X, of the report
     (see the module docstring); Y is the other map, K_Y = theta_z log Y.
 
     Returns, as columns to ``count``: z in X by Lagrange inversion (checked
-    against z_X), K_Y(z_X) - 1, K_X(z_X) - 1, X d/dX log Y(z_X) - 1
-    (checked against the chain rule; ``label`` names it in an error) and
-    its plain and alternating Moebius inversions; then the product-check
-    verdicts of those two on Y(z_X).  X must exceed ``count`` in order, as
-    a logarithmic derivative loses one.
+    against z_X), K_Y(z_X) - 1, K_X(z_X) - 1, the checked column
+    X d/dX log Y(z_X) - 1 (see :func:`_checked_column`) and its plain and
+    alternating Moebius inversions; then the product-check verdicts of
+    those two on Y(z_X).
     """
-    if X.order <= count:
-        raise ValueError("mirror data order must exceed the coefficient count")
     z_in_X = lagrange_coeffs(e_X, count)
     m = _first_difference(z_in_X, z_X, count)
     if m is not None:
         raise ConsistencyError(
             f"Lagrange and Newton reversions disagree for {where}, m={m}"
         )
-    Y_of_z = Y.compose(z_X)
-    K_Y_of_z = K_Y.compose(z_X).truncate(count)
-    unit = z_X.shift_down(1).truncate(count)
-    K_X_of_z = unit / (unit.theta() + unit)
-    column = _checked_dlog(Y_of_z, K_Y_of_z / K_X_of_z, count, label, where)
+    Y_of_z, K_Y_col, K_X_col, column = _checked_column(z_X, Y, K_Y, count, label, where)
     plain, alt = (lambert_invert(column, a) for a in (False, True))
-    return (z_in_X, K_Y_of_z - 1, K_X_of_z - 1, column, plain, alt,
+    return (z_in_X, K_Y_col, K_X_col, column, plain, alt,
             product_check(Y_of_z, plain), product_check(Y_of_z, alt, alternating=True))
 
 
@@ -160,13 +161,13 @@ def g0_expansions(md: MirrorData, count: int) -> tuple[Series, Series]:
 def u_series(md: MirrorData, count: int) -> Series:
     """The column u_1..u_count of q d/dq log Q(q) - 1; md.order must exceed count."""
     where = f"model {md.model.name} at order {count}"
-    return _side(md.q, md.phi, md.zq, md.Q, md.g0, count, "u", where)[3]
+    return _checked_column(md.zq, md.Q, md.g0, count, "u", where)[3]
 
 
 def v_series(md: MirrorData, count: int) -> Series:
     """The column v_1..v_count of Q d/dQ log q(Q) - 1; md.order must exceed count."""
     where = f"model {md.model.name} at order {count}"
-    return _side(md.Q, md.f, md.zQ, md.q, md.phi.theta() + 1, count, "v", where)[3]
+    return _checked_column(md.zQ, md.q, md.phi.theta() + 1, count, "v", where)[3]
 
 
 # ---------------------------------------------------------------------------
@@ -347,9 +348,9 @@ def integrality_report(model: Model, order: int) -> IntegralityReport:
         )
 
     z_in_q, g0_in_q, _, u, b, bhat, plain_q, alt_q = _side(
-        md.q, md.phi, md.zq, md.Q, md.g0, order, "u", where)
+        md.phi, md.zq, md.Q, md.g0, order, "u", where)
     z_in_Q, _, g0_in_Q, v, c, chat, plain_Q, alt_Q = _side(
-        md.Q, md.f, md.zQ, md.q, md.phi.theta() + 1, order, "v", where)
+        md.f, md.zQ, md.q, md.phi.theta() + 1, order, "v", where)
     root_q = _kth_root(md.q, md.phi, model.k, "q", where)
     root_Q = _kth_root(md.Q, md.f, model.k, "Q", where)
 
