@@ -16,9 +16,10 @@ q = Q prod (1 - Q^m)^{m c_m}.
 
 The report runs one side per map, the same steps with the maps swapped.
 The side of X (q or Q, with X = z exp(e_X), e_X = phi or f) has the other
-map Y and K_Y = theta_z log Y (K_Q = g0, K_q = 1 + theta(phi)).  It checks
-the reversion z_X against Lagrange inversion of e_X, composes Y(z_X) and
-K_Y(z_X) once each, takes its column X d/dX log Y(z_X) - 1 (u or v), and
+map Y and K_Y = theta_z log Y (K_Q = g0, K_q = 1 + theta(phi)).  It reverts
+X to z_X by Newton's method (the mirror data stores no reversion), checks
+z_X against Lagrange inversion of e_X, composes Y(z_X) and K_Y(z_X) once
+each, takes its column X d/dX log Y(z_X) - 1 (u or v), and
 Moebius-inverts that by a divisor sieve; both product forms are checked
 against Y(z_X).  The log L of a product satisfies 1 + theta(L) = 1 - sum
 m^2 b_m t^m/(1 - t^m), the Lambert series, so each product form is one
@@ -122,10 +123,11 @@ def _checked_column(z_X: Series, Y: Series, K_Y: Series, count: int, label: str,
     return Y_of_z, K_Y_of_z - 1, K_X_of_z - 1, direct - 1
 
 
-def _side(e_X: Series, z_X: Series, Y: Series, K_Y: Series, count: int,
+def _side(e_X: Series, X: Series, Y: Series, K_Y: Series, count: int,
           label: str, where: str) -> tuple:
-    """The side of the map X = z exp(e_X), with reversion z_X, of the report
-    (see the module docstring); Y is the other map, K_Y = theta_z log Y.
+    """The side of the map X = z exp(e_X) of the report (see the module
+    docstring); Y is the other map, K_Y = theta_z log Y.  It first reverts X
+    to z_X.
 
     Returns, as columns to ``count``: z in X by Lagrange inversion (checked
     against z_X), K_Y(z_X) - 1, K_X(z_X) - 1, the checked column
@@ -133,6 +135,7 @@ def _side(e_X: Series, z_X: Series, Y: Series, K_Y: Series, count: int,
     alternating Moebius inversions; then the product-check verdicts of
     those two on Y(z_X).
     """
+    z_X = X.revert()
     z_in_X = lagrange_coeffs(e_X, count)
     m = _first_difference(z_in_X, z_X, count)
     if m is not None:
@@ -148,12 +151,13 @@ def _side(e_X: Series, z_X: Series, Y: Series, K_Y: Series, count: int,
 def g0_expansions(md: MirrorData, count: int) -> tuple[Series, Series]:
     """g0 rewritten in q and in Q, as columns (g0 - 1, to order count);
     md.order must exceed count, as g0(z(Q)) = 1/(Q d/dQ log z(Q)) =
-    u/(theta(u) + u), with u = zQ/z, is one order below zQ.  An oracle for
-    the report's g0 columns, which its sides form on their own routes."""
+    u/(theta(u) + u), with u = z(Q)/z, is one order below the reversion
+    z(Q).  An oracle for the report's g0 columns, which its sides form on
+    their own routes; it reverts q and Q itself."""
     if md.order <= count:
         raise ValueError("mirror data order must exceed the coefficient count")
-    in_q = md.g0.compose(md.zq)
-    u = md.zQ.shift_down(1)
+    in_q = md.g0.compose(md.q.revert())
+    u = md.Q.revert().shift_down(1)
     in_Q = u / (u.theta() + u)
     return in_q.truncate(count) - 1, in_Q.truncate(count) - 1
 
@@ -161,13 +165,13 @@ def g0_expansions(md: MirrorData, count: int) -> tuple[Series, Series]:
 def u_series(md: MirrorData, count: int) -> Series:
     """The column u_1..u_count of q d/dq log Q(q) - 1; md.order must exceed count."""
     where = f"model {md.model.name} at order {count}"
-    return _checked_column(md.zq, md.Q, md.g0, count, "u", where)[3]
+    return _checked_column(md.q.revert(), md.Q, md.g0, count, "u", where)[3]
 
 
 def v_series(md: MirrorData, count: int) -> Series:
     """The column v_1..v_count of Q d/dQ log q(Q) - 1; md.order must exceed count."""
     where = f"model {md.model.name} at order {count}"
-    return _checked_column(md.zQ, md.q, md.phi.theta() + 1, count, "v", where)[3]
+    return _checked_column(md.Q.revert(), md.q, md.phi.theta() + 1, count, "v", where)[3]
 
 
 # ---------------------------------------------------------------------------
@@ -327,8 +331,8 @@ def _kth_root(series: Series, exponent: Series, k: int, label: str,
 
 
 def integrality_report(model: Model, order: int) -> IntegralityReport:
-    """Full pipeline: mirror data, one side per map (reversion check, u or
-    v on two routes, Moebius tables, product checks), k-th roots and the
+    """Full pipeline: mirror data, one side per map (reversion and its
+    Lagrange check, u or v on two routes, Moebius tables, product checks), k-th roots and the
     integrality checks.  Deterministic for a given (model, order).
 
     The mirror data is built one order deeper than requested so that both
@@ -348,9 +352,9 @@ def integrality_report(model: Model, order: int) -> IntegralityReport:
         )
 
     z_in_q, g0_in_q, _, u, b, bhat, plain_q, alt_q = _side(
-        md.phi, md.zq, md.Q, md.g0, order, "u", where)
+        md.phi, md.q, md.Q, md.g0, order, "u", where)
     z_in_Q, _, g0_in_Q, v, c, chat, plain_Q, alt_Q = _side(
-        md.f, md.zQ, md.q, md.phi.theta() + 1, order, "v", where)
+        md.f, md.Q, md.q, md.phi.theta() + 1, order, "v", where)
     root_q = _kth_root(md.q, md.phi, model.k, "q", where)
     root_Q = _kth_root(md.Q, md.f, model.k, "Q", where)
 

@@ -250,12 +250,13 @@ def pf2_applicable(model: Model) -> bool:
 _SERIES_KEYS = ("g0", "h", "f", "Q", "q", "zq", "zQ")
 
 
-class MirrorData(namedtuple("MirrorData", "model order g0 h f phi Q q zq zQ")):
-    """All per-model series at one truncation order.
+class MirrorData(namedtuple("MirrorData", "model order g0 h f phi Q q")):
+    """The periods and both maps of one model at one truncation order.
 
-    phi = h/g0 is the exponent of q = z * exp(phi).  zq and zQ are the
-    reversions of q and Q: z as a series in the mirror coordinate and in
-    the local coordinate respectively.
+    phi = h/g0 is the exponent of q = z * exp(phi).  The reversions zq and
+    zQ (z as a series in q and in Q) are derived, not stored: ``series``
+    reverts q or Q when asked for them, and each side of the integrality
+    report reverts its own map.
     """
 
     __slots__ = ()
@@ -274,11 +275,14 @@ class MirrorData(namedtuple("MirrorData", "model order g0 h f phi Q q zq zQ")):
         phi = h / g0
         Q = _map(f.truncate(order - 1))
         q = _map(phi.truncate(order - 1))
-        return cls(model, order, g0, h, f, phi, Q, q, q.revert(), Q.revert())
+        return cls(model, order, g0, h, f, phi, Q, q)
 
     def series(self, key: str) -> Series:
+        """The series ``key`` of :data:`_SERIES_KEYS`; zq and zQ revert q and Q."""
         if key not in _SERIES_KEYS:
             raise KeyError(f"unknown series {key!r}; choose from {_SERIES_KEYS}")
+        if key in ("zq", "zQ"):
+            return getattr(self, key[1]).revert()
         return getattr(self, key)
 
 

@@ -2,9 +2,10 @@
 
 Each one computes its value another way than the library does, in
 ``Fraction`` arithmetic where that is the plainer route, so a test that
-compares the two checks the library's int arithmetic.  One helper,
-:func:`corrupt_g0_column`, instead breaks a value inside the report so a
-test can see the report's own cross-check catch it.
+compares the two checks the library's int arithmetic.  Two helpers,
+:func:`corrupt_reversion` and :func:`corrupt_g0_column`, instead break a
+value inside the report so a test can see the report's own cross-check
+catch it.
 """
 
 import math
@@ -21,15 +22,30 @@ def monomial(value, degree: int, order: int) -> Series:
     return Series([0] * degree + [value], order)
 
 
+def corrupt_reversion(monkeypatch, model, order: int, key: str, degree: int) -> None:
+    """Make ``integrality_report(model, order)`` add z^degree to the
+    reversion of the map ``key`` (q or Q) that its side computes; every
+    other reversion stays exact."""
+    target = MirrorData.build(model, order + 1).series(key)
+    exact = Series.revert
+
+    def corrupted(series):
+        result = exact(series)
+        return result + monomial(1, degree, result.order) if series == target else result
+
+    monkeypatch.setattr(Series, "revert", corrupted)
+
+
 def corrupt_g0_column(monkeypatch, model, order: int, side: str, degree: int) -> None:
     """Make ``integrality_report(model, order)`` add z^degree to the g0
     column of ``side``: g0(z(q)), which the q side composes, or g0(z(Q)) =
     s/(theta(s) + s) with s = z(Q)/z, which the Q side divides."""
     md = MirrorData.build(model, order + 1)
     if side == "q":
-        name, hit = "compose", lambda outer, inner: outer == md.g0 and inner == md.zq
+        zq = md.q.revert()
+        name, hit = "compose", lambda outer, inner: outer == md.g0 and inner == zq
     else:
-        unit = md.zQ.shift_down(1)
+        unit = md.Q.revert().shift_down(1)
         kernel = unit.theta() + unit
         name, hit = "__truediv__", lambda num, den: num == unit and den == kernel
     exact = getattr(Series, name)

@@ -145,8 +145,9 @@ def test_c04_n2_closed_forms():
         md = MirrorData.build(model, 12)
         assert md.g0 == Series([1, -4], 12) ** F(-1, 2)
         expected_zQ = Series([0] + [(-1) ** (m - 1) * m for m in range(1, 13)])
-        assert md.zQ == expected_zQ
-        g0_in_Q = md.g0.compose(md.zQ)
+        zQ = md.Q.revert()
+        assert zQ == expected_zQ
+        g0_in_Q = md.g0.compose(zQ)
         assert g0_in_Q.coeffs == (1,) + (2,) * 12
 
 

@@ -21,7 +21,7 @@ from mahlerq.cli import (
 )
 from mahlerq.mirror import _SERIES_KEYS
 from mahlerq.weights import enumerate_solutions
-from oracles import corrupt_g0_column, monomial
+from oracles import corrupt_g0_column, corrupt_reversion, monomial
 
 SRC = Path(mahlerq.__file__).resolve().parents[1]
 
@@ -126,6 +126,23 @@ class TestSeries:
         assert code == 0
         assert out.split() == ["0", "1", "2", "5", "14"]
 
+    @pytest.mark.parametrize("which, reversions", [("Q", 0), ("q", 0), ("zq", 1), ("zQ", 1)])
+    def test_only_zq_and_zQ_revert(self, monkeypatch, capsys, which, reversions):
+        from mahlerq.series import Series
+
+        revert = Series.revert
+        calls = []
+
+        def counted(series):
+            calls.append(series)
+            return revert(series)
+
+        monkeypatch.setattr(Series, "revert", counted)
+        code, _, _ = run_cli(
+            "series", "--model", "3,3,3", "--order", "6", "--which", which, capsys=capsys
+        )
+        assert (code, len(calls)) == (0, reversions)
+
     def test_g0_236(self, capsys):
         code, out, _ = run_cli(
             "series", "--model", "2,3,6", "--order", "3", "--which", "g0", capsys=capsys
@@ -204,23 +221,22 @@ class TestVerify:
         assert lines[5].startswith("5,25050301099750,")
 
     def test_consistency_fault_exits_3(self, monkeypatch, capsys):
-        from mahlerq.mirror import MirrorData
-        from mahlerq.series import Series
+        from mahlerq import Model
 
-        build = MirrorData.build.__func__
-
-        def tampered(cls, model, order):
-            md = build(cls, model, order)
-            return md._replace(zq=md.zq + monomial(1, 2, md.zq.order))
-
-        monkeypatch.setattr(MirrorData, "build", classmethod(tampered))
+        corrupt_reversion(monkeypatch, Model.from_kvector((3, 3, 3)), 4, "q", 2)
         code, out, err = run_cli("verify", "--model", "3,3,3", "--order", "4", capsys=capsys)
         assert code == 3
         assert out == ""
         assert err.startswith("internal-consistency fault: Lagrange and Newton")
 
-    @pytest.mark.parametrize("field, label", [("Q", "u"), ("q", "v")])
-    def test_linear_coefficient_tamper_exits_3(self, monkeypatch, capsys, field, label):
+    # A wrong linear coefficient of Q fails the u route's t + O(t^2) check;
+    # one of q fails the q side's own reversion check first.
+    @pytest.mark.parametrize("field, message", [
+        ("Q", "u-series composition for model 3,3,3 at order 4 is not t + O(t^2): "
+              "it starts 0 + 2*t"),
+        ("q", "Lagrange and Newton reversions disagree for model 3,3,3 at order 4, m=1"),
+    ], ids=["Q-u", "q-lagrange"])
+    def test_linear_coefficient_tamper_exits_3(self, monkeypatch, capsys, field, message):
         from mahlerq.mirror import MirrorData
         from mahlerq.series import Series
 
@@ -235,10 +251,7 @@ class TestVerify:
         code, out, err = run_cli("verify", "--model", "3,3,3", "--order", "4", capsys=capsys)
         assert code == 3
         assert out == ""
-        assert err.startswith(
-            f"internal-consistency fault: {label}-series composition for model "
-            "3,3,3 at order 4 is not t + O(t^2): it starts 0 + 2*t"
-        )
+        assert err.startswith(f"internal-consistency fault: {message}")
 
     def test_corrupted_g0_expansion_exits_3(self, monkeypatch, capsys):
         from mahlerq import Model

@@ -18,7 +18,7 @@ from mahlerq import (
     u_series,
     v_series,
 )
-from oracles import corrupt_g0_column, monomial
+from oracles import corrupt_g0_column, corrupt_reversion, monomial
 
 M22 = Model.from_kvector((2, 2))
 M333 = Model.from_kvector((3, 3, 3))
@@ -118,16 +118,25 @@ class TestUV:
     @pytest.mark.parametrize("column", [u_series, v_series])
     def test_each_side_composes_twice(self, monkeypatch, column):
         # One side composes the other map and its kernel K_Y with its own
-        # reversion, and nothing else.
+        # reversion, and nothing else; the reversion composes internally.
         md = MirrorData.build(M333, 9)
-        compose = Series.compose
-        calls = []
+        compose, revert = Series.compose, Series.revert
+        calls, reverting = [], [0]
 
         def counted(outer, inner):
-            calls.append(inner.order)
+            if not reverting[0]:
+                calls.append(inner.order)
             return compose(outer, inner)
 
+        def nested(series):
+            reverting[0] += 1
+            try:
+                return revert(series)
+            finally:
+                reverting[0] -= 1
+
         monkeypatch.setattr(Series, "compose", counted)
+        monkeypatch.setattr(Series, "revert", nested)
         column(md, 8)
         assert len(calls) == 2
 
@@ -207,8 +216,8 @@ class TestProductCheck:
         md = MirrorData.build(M333, 11)
         u = u_series(md, 10)
         v = v_series(md, 10)
-        Qq = md.Q.compose(md.zq).truncate(10)
-        qQ = md.q.compose(md.zQ).truncate(10)
+        Qq = md.Q.compose(md.q.revert()).truncate(10)
+        qQ = md.q.compose(md.Q.revert()).truncate(10)
         assert product_check(Qq, lambert_invert(u))
         assert product_check(Qq, lambert_invert(u, alternating=True), alternating=True)
         assert product_check(qQ, lambert_invert(v))
@@ -217,7 +226,7 @@ class TestProductCheck:
     def test_detects_wrong_exponents(self):
         md = MirrorData.build(M333, 7)
         u = u_series(md, 6)
-        Qq = md.Q.compose(md.zq).truncate(6)
+        Qq = md.Q.compose(md.q.revert()).truncate(6)
         for alternating in (False, True):
             b = lambert_invert(u, alternating=alternating) + monomial(1, 3, 6)
             assert not product_check(Qq, b, alternating=alternating)
@@ -230,8 +239,8 @@ class TestProductCheck:
         rep = integrality_report(Model.from_kvector(parts), M)
         md = MirrorData.build(rep.model, M + 1)
         cases = [
-            (md.Q.compose(md.zq).truncate(M), rep.bhat if alternating else rep.b),
-            (md.q.compose(md.zQ).truncate(M), rep.chat if alternating else rep.c),
+            (md.Q.compose(md.q.revert()).truncate(M), rep.bhat if alternating else rep.b),
+            (md.q.compose(md.Q.revert()).truncate(M), rep.chat if alternating else rep.c),
         ]
         if parts == (3, 3, 3):  # fractional exponents, bhat_2 = -9/2
             assert any(x.denominator != 1 for x in rep.bhat.coeffs[1:])
@@ -249,7 +258,7 @@ class TestProductCheck:
     @pytest.mark.parametrize("alternating", [False, True])
     def test_one_exponential_and_no_series_products(self, monkeypatch, alternating):
         md = MirrorData.build(M333, 13)
-        target = md.Q.compose(md.zq).truncate(12)
+        target = md.Q.compose(md.q.revert()).truncate(12)
         b = lambert_invert(u_series(md, 12), alternating=alternating)
         multiply, exponential = Series.__mul__, Series.exp
         products, exponentials = [], []
@@ -321,7 +330,7 @@ class TestG0Expansions:
     def test_tails_equal_the_compositions(self, parts, order):
         md = MirrorData.build(Model.from_kvector(parts), order + 1)
         in_q, in_Q = g0_expansions(md, order)
-        for tail, inner in ((in_q, md.zq), (in_Q, md.zQ)):
+        for tail, inner in ((in_q, md.q.revert()), (in_Q, md.Q.revert())):
             composed = md.g0.compose(inner)
             assert tail.coeffs[1:] == tuple(composed.coeff(m) for m in range(1, order + 1))
             assert tail.coeff(0) == 0
@@ -374,12 +383,14 @@ class TestReport:
         ):
             integrality_report(M333, 6)
 
+    # A tampered q is reverted on its own side first, so that side's
+    # Lagrange check names it; zq and zQ are the sides' reversions of q and Q.
     TAMPERS = [
-        ("q", 3, "v-series routes disagree for model 3,3,3 at order 6, m=2: "),
+        ("q", 3, "Lagrange and Newton reversions disagree for model 3,3,3 at order 6, m=3$"),
         ("Q", 3, "u-series routes disagree for model 3,3,3 at order 6, m=2: "),
         ("zq", 3, "Lagrange and Newton reversions disagree for model 3,3,3 at order 6, m=3$"),
         ("zQ", 3, "Lagrange and Newton reversions disagree for model 3,3,3 at order 6, m=3$"),
-        ("q", 1, r"v-series composition for model 3,3,3 at order 6 is not t \+ O\(t\^2\)"),
+        ("q", 1, "Lagrange and Newton reversions disagree for model 3,3,3 at order 6, m=1$"),
         ("Q", 1, r"u-series composition for model 3,3,3 at order 6 is not t \+ O\(t\^2\)"),
     ]
 
@@ -392,15 +403,18 @@ class TestReport:
     def test_tampered_mirror_data_raises_consistency_fault(
         self, monkeypatch, field, degree, message
     ):
-        build = MirrorData.build.__func__
+        if field in ("zq", "zQ"):
+            corrupt_reversion(monkeypatch, M333, 6, field[1], degree)
+        else:
+            build = MirrorData.build.__func__
 
-        def tampered(cls, model, order):
-            md = build(cls, model, order)
-            series = getattr(md, field)
-            bump = monomial(1, degree, series.order)
-            return md._replace(**{field: series + bump})
+            def tampered(cls, model, order):
+                md = build(cls, model, order)
+                series = getattr(md, field)
+                bump = monomial(1, degree, series.order)
+                return md._replace(**{field: series + bump})
 
-        monkeypatch.setattr(MirrorData, "build", classmethod(tampered))
+            monkeypatch.setattr(MirrorData, "build", classmethod(tampered))
         with pytest.raises(ConsistencyError, match=message):
             integrality_report(M333, 6)
 
@@ -465,6 +479,19 @@ class TestReport:
         # Q(zq) and g0(zq) on the q side, q(zQ) and (1 + theta(phi))(zQ) on
         # the Q side; the reversions compose internally.
         assert len(outside) == 4
+
+    def test_each_side_reverts_its_own_map(self, monkeypatch):
+        revert = Series.revert
+        reverted = []
+
+        def counted(series):
+            reverted.append(series)
+            return revert(series)
+
+        monkeypatch.setattr(Series, "revert", counted)
+        integrality_report(M333, 8)
+        md = MirrorData.build(M333, 9)
+        assert reverted == [md.q, md.Q]
 
     def test_report_composes_twelve_times(self, monkeypatch):
         compose = Series.compose
@@ -551,9 +578,10 @@ class TestReport:
             "g0_in_q", "g0_in_Q", "z_in_q", "z_in_Q", "checks",
         )
         md = MirrorData.build(M333, 7)
-        assert rep.z_in_q.coeffs[1:] == tuple(md.zq.coeff(m) for m in range(1, 7))
-        assert rep.z_in_Q.coeffs[1:] == tuple(md.zQ.coeff(m) for m in range(1, 7))
-        g0_in_q = md.g0.compose(md.zq)
+        zq, zQ = md.q.revert(), md.Q.revert()
+        assert rep.z_in_q.coeffs[1:] == tuple(zq.coeff(m) for m in range(1, 7))
+        assert rep.z_in_Q.coeffs[1:] == tuple(zQ.coeff(m) for m in range(1, 7))
+        g0_in_q = md.g0.compose(zq)
         assert rep.g0_in_q.coeffs[1:] == tuple(g0_in_q.coeff(m) for m in range(1, 7))
         columns = (rep.u, rep.v, rep.b, rep.bhat, rep.c, rep.chat,
                    rep.g0_in_q, rep.g0_in_Q, rep.z_in_q, rep.z_in_Q)

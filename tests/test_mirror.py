@@ -344,8 +344,26 @@ class TestMirrorData:
         md = MirrorData.build(M333, 8)
         assert md.q.shift_down(1) == (md.h / md.g0).truncate(7).exp()
         assert md.Q.shift_down(1) == md.f.truncate(7).exp()
-        assert md.Q.compose(md.zQ) == Series.identity(8)
-        assert md.q.compose(md.zq) == Series.identity(8)
+        assert md.Q.compose(md.Q.revert()) == Series.identity(8)
+        assert md.q.compose(md.q.revert()) == Series.identity(8)
+
+    def test_build_stores_no_reversion(self, monkeypatch):
+        # zq and zQ are derived: the build reverts nothing, and ``series``
+        # reverts q or Q only when asked for zq or zQ.
+        revert = Series.revert
+        reverted = []
+
+        def counted(series):
+            reverted.append(series)
+            return revert(series)
+
+        monkeypatch.setattr(Series, "revert", counted)
+        assert MirrorData._fields == ("model", "order", "g0", "h", "f", "phi", "Q", "q")
+        md = MirrorData.build(M333, 8)
+        assert reverted == []
+        assert md.series("Q") is md.Q and reverted == []
+        assert md.series("zq") == revert(md.q) and reverted == [md.q]
+        assert md.series("zQ") == revert(md.Q) and reverted == [md.q, md.Q]
 
     @pytest.mark.parametrize("model", [M22, M333, M236, Model.from_kvector((2, 3, 7, 42))])
     @pytest.mark.parametrize("order", [1, 2, 9])
