@@ -165,15 +165,21 @@ def counts(sols: list[KVector]) -> tuple[int, Fraction]:
 
 
 def floor_gap_check(model: Model) -> bool:
-    """Whether [k*x] - sum_i [w_i*x] >= 1 holds on [1/k, 1).
+    """Whether [k*x] - sum_i [w_i*x] >= 1 holds on [1/k, 1): by the
+    criterion of Krattenthaler and Rivoal, whether the mirror map q(z) has
+    integral Taylor coefficients.
 
-    The difference is right continuous and jumps only at x = j/k, so it
-    suffices to check j - sum_i floor(w_i*j/k) >= 1 for j = 1..k-1.
+    The difference is right continuous and jumps only where k*x or some
+    w_i*x is an integer, all multiples of 1/L with L = lcm(k, w_1..w_n),
+    so it suffices to check it at x = j/L (:func:`floor_gaps`).
     """
     return all(gap >= 1 for gap in floor_gaps(model))
 
 
 def floor_gaps(model: Model) -> list[int]:
-    """The jump-point values j - sum_i floor(w_i*j/k) for j = 1..k-1."""
+    """The values [k*j/L] - sum_i [w_i*j/L] at the jump points x = j/L in
+    [1/k, 1), L = lcm(k, w_1..w_n).  Each w_i of a k-vector model divides
+    k, so there L = k and the values are j - sum_i [w_i*j/k], j = 1..k-1."""
     k, w = model.k, model.w
-    return [j - sum((wi * j) // k for wi in w) for j in range(1, k)]
+    L = math.lcm(k, *w)
+    return [k * j // L - sum(wi * j // L for wi in w) for j in range(L // k, L)]

@@ -7,6 +7,7 @@ import pytest
 
 from mahlerq import (
     KVector,
+    MirrorData,
     Model,
     aut_order,
     counts,
@@ -162,6 +163,16 @@ class TestModel:
         assert payload == {"k": [2, 3, 6], "lcm": 6, "w": [3, 2, 1], "name": "2,3,6"}
 
 
+# (k, w) of models given by their weights.  In the first ten some w_i does
+# not divide k, and the gap drops to 0 only between multiples of 1/k;
+# 12:4,3,3,2, 6:3,2,1 and 6:2,2,1,1 are k-vector models.
+WEIGHTS_MODELS = [
+    (5, (2, 2, 1)), (5, (2, 3)), (7, (2, 2, 3)), (7, (3, 2, 2)), (8, (3, 3, 2)),
+    (9, (4, 3, 2)), (10, (5, 3, 2)), (10, (4, 3, 3)), (11, (5, 4, 2)), (6, (4, 1, 1)),
+    (12, (4, 3, 3, 2)), (6, (3, 2, 1)), (6, (2, 2, 1, 1)), (4, (2, 2)),
+]
+
+
 class TestFloorGap:
     def test_236_gaps(self):
         assert floor_gaps(Model.from_kvector((2, 3, 6))) == [1, 1, 1, 1, 2]
@@ -178,3 +189,17 @@ class TestFloorGap:
         for n in (2, 3, 4):
             for kv in enumerate_solutions(n):
                 assert floor_gap_check(Model.from_kvector(kv)), kv
+
+    def test_weights_jump_between_multiples_of_1_over_k(self):
+        # [2x] jumps at x = 1/2, where the gap of (5; 2,2,1) is
+        # [5/2] - 1 - 1 - 0 = 0; sampling at x = j/5 alone misses it.
+        model = Model.from_weights(5, (2, 2, 1))
+        assert floor_gaps(model) == [1, 1, 2, 0, 1, 1, 2, 2]  # x = 2/10..9/10
+        assert not floor_gap_check(model)
+
+    @pytest.mark.parametrize("model", [
+        *(Model.from_weights(k, w) for k, w in WEIGHTS_MODELS),
+        *(Model.from_kvector(kv) for n in (2, 3, 4) for kv in enumerate_solutions(n)),
+    ], ids=lambda model: model.name)
+    def test_matches_integrality_of_the_mirror_map(self, model):
+        assert floor_gap_check(model) == (MirrorData.build(model, 24).q.denominator == 1)
