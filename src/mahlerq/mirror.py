@@ -191,6 +191,10 @@ class PFOperator(namedtuple("PFOperator", "constant a b form")):
                 raise ValueError("reduced parameter multisets must be disjoint")
         return super().__new__(cls, constant, a, b, form)
 
+    # As for KVector: every pickle protocol rebuilds through __new__.
+    def __reduce__(self):
+        return PFOperator, tuple(self)
+
 
 def _growth(model: Model) -> tuple[int, int]:
     """C = k^k / prod_i w_i^(w_i) as a reduced int pair."""

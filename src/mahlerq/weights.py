@@ -89,6 +89,10 @@ class Model(namedtuple("Model", "k w kvec name")):
                 name = f"{k}:" + ",".join(str(wi) for wi in w)
         return super().__new__(cls, k, w, kvec, name)
 
+    # As for KVector: every pickle protocol rebuilds through __new__.
+    def __reduce__(self):
+        return Model, tuple(self)
+
     @classmethod
     def from_kvector(cls, kv: KVector | Iterable[int], name: str = "") -> "Model":
         if not isinstance(kv, KVector):

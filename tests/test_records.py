@@ -91,6 +91,26 @@ class TestKVectorPickle:
             pickle.loads(data.replace(six, seven))
 
 
+class TestRecordPickle:
+    """Model and PFOperator, like KVector, pass their fields back through
+    ``__new__`` under every protocol, so an edited pickle is refused."""
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_model_with_an_edited_degree_is_refused(self, protocol):
+        data = pickle.dumps(Model.from_kvector((3, 3, 3)), protocol)
+        three, four = (b"I3\n", b"I4\n") if protocol == 0 else (b"K\x03", b"K\x04")
+        # The degree k is the first 3 pickled; the k-vector's parts follow.
+        with pytest.raises(ValueError, match=r"weights \(1, 1, 1\) do not sum to degree 4"):
+            pickle.loads(data.replace(three, four, 1))
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_operator_with_an_edited_form_is_refused(self, protocol):
+        data = pickle.dumps(pf_operator(M333, "local"), protocol)
+        assert data.count(b"local") == 1
+        with pytest.raises(ValueError, match="unknown operator form 'bogus'"):
+            pickle.loads(data.replace(b"local", b"bogus"))
+
+
 class TestKVectorValue:
     def test_equality_and_hash_follow_parts(self):
         a, b = KVector([2, 3, 6]), KVector((2, 3, 6))
