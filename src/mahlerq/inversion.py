@@ -332,8 +332,9 @@ def _kth_root(series: Series, exponent: Series, k: int, label: str,
 
 def integrality_report(model: Model, order: int) -> IntegralityReport:
     """Full pipeline: mirror data, one side per map (reversion and its
-    Lagrange check, u or v on two routes, Moebius tables, product checks), k-th roots and the
-    integrality checks.  Deterministic for a given (model, order).
+    Lagrange check, u or v on two routes, Moebius tables, product checks),
+    k-th roots and the integrality checks.  Deterministic for a given
+    (model, order).
 
     The mirror data is built one order deeper than requested so that both
     routes of each side cover every reported coefficient.

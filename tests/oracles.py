@@ -5,7 +5,7 @@ Each one computes its value another way than the library does, in
 compares the two checks the library's int arithmetic.  Two helpers,
 :func:`corrupt_reversion` and :func:`corrupt_g0_column`, instead break a
 value inside the report so a test can see the report's own cross-check
-catch it.
+catch it, and :func:`recorded_reversions` lists the series a call reverts.
 """
 
 import math
@@ -20,6 +20,19 @@ def monomial(value, degree: int, order: int) -> Series:
     if not 0 <= degree <= order:
         raise ValueError("monomial degree beyond order")
     return Series([0] * degree + [value], order)
+
+
+def recorded_reversions(monkeypatch) -> list:
+    """Wrap ``Series.revert`` so that it appends each series it reverts to
+    the list returned."""
+    exact, reverted = Series.revert, []
+
+    def recording(series):
+        reverted.append(series)
+        return exact(series)
+
+    monkeypatch.setattr(Series, "revert", recording)
+    return reverted
 
 
 def corrupt_reversion(monkeypatch, model, order: int, key: str, degree: int) -> None:

@@ -21,7 +21,7 @@ from mahlerq.cli import (
 )
 from mahlerq.mirror import _SERIES_KEYS
 from mahlerq.weights import enumerate_solutions
-from oracles import corrupt_g0_column, corrupt_reversion, monomial
+from oracles import corrupt_g0_column, corrupt_reversion, monomial, recorded_reversions
 
 SRC = Path(mahlerq.__file__).resolve().parents[1]
 
@@ -128,20 +128,11 @@ class TestSeries:
 
     @pytest.mark.parametrize("which, reversions", [("Q", 0), ("q", 0), ("zq", 1), ("zQ", 1)])
     def test_only_zq_and_zQ_revert(self, monkeypatch, capsys, which, reversions):
-        from mahlerq.series import Series
-
-        revert = Series.revert
-        calls = []
-
-        def counted(series):
-            calls.append(series)
-            return revert(series)
-
-        monkeypatch.setattr(Series, "revert", counted)
+        reverted = recorded_reversions(monkeypatch)
         code, _, _ = run_cli(
             "series", "--model", "3,3,3", "--order", "6", "--which", which, capsys=capsys
         )
-        assert (code, len(calls)) == (0, reversions)
+        assert (code, len(reverted)) == (0, reversions)
 
     def test_g0_236(self, capsys):
         code, out, _ = run_cli(

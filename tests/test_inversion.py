@@ -18,7 +18,7 @@ from mahlerq import (
     u_series,
     v_series,
 )
-from oracles import corrupt_g0_column, corrupt_reversion, monomial
+from oracles import corrupt_g0_column, corrupt_reversion, monomial, recorded_reversions
 
 M22 = Model.from_kvector((2, 2))
 M333 = Model.from_kvector((3, 3, 3))
@@ -481,14 +481,7 @@ class TestReport:
         assert len(outside) == 4
 
     def test_each_side_reverts_its_own_map(self, monkeypatch):
-        revert = Series.revert
-        reverted = []
-
-        def counted(series):
-            reverted.append(series)
-            return revert(series)
-
-        monkeypatch.setattr(Series, "revert", counted)
+        reverted = recorded_reversions(monkeypatch)
         integrality_report(M333, 8)
         md = MirrorData.build(M333, 9)
         assert reverted == [md.q, md.Q]

@@ -26,7 +26,8 @@ from mahlerq import (
 from mahlerq.mirror import _f_split, period_coefficients
 from mahlerq.weights import enumerate_solutions
 from oracles import (binary_splitting_sum, gamma, jensen_measure_4444, jensen_measure_5221,
-                     jensen_measure_quadratic, measure_by_f_series, multinomial_diag, pf_apply)
+                     jensen_measure_quadratic, measure_by_f_series, multinomial_diag, pf_apply,
+                     recorded_reversions)
 
 M22 = Model.from_kvector((2, 2))
 M333 = Model.from_kvector((3, 3, 3))
@@ -351,13 +352,7 @@ class TestMirrorData:
         # zq and zQ are derived: the build reverts nothing, and ``series``
         # reverts q or Q only when asked for zq or zQ.
         revert = Series.revert
-        reverted = []
-
-        def counted(series):
-            reverted.append(series)
-            return revert(series)
-
-        monkeypatch.setattr(Series, "revert", counted)
+        reverted = recorded_reversions(monkeypatch)
         assert MirrorData._fields == ("model", "order", "g0", "h", "f", "phi", "Q", "q")
         md = MirrorData.build(M333, 8)
         assert reverted == []
