@@ -13,12 +13,20 @@ in ``test_goldens.py``; together they take under two seconds.
 at (3,3,3)@60, the weights model 5:2,2,1 at order 20 and
 (2,3,7,43,1806)@8, so the maps and their reversions are pinned apart from
 the report that reads them.
+
+Every golden and every pin above reads all seven report checks as true, so
+a verdict that was computed inverted would pass them all.  The weights
+models 5:2,2,1 and 9:4,3,2 at order 12 have false verdicts, and their
+``verify`` output is pinned here, with the 5:2,2,1 verdicts also spelled
+out.  ``pf`` and ``enumerate`` print rationals and counts, and their bytes
+are pinned too.  Each of these runs takes a few milliseconds.
 """
 
 import hashlib
 
 import pytest
 
+from mahlerq import Model, integrality_report
 from mahlerq.cli import main
 
 DEEP_DIGESTS = {
@@ -81,6 +89,21 @@ SERIES_DIGESTS = {
         "ede808bd17d70d5c30b86a975f11f592ed0f09a107f1c7bf4c4197b0297af33f",
 }
 
+VERDICT_DIGESTS = {
+    "verify --weights 5:2,2,1 --order 12 --format json":
+        "822f35bd6488f8a9d455c2f849ff4654f5761de0c7dffc891d7e8885aea973e2",
+    "verify --weights 5:2,2,1 --order 12 --format table":
+        "d6bb72d27cd359af4b001eb3fc0f252b2639c04f519a354249e337830e60c3ce",
+    "verify --weights 9:4,3,2 --order 12 --format json":
+        "5fadf916fe3fcb4eb188b40a7cf98476855b48e60b3e301f81fb475d840fc2b8",
+    "pf --model 2,3,7,42 --format table":
+        "c606fb6f4466980af950921cb17e59399f6abeda9e94a07b13f4e5d542a2507b",
+    "pf --model 2,3,7,42 --format json":
+        "4ea4aa049e1d6592f0789346e2d14e80c0f33edd73fb0e6dca7d3c2a44080860",
+    "enumerate --n 4":
+        "947861922f43c6515dd7a7da88cef6cf29e1c1bf67b46730d06dc0aa44f820b7",
+}
+
 
 @pytest.mark.parametrize("command", sorted(DEEP_DIGESTS))
 def test_deep_verify_stdout_matches_pin(command, capsys):
@@ -96,3 +119,24 @@ def test_series_stdout_matches_pin(command, capsys):
     out, err = capsys.readouterr()
     assert code == 0, err
     assert hashlib.sha256(out.encode()).hexdigest() == SERIES_DIGESTS[command]
+
+
+@pytest.mark.parametrize("command", sorted(VERDICT_DIGESTS))
+def test_verdict_stdout_matches_pin(command, capsys):
+    code = main(command.split())
+    out, err = capsys.readouterr()
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == VERDICT_DIGESTS[command]
+
+
+def test_weights_model_verdicts():
+    report = integrality_report(Model.from_weights(5, (2, 2, 1)), 12)
+    assert list(report.checks.items()) == [
+        ("product_plain", True),
+        ("product_alt", True),
+        ("lagrange_integral", False),
+        ("g0_in_q_integral", False),
+        ("g0_in_Q_integral", True),
+        ("proposition_qQ_integral", False),
+        ("conjecture1_root_integral", False),
+    ]
