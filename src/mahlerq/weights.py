@@ -10,6 +10,7 @@ hypersurfaces whose exponent vector is supplied by hand.
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter, namedtuple
 from collections.abc import Iterable
 
@@ -21,13 +22,13 @@ class KVector(tuple):
     attributes come from ``tuple``; unpickling, under every protocol,
     passes the items back through ``__new__``, which validates them again.
     A KVector equals only another KVector, never a plain tuple with the
-    same parts.
+    same parts.  Parts pass ``operator.index``: floats and strings raise.
     """
 
     __slots__ = ()
 
     def __new__(cls, parts: Iterable[int]):
-        p = tuple(int(x) for x in parts)
+        p = tuple(map(operator.index, parts))
         if len(p) < 2:
             raise ValueError("a weight system needs at least two parts")
         if p[0] < 2:
@@ -71,13 +72,15 @@ class KVector(tuple):
 class Model(namedtuple("Model", "k w kvec name")):
     """A degree k with weights (w_1..w_n), sum w_i = k; optionally from a KVector.
 
-    An empty name is replaced by the k-vector, or by "k:w_1,..,w_n".
+    An empty name is replaced by the k-vector, or by "k:w_1,..,w_n".  k and
+    w pass ``operator.index``: floats and strings raise, never truncate.
     """
 
     __slots__ = ()
 
-    def __new__(cls, k: int, w: tuple[int, ...], kvec: KVector | None = None,
+    def __new__(cls, k: int, w: Iterable[int], kvec: KVector | None = None,
                 name: str = ""):
+        k, w = operator.index(k), tuple(map(operator.index, w))
         if k < 1 or any(wi < 1 for wi in w):
             raise ValueError("degree and weights must be positive")
         if sum(w) != k:
@@ -103,7 +106,7 @@ class Model(namedtuple("Model", "k w kvec name")):
 
     @classmethod
     def from_weights(cls, k: int, w: Iterable[int], name: str = "") -> "Model":
-        return cls(k=int(k), w=tuple(int(x) for x in w), kvec=None, name=name)
+        return cls(k=k, w=w, kvec=None, name=name)
 
     @property
     def n(self) -> int:

@@ -111,6 +111,30 @@ class TestRecordPickle:
             pickle.loads(data.replace(b"local", b"bogus"))
 
 
+class TestIntegerFields:
+    """A k-vector's parts, a model's degree and its weights are ints; a
+    float or a string is refused, never truncated or kept."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: KVector([2.9, 2]),
+        lambda: KVector(["3", "3", "3"]),
+        lambda: Model.from_kvector((3.7, 3, 3)),
+        lambda: Model.from_weights(5.9, [2, 2, 1]),
+        lambda: Model.from_weights(5, [2, 2, 1.5]),
+        lambda: Model(6, (3, 2, 1.0)),
+        lambda: Model("6", (3, 2, 1)),
+    ], ids=["kvector-float", "kvector-str", "from-kvector-float", "from-weights-degree",
+            "from-weights-weight", "model-weight", "model-degree-str"])
+    def test_non_integers_are_refused(self, build):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            build()
+
+    def test_weights_are_stored_as_a_tuple_of_ints(self):
+        model = Model(6, [3, 2, 1])
+        assert model == Model.from_weights(6, (3, 2, 1))
+        assert model.w == (3, 2, 1) and model.name == "6:3,2,1"
+
+
 class TestKVectorValue:
     def test_equality_and_hash_follow_parts(self):
         a, b = KVector([2, 3, 6]), KVector((2, 3, 6))
