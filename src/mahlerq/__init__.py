@@ -29,7 +29,6 @@ from .mirror import (
 from .inversion import (
     ConsistencyError,
     IntegralityReport,
-    format_rational,
     g0_expansions,
     integrality_report,
     lambert_invert,
@@ -58,7 +57,6 @@ __all__ = [
     "f_series",
     "floor_gap_check",
     "floor_gaps",
-    "format_rational",
     "g0_expansions",
     "g0_series",
     "h_series",

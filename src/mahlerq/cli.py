@@ -48,7 +48,6 @@ from .inversion import (
     CHECK_NAMES,
     ConsistencyError,
     IntegralityReport,
-    format_rational,
     integrality_report,
 )
 from .mirror import (
@@ -288,7 +287,7 @@ def _json_text(value, indent: int | None = None, level: int = 0) -> str:
 
 
 def _fmt_fraction_list(values) -> str:
-    return "[" + ", ".join(format_rational(v) for v in values) + "]"
+    return "[" + ", ".join(map(str, values)) + "]"
 
 
 def render_enumerate(n: int, fmt: str) -> str:
@@ -315,7 +314,7 @@ def render_enumerate(n: int, fmt: str) -> str:
             f"lcm={model.k}  |Aut|={aut_order(kv)}"
         )
     simple, weighted = counts(sols)
-    lines.append(f"simple={simple} weighted={format_rational(weighted)}")
+    lines.append(f"simple={simple} weighted={weighted}")
     return "\n".join(lines)
 
 
@@ -340,15 +339,15 @@ def render_pf(model: Model, fmt: str) -> str:
         }
         for form, op in ops.items():
             payload[form] = {
-                "C": format_rational(op.constant),
-                "a": [format_rational(x) for x in op.a],
-                "b": [format_rational(x) for x in op.b],
+                "C": str(op.constant),
+                "a": [str(x) for x in op.a],
+                "b": [str(x) for x in op.b],
             }
         return _json_text(payload, 2)
     lines = [f"model: {model.name} (k={model.k}, w=({','.join(map(str, model.w))}))"]
     for form, op in ops.items():
         lines.append(
-            f"{form}: C={format_rational(op.constant)} "
+            f"{form}: C={op.constant} "
             f"a={_fmt_fraction_list(op.a)} b={_fmt_fraction_list(op.b)}"
         )
     lines.append(f"pf2_applicable: {'true' if flag else 'false'}")

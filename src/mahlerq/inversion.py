@@ -20,8 +20,8 @@ map Y and K_Y = theta_z log Y (K_Q = g0, K_q = 1 + theta(phi)).  It reverts
 X to z_X by Newton's method (the mirror data stores no reversion), checks
 z_X against Lagrange inversion of e_X, composes Y(z_X) and K_Y(z_X) once
 each, takes its column X d/dX log Y(z_X) - 1 (u or v), and
-Moebius-inverts that by a divisor sieve; both product forms are checked
-against Y(z_X).  The log L of a product satisfies 1 + theta(L) = 1 - sum
+Moebius-inverts that by a divisor sieve; both product forms must then
+reproduce Y(z_X).  The log L of a product satisfies 1 + theta(L) = 1 - sum
 m^2 b_m t^m/(1 - t^m), the Lambert series, so each product form is one
 identity, composition = t exp(L); it implies the Lambert identity for the
 logarithmic derivative, not rechecked.  The last period is checked against
@@ -38,7 +38,8 @@ side checks its direct route times K_X(z_X) against K_Y(z_X).  The g0
 columns are K_Y(z_q) on the q side and K_X(z_Q) on the Q side, each on its
 side's checked route; :func:`g0_expansions` is an independent oracle for
 them that the report does not call.  Everything is exact, and any
-disagreement between two routes halts with :class:`ConsistencyError`.
+disagreement between two routes, a failed product form among them, halts
+with :class:`ConsistencyError`: a report that is returned passed them all.
 
 Every column of the report (u, v, b, bhat, c, chat, g0 in q and in Q, z in
 q and in Q) is a field of :class:`IntegralityReport` holding a
@@ -132,8 +133,8 @@ def _side(e_X: Series, X: Series, Y: Series, K_Y: Series, count: int,
     Returns, as columns to ``count``: z in X by Lagrange inversion (checked
     against z_X), K_Y(z_X) - 1, K_X(z_X) - 1, the checked column
     X d/dX log Y(z_X) - 1 (see :func:`_checked_column`) and its plain and
-    alternating Moebius inversions; then the product-check verdicts of
-    those two on Y(z_X).
+    alternating Moebius inversions, each checked as a product form of
+    Y(z_X).
     """
     z_X = X.revert()
     z_in_X = lagrange_coeffs(e_X, count)
@@ -144,8 +145,10 @@ def _side(e_X: Series, X: Series, Y: Series, K_Y: Series, count: int,
         )
     Y_of_z, K_Y_col, K_X_col, column = _checked_column(z_X, Y, K_Y, count, label, where)
     plain, alt = (lambert_invert(column, a) for a in (False, True))
-    return (z_in_X, K_Y_col, K_X_col, column, plain, alt,
-            product_check(Y_of_z, plain), product_check(Y_of_z, alt, alternating=True))
+    for exponents, alternating, form in ((plain, False, ""), (alt, True, "alternating ")):
+        if not product_check(Y_of_z, exponents, alternating):
+            raise ConsistencyError(f"{label}-series {form}product form fails for {where}")
+    return z_in_X, K_Y_col, K_X_col, column, plain, alt
 
 
 def g0_expansions(md: MirrorData, count: int) -> tuple[Series, Series]:
@@ -246,28 +249,41 @@ def product_check(target: Series, b: Series, alternating: bool = False) -> bool:
 # integrality report
 # ---------------------------------------------------------------------------
 
-def format_rational(x: Fraction) -> str:
-    """Decimal string for integers, "p/q" otherwise; never via floating point."""
-    return _ratio_text(x.numerator, x.denominator)
+# The report's checks, in the order it lists them; the cache reader
+# validates an entry against CHECK_NAMES.
+CHECK_NAMES = (
+    "product_plain", "product_alt", "lagrange_integral", "g0_in_q_integral",
+    "g0_in_Q_integral", "proposition_qQ_integral", "conjecture1_root_integral",
+)
 
 
 class IntegralityReport(namedtuple(
     "IntegralityReport",
-    "model order u v b bhat c chat g0_in_q g0_in_Q z_in_q z_in_Q checks",
+    "model order u v b bhat c chat g0_in_q g0_in_Q z_in_q z_in_Q "
+    "proposition_qQ_integral conjecture1_root_integral",
 )):
-    """Computed columns plus cross-checks for one model at one order.
+    """Computed columns and integrality verdicts for one model at one order.
 
     u and v are the expansions of q d/dq log Q - 1 and Q d/dQ log q - 1;
     b, bhat, c and chat are their Moebius inversions (see
     :func:`lambert_invert`); g0_in_q, g0_in_Q, z_in_q and z_in_Q are g0 - 1
     and z rewritten in q and in Q.  Each of these fields is a column: a
     :class:`Series` of order ``order`` with constant term 0 whose z^m
-    coefficient is entry m.  Per-row verdicts (integrality, divisibility)
-    are always derived from the stored exact values on demand, never
-    stored separately.
+    coefficient is entry m.  The two verdict fields read what the record
+    does not keep (q and Q to order ``order`` + 1, their k-th roots); every
+    other verdict, per row or in :attr:`checks`, is derived when read.
     """
 
     __slots__ = ()
+
+    @property
+    def checks(self) -> dict:
+        """The checks by :data:`CHECK_NAMES`; both product forms hold, as a
+        report is only returned when they do."""
+        return dict(zip(CHECK_NAMES, (
+            True, True, self.z_in_q.denominator == 1 and self.z_in_Q.denominator == 1,
+            self.g0_in_q.denominator == 1, self.g0_in_Q.denominator == 1,
+            self.proposition_qQ_integral, self.conjecture1_root_integral)))
 
     def rows(self) -> list[dict]:
         keys = ("b", "bhat", "c", "chat")
@@ -303,17 +319,8 @@ class IntegralityReport(namedtuple(
             "g0_in_Q": _coefficient_texts(self.g0_in_Q)[1:],
             "z_in_q": _coefficient_texts(self.z_in_q)[1:],
             "z_in_Q": _coefficient_texts(self.z_in_Q)[1:],
-            "checks": dict(self.checks),
+            "checks": self.checks,
         }
-
-
-# The report's checks, in the order it lists them; the cache reader
-# validates an entry against CHECK_NAMES.
-_Checks = namedtuple("_Checks", (
-    "product_plain product_alt lagrange_integral g0_in_q_integral "
-    "g0_in_Q_integral proposition_qQ_integral conjecture1_root_integral"
-))
-CHECK_NAMES = _Checks._fields
 
 
 def _kth_root(series: Series, exponent: Series, k: int, label: str,
@@ -352,23 +359,13 @@ def integrality_report(model: Model, order: int) -> IntegralityReport:
             f"m={md.order}"
         )
 
-    z_in_q, g0_in_q, _, u, b, bhat, plain_q, alt_q = _side(
-        md.phi, md.q, md.Q, md.g0, order, "u", where)
-    z_in_Q, _, g0_in_Q, v, c, chat, plain_Q, alt_Q = _side(
+    z_in_q, g0_in_q, _, u, b, bhat = _side(md.phi, md.q, md.Q, md.g0, order, "u", where)
+    z_in_Q, _, g0_in_Q, v, c, chat = _side(
         md.f, md.Q, md.q, md.phi.theta() + 1, order, "v", where)
     root_q = _kth_root(md.q, md.phi, model.k, "q", where)
     root_Q = _kth_root(md.Q, md.f, model.k, "Q", where)
-
-    checks = _Checks(
-        product_plain=plain_q and plain_Q,
-        product_alt=alt_q and alt_Q,
-        lagrange_integral=z_in_q.denominator == 1 and z_in_Q.denominator == 1,
-        g0_in_q_integral=g0_in_q.denominator == 1,
-        g0_in_Q_integral=g0_in_Q.denominator == 1,
-        proposition_qQ_integral=all(
-            s.denominator == 1 and s.numerators[1] == 1 for s in (md.q, md.Q)
-        ),
+    return IntegralityReport(
+        model, order, u, v, b, bhat, c, chat, g0_in_q, g0_in_Q, z_in_q, z_in_Q,
+        proposition_qQ_integral=md.q.denominator == 1 and md.Q.denominator == 1,
         conjecture1_root_integral=root_q.denominator == 1 and root_Q.denominator == 1,
-    )._asdict()
-    return IntegralityReport(model, order, u, v, b, bhat, c, chat,
-                             g0_in_q, g0_in_Q, z_in_q, z_in_Q, checks)
+    )

@@ -2,16 +2,19 @@
 
 Each one computes its value another way than the library does, in
 ``Fraction`` arithmetic where that is the plainer route, so a test that
-compares the two checks the library's int arithmetic.  Two helpers,
-:func:`corrupt_reversion` and :func:`corrupt_g0_column`, instead break a
-value inside the report so a test can see the report's own cross-check
-catch it, and :func:`recorded_reversions` lists the series a call reverts.
+compares the two checks the library's int arithmetic.  Three helpers,
+:func:`corrupt_reversion`, :func:`corrupt_g0_column` and
+:func:`corrupt_exponents`, instead break a value inside the report so a
+test can see the report's own cross-check catch it, and
+:func:`recorded_reversions` lists the series a call reverts.
 """
 
 import math
 from fractions import Fraction as F
 
-from mahlerq import MahlerMeasure, MirrorData, Series, alpha, f_series, pf_operator
+import mahlerq.inversion as inversion
+from mahlerq import (MahlerMeasure, MirrorData, Series, alpha, f_series, pf_operator, u_series,
+                     v_series)
 from mahlerq.mirror import _growth, _parameters
 
 
@@ -68,6 +71,23 @@ def corrupt_g0_column(monkeypatch, model, order: int, side: str, degree: int) ->
         return result + monomial(1, degree, result.order) if hit(a, b) else result
 
     monkeypatch.setattr(Series, name, corrupted)
+
+
+def corrupt_exponents(monkeypatch, model, order: int, side: str, alternating: bool,
+                      degree: int) -> None:
+    """Make ``integrality_report(model, order)`` add 1 to entry ``degree`` of
+    the plain or alternating Moebius inversion of the column of ``side``:
+    b or bhat from u on the q side, c or chat from v on the Q side.  Every
+    other inversion stays exact."""
+    md = MirrorData.build(model, order + 1)
+    target = (u_series if side == "u" else v_series)(md, order), alternating
+    exact = inversion.lambert_invert
+
+    def corrupted(column, alt=False):
+        result = exact(column, alt)
+        return result + monomial(1, degree, result.order) if (column, alt) == target else result
+
+    monkeypatch.setattr(inversion, "lambert_invert", corrupted)
 
 
 def multinomial_diag(kv, m: int) -> int:

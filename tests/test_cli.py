@@ -21,7 +21,8 @@ from mahlerq.cli import (
 )
 from mahlerq.mirror import _SERIES_KEYS
 from mahlerq.weights import enumerate_solutions
-from oracles import corrupt_g0_column, corrupt_reversion, monomial, recorded_reversions
+from oracles import (corrupt_exponents, corrupt_g0_column, corrupt_reversion, monomial,
+                     recorded_reversions)
 
 SRC = Path(mahlerq.__file__).resolve().parents[1]
 
@@ -256,6 +257,21 @@ class TestVerify:
             "at order 4, m=4"
         )
 
+    @pytest.mark.parametrize("alternating", [False, True], ids=["plain", "alt"])
+    @pytest.mark.parametrize("side", ["u", "v"])
+    def test_failed_product_form_exits_3(self, monkeypatch, capsys, side, alternating):
+        from mahlerq import Model
+
+        corrupt_exponents(monkeypatch, Model.from_kvector((3, 3, 3)), 4, side, alternating, 3)
+        code, out, err = run_cli("verify", "--model", "3,3,3", "--order", "4", capsys=capsys)
+        form = "alternating " if alternating else ""
+        assert code == 3
+        assert out == ""
+        assert err == (
+            f"internal-consistency fault: {side}-series {form}product form fails for "
+            "model 3,3,3 at order 4\n"
+        )
+
     def test_22_all_zero(self, capsys):
         code, out, _ = run_cli(
             "verify", "--model", "2,2", "--order", "12", "--format", "json",
@@ -461,6 +477,28 @@ class TestBatch:
         assert out == (
             "3 cached, 0 computed\n"
             "models=3 all_integer=2 with_fractional=1 failed_checks=1\n"
+        )
+
+    def test_failed_product_form_writes_no_entry(self, tmp_path, monkeypatch, capsys):
+        from mahlerq import Model
+        from mahlerq.cli import cache_path
+
+        corrupt_exponents(monkeypatch, Model.from_kvector((3, 3, 3)), 4, "u", False, 3)
+        cache = tmp_path / "cache"
+        code, out, err = run_cli(
+            "batch", "--n", "3", "--order", "4", "--jobs", "1", "--cache", str(cache),
+            capsys=capsys,
+        )
+        assert code == 3
+        assert out == ""
+        assert err == (
+            "internal-consistency fault: u-series product form fails for model 3,3,3 "
+            "at order 4\n"
+        )
+        # (3,3,3) is listed last; the two models before it are written.
+        assert sorted(cache.glob("*.json")) == sorted(
+            Path(cache_path(str(cache), Model.from_kvector(kv), 4))
+            for kv in ((2, 3, 6), (2, 4, 4))
         )
 
     def test_cache_equals_fresh_report(self, tmp_path, capsys):

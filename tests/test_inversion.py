@@ -9,7 +9,6 @@ from mahlerq import (
     MirrorData,
     Model,
     Series,
-    format_rational,
     g0_expansions,
     integrality_report,
     lambert_invert,
@@ -18,7 +17,8 @@ from mahlerq import (
     u_series,
     v_series,
 )
-from oracles import corrupt_g0_column, corrupt_reversion, monomial, recorded_reversions
+from oracles import (corrupt_exponents, corrupt_g0_column, corrupt_reversion, monomial,
+                     recorded_reversions)
 
 M22 = Model.from_kvector((2, 2))
 M333 = Model.from_kvector((3, 3, 3))
@@ -358,15 +358,6 @@ class TestLagrangeIntegrality:
                     assert lagrange_coeffs(phi, 20).denominator == 1, model.name
 
 
-class TestFormatRational:
-    def test_integral(self):
-        assert format_rational(F(9)) == "9"
-        assert format_rational(F(-53475840)) == "-53475840"
-
-    def test_fractional(self):
-        assert format_rational(F(-9, 2)) == "-9/2"
-
-
 class TestReport:
     def test_wrong_period_recurrence_raises_consistency_fault(self, monkeypatch):
         import mahlerq.mirror as mirror
@@ -429,6 +420,19 @@ class TestReport:
         with pytest.raises(
             ConsistencyError,
             match=f"{label}-series routes disagree for model 3,3,3 at order 6, m={m}:",
+        ):
+            integrality_report(M333, 6)
+
+    @pytest.mark.parametrize("alternating", [False, True], ids=["plain", "alt"])
+    @pytest.mark.parametrize("side", ["u", "v"])
+    def test_wrong_exponent_fails_its_product_form(self, monkeypatch, side, alternating):
+        # A product form is an identity of the sieve, so a wrong exponent
+        # halts the report like any other route disagreement.
+        corrupt_exponents(monkeypatch, M333, 6, side, alternating, 3)
+        form = "alternating " if alternating else ""
+        with pytest.raises(
+            ConsistencyError,
+            match=f"^{side}-series {form}product form fails for model 3,3,3 at order 6$",
         ):
             integrality_report(M333, 6)
 
@@ -568,7 +572,8 @@ class TestReport:
         rep = integrality_report(M333, 6)
         assert rep._fields == (
             "model", "order", "u", "v", "b", "bhat", "c", "chat",
-            "g0_in_q", "g0_in_Q", "z_in_q", "z_in_Q", "checks",
+            "g0_in_q", "g0_in_Q", "z_in_q", "z_in_Q",
+            "proposition_qQ_integral", "conjecture1_root_integral",
         )
         md = MirrorData.build(M333, 7)
         zq, zQ = md.q.revert(), md.Q.revert()
@@ -588,6 +593,20 @@ class TestReport:
         rep = integrality_report(M333, 4)
         fields = set(rep._fields)
         assert "rows" not in fields  # verdicts only exist as derived data
+
+    @pytest.mark.parametrize("field, check", [
+        ("z_in_q", "lagrange_integral"),
+        ("z_in_Q", "lagrange_integral"),
+        ("g0_in_q", "g0_in_q_integral"),
+        ("g0_in_Q", "g0_in_Q_integral"),
+    ])
+    def test_column_verdicts_are_read_from_the_columns(self, field, check):
+        rep = integrality_report(M333, 6)
+        assert all(rep.checks.values())
+        column = getattr(rep, field)
+        tampered = rep._replace(**{field: column + monomial(F(1, 2), 2, 6)})
+        assert [k for k, v in tampered.checks.items() if not v] == [check]
+        assert tampered.to_json_dict()["checks"][check] is False
 
     def test_big_integers_survive_json(self):
         import json
