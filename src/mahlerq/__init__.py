@@ -17,25 +17,17 @@ from .mirror import (
     MirrorData,
     PFOperator,
     alpha,
-    f_series,
-    g0_series,
-    h_series,
-    local_mirror_map,
     mahler_measure,
-    mirror_map,
     pf2_applicable,
     pf_operator,
 )
 from .inversion import (
     ConsistencyError,
     IntegralityReport,
-    g0_expansions,
     integrality_report,
     lambert_invert,
     lambert_series,
     product_check,
-    u_series,
-    v_series,
 )
 
 __version__ = "0.1.0"
@@ -54,22 +46,14 @@ __all__ = [
     "aut_order",
     "counts",
     "enumerate_solutions",
-    "f_series",
     "floor_gap_check",
     "floor_gaps",
-    "g0_expansions",
-    "g0_series",
-    "h_series",
     "integrality_report",
     "lagrange_coeffs",
     "lambert_invert",
     "lambert_series",
-    "local_mirror_map",
     "mahler_measure",
-    "mirror_map",
     "pf2_applicable",
     "pf_operator",
     "product_check",
-    "u_series",
-    "v_series",
 ]

@@ -548,8 +548,9 @@ def _read_entry(path: str, model: Model, order: int) -> tuple[bool, bool]:
 
     The entry is read by :func:`_json_load`, so a float or a constant where
     an int belongs is corrupted, and so is one nested too deeply to read.
-    It must hold one boolean per name of :data:`CHECK_NAMES` and the rows
-    m = 1..order, each with boolean integrality flags.
+    It must hold one boolean per name of :data:`CHECK_NAMES`, both product
+    forms true (a failed one halts the report, so none is written), and the
+    rows m = 1..order, each with boolean integrality flags.
     """
     try:
         with open(path) as handle:
@@ -565,6 +566,9 @@ def _read_entry(path: str, model: Model, order: int) -> tuple[bool, bool]:
             isinstance(x, bool) for x in checks.values()
         ):
             raise ValueError(f"its checks are not one boolean each for {CHECK_NAMES}")
+        for name in ("product_plain", "product_alt"):
+            if not checks[name]:
+                raise ValueError(f"its {name} is false, which no written report holds")
         rows = payload["rows"]
         if [row["m"] for row in rows] != list(range(1, order + 1)):
             raise ValueError(f"its rows are not m = 1..{order}")
@@ -632,14 +636,6 @@ def cmd_batch(args) -> int:
     cache_dir = os.path.expanduser(
         args.cache or os.environ.get("MAHLER_CACHE") or DEFAULT_CACHE
     )
-    try:
-        os.makedirs(cache_dir, exist_ok=True)
-        probe = os.path.join(cache_dir, ".write-probe")
-        open(probe, "a").close()
-        os.unlink(probe)
-    except OSError as exc:
-        raise ValueError(f"cache directory {cache_dir} is not writable: {exc}")
-
     sols = enumerate_solutions(args.n)
     verdicts = []
     pending: list[tuple[Model, str]] = []
@@ -652,6 +648,15 @@ def cmd_batch(args) -> int:
             pending.append((model, path))
 
     if pending:
+        # Named by process id, as write_atomic's temporary files are, so that
+        # runs sharing a cache can probe it at once.
+        try:
+            os.makedirs(cache_dir, exist_ok=True)
+            probe = os.path.join(cache_dir, f".write-probe.{os.getpid()}")
+            open(probe, "a").close()
+            os.unlink(probe)
+        except OSError as exc:
+            raise ValueError(f"cache directory {cache_dir} is not writable: {exc}")
         workers = batch_workers(args.jobs, len(pending))
         if workers > 1:
             code = _fork_entries(pending, args.order, workers)

@@ -81,11 +81,6 @@ def _first_difference(a: Series, b: Series, count: int) -> int | None:
     return next((m for m in range(count + 1) if an[m] * bd != bn[m] * ad), None)
 
 
-def _entry_text(s: Series, m: int) -> str:
-    """Coefficient m of ``s`` as ``str`` prints its Fraction."""
-    return _ratio_text(*_reduced(s.numerators[m], s.denominator))
-
-
 # ---------------------------------------------------------------------------
 # u and v expansions (dual-route)
 # ---------------------------------------------------------------------------
@@ -108,9 +103,10 @@ def _checked_column(z_X: Series, Y: Series, K_Y: Series, count: int, label: str,
     s = z_X.shift_down(1).truncate(count)
     K_X_of_z = s / (s.theta() + s)
     if Y_of_z.truncate(1) != Series.identity(1):
+        start, linear = _coefficient_texts(Y_of_z.truncate(1))
         raise ConsistencyError(
             f"{label}-series composition for {where} is not t + O(t^2): "
-            f"it starts {_entry_text(Y_of_z, 0)} + {_entry_text(Y_of_z, 1)}*t"
+            f"it starts {start} + {linear}*t"
         )
     w = Y_of_z.shift_down(1)
     direct = ((w.theta() + w) / w).truncate(count)
@@ -118,8 +114,8 @@ def _checked_column(z_X: Series, Y: Series, K_Y: Series, count: int, label: str,
     if m is not None:
         raise ConsistencyError(
             f"{label}-series routes disagree for {where}, m={m}: "
-            f"composition gives {_entry_text(direct, m)}, "
-            f"chain rule gives {_entry_text(K_Y_of_z / K_X_of_z, m)}"
+            f"composition gives {_coefficient_texts(direct)[m]}, "
+            f"chain rule gives {_coefficient_texts(K_Y_of_z / K_X_of_z)[m]}"
         )
     return Y_of_z, K_Y_of_z - 1, K_X_of_z - 1, direct - 1
 
@@ -150,6 +146,11 @@ def _side(e_X: Series, X: Series, Y: Series, K_Y: Series, count: int,
             raise ConsistencyError(f"{label}-series {form}product form fails for {where}")
     return z_in_X, K_Y_col, K_X_col, column, plain, alt
 
+
+# The columns come from integrality_report; the three functions below are not
+# exported, and stay here as test and benchmark oracles that bench/layers.py
+# wraps by module attribute.  ROADMAP item 10 moves them into the tests once
+# item 3's stage hook replaces that monkeypatching.
 
 def g0_expansions(md: MirrorData, count: int) -> tuple[Series, Series]:
     """g0 rewritten in q and in Q, as columns (g0 - 1, to order count);

@@ -10,7 +10,7 @@ a caller-chosen truncation order:
   g1 = g0*log z + h annihilated by the hypergeometric operator,
 * the mirror map          q(z)  = z * exp(phi(z)),  phi = h/g0,
 
-plus the operator itself in reduced, local and unreduced normal forms,
+plus the operator itself in reduced and local normal forms,
 and a numeric evaluation of the logarithmic Mahler measure of
 psi - P(x)/(k*x_1...x_{n-1}) through the same series data.
 
@@ -82,6 +82,11 @@ def _ratio_factors(model: Model, order: int):
 # ---------------------------------------------------------------------------
 # series-level data
 # ---------------------------------------------------------------------------
+
+# The periods and maps come from MirrorData.build; the five builders below are
+# not exported, and stay here as test and benchmark oracles that
+# bench/layers.py wraps by module attribute.  ROADMAP item 10 moves them into
+# the tests once item 3's stage hook replaces that monkeypatching.
 
 def g0_series(model: Model, order: int) -> Series:
     return Series._from_ints(period_coefficients(model, order))
@@ -164,7 +169,7 @@ def mirror_map(model: Model, order: int) -> Series:
 # hypergeometric differential operators
 # ---------------------------------------------------------------------------
 
-FORMS = ("reduced", "local", "unreduced")
+FORMS = ("reduced", "local")
 
 
 class PFOperator(namedtuple("PFOperator", "constant a b form")):

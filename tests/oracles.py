@@ -13,9 +13,9 @@ import math
 from fractions import Fraction as F
 
 import mahlerq.inversion as inversion
-from mahlerq import (MahlerMeasure, MirrorData, Series, alpha, f_series, pf_operator, u_series,
-                     v_series)
-from mahlerq.mirror import _growth, _parameters
+from mahlerq import MahlerMeasure, MirrorData, Series, alpha, pf_operator
+from mahlerq.inversion import u_series, v_series
+from mahlerq.mirror import _growth, _parameters, f_series
 
 
 def monomial(value, degree: int, order: int) -> Series:

@@ -18,18 +18,13 @@ from mahlerq import (
     Model,
     Series,
     enumerate_solutions,
-    f_series,
     floor_gap_check,
-    g0_series,
-    h_series,
     integrality_report,
     lagrange_coeffs,
-    local_mirror_map,
-    mirror_map,
     pf_operator,
-    u_series,
-    v_series,
 )
+from mahlerq.inversion import u_series, v_series
+from mahlerq.mirror import f_series, g0_series, h_series, local_mirror_map, mirror_map
 
 from oracles import pf_apply
 from reference_data import (

@@ -408,6 +408,40 @@ class TestBatch:
         )
         assert code == 2
 
+    def test_warm_run_leaves_the_cache_directory_alone(self, tmp_path, capsys):
+        cache = tmp_path / "cache"
+        run_cli("batch", "--n", "3", "--order", "4", "--cache", str(cache), capsys=capsys)
+        # An old mtime, so that a write shows whatever the clock's granularity.
+        os.utime(cache, ns=(10**18, 10**18))
+        code, out, _ = run_cli(
+            "batch", "--n", "3", "--order", "4", "--cache", str(cache), capsys=capsys
+        )
+        assert (code, out.splitlines()[0]) == (0, "3 cached, 0 computed")
+        assert cache.stat().st_mtime_ns == 10**18
+
+    def test_another_run_removing_its_probe_does_not_fail(self, tmp_path, monkeypatch,
+                                                          capsys):
+        # Another run sharing the cache unlinks its own probe, a fixed name,
+        # just after this run opens a file of that name.
+        import mahlerq.cli
+
+        cache = tmp_path / "cache"
+        shared = str(cache / ".write-probe")
+
+        def racing_open(path, *args, **kwargs):
+            handle = open(path, *args, **kwargs)
+            if path == shared:
+                os.unlink(path)
+            return handle
+
+        monkeypatch.setattr(mahlerq.cli, "open", racing_open, raising=False)
+        code, out, err = run_cli(
+            "batch", "--n", "3", "--order", "4", "--jobs", "1", "--cache", str(cache),
+            capsys=capsys,
+        )
+        assert (code, err) == (0, "")
+        assert out.splitlines()[0] == "0 cached, 3 computed"
+
     @pytest.mark.parametrize("damage", [
         lambda own, other: own[:2],  # truncated: not valid JSON
         lambda own, other: "[]",  # valid JSON without the report's rows
@@ -431,6 +465,12 @@ class TestBatch:
         ),
         lambda own, other: json.dumps(  # every check NaN
             {**json.loads(own), "checks": dict.fromkeys(json.loads(own)["checks"], NAN)}
+        ),
+        lambda own, other: json.dumps(  # a false plain product form: no report holds one
+            {**json.loads(own), "checks": {**json.loads(own)["checks"], "product_plain": False}}
+        ),
+        lambda own, other: json.dumps(  # a false alternating product form
+            {**json.loads(own), "checks": {**json.loads(own)["checks"], "product_alt": False}}
         ),
     ])
     def test_corrupted_cache_entry_names_its_file(self, tmp_path, capsys, damage):
@@ -467,8 +507,7 @@ class TestBatch:
         run_cli("batch", "--n", "3", "--order", "4", "--cache", str(cache), capsys=capsys)
         entry = Path(cache_path(str(cache), Model.from_kvector((2, 4, 4)), 4))
         payload = json.loads(entry.read_text())
-        first = next(iter(payload["checks"]))
-        payload["checks"][first] = False
+        payload["checks"]["g0_in_Q_integral"] = False
         entry.write_text(json.dumps(payload))
         code, out, _ = run_cli(
             "batch", "--n", "3", "--order", "4", "--cache", str(cache), capsys=capsys
@@ -976,6 +1015,15 @@ class TestParser:
         assert code == 2
         assert out == ""
         assert err == "error: need --order at least 1\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (("series", "--model", "3,3,3", "--order", "0"), "need --order at least 1"),
+        (("batch", "--n", "1", "--order", "4"), "need --n at least 2"),
+        (("measure", "--model", "3,3,3", "--psi", "2", "--order", "0"),
+         "order must be at least 1"),
+    ], ids=["series-order-0", "batch-n-1", "measure-order-0"])
+    def test_out_of_range_values_fail_their_checks(self, capsys, argv, message):
+        assert run_cli(*argv, capsys=capsys) == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize(
         "argv, named", REFUSED_ARGV, ids=[" ".join(a) or "no command" for a, _ in REFUSED_ARGV]

@@ -9,14 +9,12 @@ from mahlerq import (
     MirrorData,
     Model,
     Series,
-    g0_expansions,
     integrality_report,
     lambert_invert,
     lambert_series,
     product_check,
-    u_series,
-    v_series,
 )
+from mahlerq.inversion import g0_expansions, u_series, v_series
 from oracles import (corrupt_exponents, corrupt_g0_column, corrupt_reversion, monomial,
                      recorded_reversions)
 
@@ -283,6 +281,10 @@ class TestProductCheck:
         with pytest.raises(ValueError, match="at least one exponent"):
             product_check(Series.identity(4), Series([0]))
 
+    def test_a_target_shorter_than_the_exponents_is_refused(self):
+        with pytest.raises(ValueError, match="^target order too small for the product test$"):
+            product_check(Series.identity(2), Series([0, 1, 1, 1]))
+
 
 class TestBinomialFactor:
     """The closed-form factors of the literal-product oracle against Series powers."""
@@ -359,6 +361,10 @@ class TestLagrangeIntegrality:
 
 
 class TestReport:
+    def test_order_0_is_refused(self):
+        with pytest.raises(ValueError, match="^order must be at least 1$"):
+            integrality_report(M333, 0)
+
     def test_wrong_period_recurrence_raises_consistency_fault(self, monkeypatch):
         import mahlerq.mirror as mirror
 

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+from collections import Counter, namedtuple
 from fractions import Fraction as F
 from functools import partial
 
@@ -14,16 +15,12 @@ from mahlerq import (
     Model,
     Series,
     alpha,
-    f_series,
-    g0_series,
-    h_series,
-    local_mirror_map,
     mahler_measure,
-    mirror_map,
     pf2_applicable,
     pf_operator,
 )
-from mahlerq.mirror import _f_split, period_coefficients
+from mahlerq.mirror import (_f_split, f_series, g0_series, h_series, local_mirror_map,
+                            mirror_map, period_coefficients)
 from mahlerq.weights import enumerate_solutions
 from oracles import (binary_splitting_sum, gamma, jensen_measure_4444, jensen_measure_5221,
                      jensen_measure_quadratic, measure_by_f_series, multinomial_diag, pf_apply,
@@ -247,10 +244,13 @@ class TestOperators:
                 assert lhs == rhs
 
 
-def reference_pf_operator(model, form):
-    """(C, a, b) of pf_operator, computed on Fraction multisets."""
-    from collections import Counter
+ReferenceOperator = namedtuple("ReferenceOperator", "constant a b")
 
+
+def reference_pf_operator(model, form):
+    """(C, a, b) of pf_operator, computed on Fraction multisets; ``form`` may
+    also be "unreduced", which pf_operator does not build: no cancellation,
+    and a = 1 - r.  pf_apply reads the result as an operator."""
     k, w = model.k, model.w
     num = Counter(F(j, k) for j in range(k))
     den = Counter(F(j, wi) for wi in w for j in range(wi))
@@ -259,7 +259,7 @@ def reference_pf_operator(model, form):
         num, den = num - common, den - common
     a = num.elements() if form == "local" else (1 - r for r in num.elements())
     constant = F(k**k, math.prod(wi**wi for wi in w))
-    return constant, tuple(sorted(a)), tuple(sorted(den.elements()))
+    return ReferenceOperator(constant, tuple(sorted(a)), tuple(sorted(den.elements())))
 
 
 def reference_tail_bound(model, psi, order):
@@ -279,7 +279,7 @@ class TestOperatorParameters:
               Model.from_weights(12, (4, 3, 3, 2)), Model.from_weights(5, (2, 3)),
               Model.from_weights(7, (2, 2, 3))]
 
-    @pytest.mark.parametrize("form", ["reduced", "local", "unreduced"])
+    @pytest.mark.parametrize("form", ["reduced", "local"])
     @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.name)
     def test_int_numerators_match_fraction_multisets(self, model, form):
         op = pf_operator(model, form)
@@ -314,7 +314,7 @@ class TestAnnihilation:
 
     @pytest.mark.parametrize("model", [M22, M333, M244, M236], ids=lambda m: m.name)
     def test_unreduced_kills_g0(self, model):
-        op = pf_operator(model, "unreduced")
+        op = reference_pf_operator(model, "unreduced")
         zero = Series.zero(self.ORDER)
         assert pf_apply(op, g0_series(model, self.ORDER), zero) == (zero, zero)
 
@@ -338,6 +338,18 @@ class TestAnnihilation:
     def test_constant_mismatch_detected(self):
         with pytest.raises(ValueError):
             pf_apply(pf_operator(M333), g0_series(M244, 4), Series.zero(4), M244)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: alpha(M333, -1), "index must be nonnegative"),
+    (lambda: local_mirror_map(M333, 0), "maps need order >= 1"),
+    (lambda: mirror_map(M333, 0), "maps need order >= 1"),
+    (lambda: MirrorData.build(M333, 0), "order must be at least 1"),
+    (lambda: pf_operator(M333, "unreduced"), "unknown operator form 'unreduced'"),
+], ids=["alpha-negative", "Q-order-0", "q-order-0", "build-order-0", "unreduced-form"])
+def test_invalid_arguments_are_refused(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
 
 
 class TestMirrorData:

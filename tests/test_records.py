@@ -166,6 +166,16 @@ class TestValidation:
         with pytest.raises(ValueError, match="unknown operator form"):
             PFOperator(op.constant, op.a, op.b, "scrambled")
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda a, b: (a, b[1:]), "reduced form needs equally many a and b"),
+        (lambda a, b: ((a[0] + 1,) + a[1:], b), r"reduced a parameters must lie in \(0, 1\]"),
+        (lambda a, b: (a, (b[0] - 1,) + b[1:]), r"reduced b parameters must lie in \[0, 1\)"),
+    ], ids=["unequal", "a-outside", "b-outside"])
+    def test_reduced_pf_operator_rejects_malformed_parameters(self, edit, message):
+        op = pf_operator(M333)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            PFOperator(op.constant, *edit(op.a, op.b), "reduced")
+
     def test_reduced_pf_operator_rejects_overlapping_parameters(self):
         op = pf_operator(M333)
         with pytest.raises(ValueError, match="disjoint"):

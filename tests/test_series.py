@@ -42,6 +42,27 @@ class TestBasics:
         with pytest.raises(TypeError):
             Series([0.5])
 
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda: Series([1], order=-1), ValueError, "order must be nonnegative"),
+        (lambda: Series([]), ValueError, "a series needs at least its constant coefficient"),
+        (lambda: Series.identity(0), ValueError, "identity needs order >= 1"),
+        (lambda: Series([1, 2, 3]).truncate(3), ValueError, "truncate cannot extend a series"),
+        (lambda: Series([1, 2]).zshift(-1), ValueError, "zshift amount must be nonnegative"),
+        (lambda: Series([0, 1]).shift_down(2), ValueError, "shift_down amount out of range"),
+        (lambda: Series([0, 1]).shift_down(-1), ValueError, "shift_down amount out of range"),
+        (lambda: Series([0, 1, 2]).shift_down(2), ValueError,
+         "shift_down needs a zero of that order"),
+        (lambda: Series([1, 2]) / 0, ZeroDivisionError, "division of a series by zero"),
+    ], ids=["negative-order", "no-coefficient", "identity-order-0", "truncate-beyond",
+            "zshift-negative", "shift-down-beyond", "shift-down-negative",
+            "shift-down-nonzero", "divide-by-0"])
+    def test_out_of_range_arguments_are_refused(self, call, error, message):
+        with pytest.raises(error, match=f"^{message}$"):
+            call()
+
+    def test_str_shows_the_constant_term(self):
+        assert str(Series([3, 0, F(-1, 2)])) == "3 + -1/2*z^2 + O(z^3)"
+
     def test_value_equality_and_hash(self):
         assert Series([1, F(1, 2)]) == Series([F(2, 2), F(2, 4)])
         assert hash(Series([1, 2])) == hash(Series([1, 2]))
@@ -146,6 +167,9 @@ class TestCalculus:
     def test_derivative(self):
         assert Series([1, 2, 3]).derivative().coeffs == (2, 6)
 
+    def test_derivative_of_an_order_0_series_is_zero(self):
+        assert Series([7]).derivative() == Series.zero(0)
+
 
 class TestComposition:
     def test_compose_linear(self):
@@ -216,6 +240,14 @@ class TestLagrange:
     def test_order_guard(self):
         with pytest.raises(ValueError):
             lagrange_coeffs(Series.zero(2), 4)
+
+    @pytest.mark.parametrize("phi, count, message", [
+        (Series.zero(2), 0, "count must be positive"),
+        (Series([1, 1]), 2, r"lagrange_coeffs needs phi\(0\) = 0"),
+    ], ids=["count-0", "phi0-nonzero"])
+    def test_malformed_requests_are_refused(self, phi, count, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            lagrange_coeffs(phi, count)
 
 
 
