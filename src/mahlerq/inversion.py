@@ -22,11 +22,13 @@ z_X against Lagrange inversion of e_X, composes Y(z_X) and K_Y(z_X) once
 each, takes its column X d/dX log Y(z_X) - 1 (u or v), and
 Moebius-inverts that by a divisor sieve; both product forms must then
 reproduce Y(z_X).  The log L of a product satisfies 1 + theta(L) = 1 - sum
-m^2 b_m t^m/(1 - t^m), the Lambert series, so each product form is one
-identity, composition = t exp(L); it implies the Lambert identity for the
-logarithmic derivative, not rechecked.  The last period is checked against
-its closed factorial form before the sides, the k-th roots of q/z and Q/z
-by their k-th powers after them.
+m^2 b_m t^m/(1 - t^m), its Lambert series, so the plain form is checked
+once as Y(z_X) = t exp(L); that implies the Lambert identity for the
+logarithmic derivative, not rechecked.  t exp(L) determines the Lambert
+series, so the alternating form holds exactly when its Lambert series is
+the plain form's, and is checked so, with no second exponential.  The last
+period is checked against its closed factorial form before the sides, the
+k-th roots of q/z and Q/z by their k-th powers after them.
 
 The column's second route is the chain rule
 t d/dt log Y(z(t)) = (theta_z log Y)(z(t)) * t d/dt log z(t):
@@ -85,19 +87,31 @@ def _first_difference(a: Series, b: Series, count: int) -> int | None:
 # u and v expansions (dual-route)
 # ---------------------------------------------------------------------------
 
-def _checked_column(z_X: Series, Y: Series, K_Y: Series, count: int, label: str,
-                    where: str) -> tuple:
-    """Y(z_X), then as columns to ``count`` K_Y(z_X) - 1, K_X(z_X) - 1 and
-    X d/dX log Y(z_X) - 1, for the side of the map X with reversion z_X;
-    z_X must exceed ``count`` in order, as a logarithmic derivative loses
-    one.  The direct route (theta(w) + w)/w, Y(z_X) = t*w, must satisfy the
-    chain rule direct * K_X(z_X) = K_Y(z_X) to order ``count``; as K_X(z_X)
-    has constant term 1, the two first differ where direct and
-    K_Y(z_X)/K_X(z_X) do.  ``label`` and ``where`` name the column, model
-    and order in an error.
+def _side(e_X: Series, X: Series, Y: Series, K_Y: Series, count: int,
+          label: str, where: str) -> tuple:
+    """The side of the map X = z exp(e_X) of the report (see the module
+    docstring); Y is the other map, K_Y = theta_z log Y.  X must exceed
+    ``count`` in order, as a logarithmic derivative loses one.  ``label``
+    and ``where`` name the column, model and order in an error.
+
+    It reverts X to z_X and checks z_X against Lagrange inversion.  The
+    direct route (theta(w) + w)/w, Y(z_X) = t*w, must satisfy the chain rule
+    direct * K_X(z_X) = K_Y(z_X) to order ``count``; as K_X(z_X) has
+    constant term 1, the two first differ where direct and K_Y(z_X)/K_X(z_X)
+    do.  Returns, as columns to ``count``: z in X by Lagrange inversion,
+    K_Y(z_X) - 1, K_X(z_X) - 1, the checked column X d/dX log Y(z_X) - 1
+    and its plain and alternating Moebius inversions, each checked as a
+    product form of Y(z_X) (see the module docstring).
     """
-    if z_X.order <= count:
+    if X.order <= count:
         raise ValueError("mirror data order must exceed the coefficient count")
+    z_X = X.revert()
+    z_in_X = lagrange_coeffs(e_X, count)
+    m = _first_difference(z_in_X, z_X, count)
+    if m is not None:
+        raise ConsistencyError(
+            f"Lagrange and Newton reversions disagree for {where}, m={m}"
+        )
     Y_of_z = Y.compose(z_X)
     K_Y_of_z = K_Y.compose(z_X).truncate(count)
     s = z_X.shift_down(1).truncate(count)
@@ -117,34 +131,13 @@ def _checked_column(z_X: Series, Y: Series, K_Y: Series, count: int, label: str,
             f"composition gives {_coefficient_texts(direct)[m]}, "
             f"chain rule gives {_coefficient_texts(K_Y_of_z / K_X_of_z)[m]}"
         )
-    return Y_of_z, K_Y_of_z - 1, K_X_of_z - 1, direct - 1
-
-
-def _side(e_X: Series, X: Series, Y: Series, K_Y: Series, count: int,
-          label: str, where: str) -> tuple:
-    """The side of the map X = z exp(e_X) of the report (see the module
-    docstring); Y is the other map, K_Y = theta_z log Y.  It first reverts X
-    to z_X.
-
-    Returns, as columns to ``count``: z in X by Lagrange inversion (checked
-    against z_X), K_Y(z_X) - 1, K_X(z_X) - 1, the checked column
-    X d/dX log Y(z_X) - 1 (see :func:`_checked_column`) and its plain and
-    alternating Moebius inversions, each checked as a product form of
-    Y(z_X).
-    """
-    z_X = X.revert()
-    z_in_X = lagrange_coeffs(e_X, count)
-    m = _first_difference(z_in_X, z_X, count)
-    if m is not None:
-        raise ConsistencyError(
-            f"Lagrange and Newton reversions disagree for {where}, m={m}"
-        )
-    Y_of_z, K_Y_col, K_X_col, column = _checked_column(z_X, Y, K_Y, count, label, where)
+    column = direct - 1
     plain, alt = (lambert_invert(column, a) for a in (False, True))
-    for exponents, alternating, form in ((plain, False, ""), (alt, True, "alternating ")):
-        if not product_check(Y_of_z, exponents, alternating):
-            raise ConsistencyError(f"{label}-series {form}product form fails for {where}")
-    return z_in_X, K_Y_col, K_X_col, column, plain, alt
+    if not product_check(Y_of_z, plain):
+        raise ConsistencyError(f"{label}-series product form fails for {where}")
+    if lambert_series(alt, count - 1, True) != lambert_series(plain, count - 1):
+        raise ConsistencyError(f"{label}-series alternating product form fails for {where}")
+    return z_in_X, K_Y_of_z - 1, K_X_of_z - 1, column, plain, alt
 
 
 # The columns come from integrality_report; the three functions below are not
@@ -169,13 +162,13 @@ def g0_expansions(md: MirrorData, count: int) -> tuple[Series, Series]:
 def u_series(md: MirrorData, count: int) -> Series:
     """The column u_1..u_count of q d/dq log Q(q) - 1; md.order must exceed count."""
     where = f"model {md.model.name} at order {count}"
-    return _checked_column(md.q.revert(), md.Q, md.g0, count, "u", where)[3]
+    return _side(md.phi, md.q, md.Q, md.g0, count, "u", where)[3]
 
 
 def v_series(md: MirrorData, count: int) -> Series:
     """The column v_1..v_count of Q d/dQ log q(Q) - 1; md.order must exceed count."""
     where = f"model {md.model.name} at order {count}"
-    return _checked_column(md.Q.revert(), md.q, md.phi.theta() + 1, count, "v", where)[3]
+    return _side(md.f, md.Q, md.q, md.phi.theta() + 1, count, "v", where)[3]
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Tests for the change of variables, Moebius/Lambert inversion and reports."""
 
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -489,6 +490,25 @@ class TestReport:
         # Q(zq) and g0(zq) on the q side, q(zQ) and (1 + theta(phi))(zQ) on
         # the Q side; the reversions compose internally.
         assert len(outside) == 4
+
+    @pytest.mark.parametrize("model, order", [
+        (M333, 12), (Model.from_kvector((2, 3, 6)), 10),
+        (Model.from_kvector((4, 4, 4, 4)), 8), (Model.from_weights(5, (2, 2, 1)), 8),
+        (Model.from_weights(12, (4, 3, 3, 2)), 8),
+    ], ids=["3,3,3", "2,3,6", "4,4,4,4", "5:2,2,1", "12:4,3,3,2"])
+    def test_no_series_operation_is_repeated(self, monkeypatch, model, order):
+        # Each intermediate series is computed once per report: no operation
+        # runs twice on equal operands of order >= 1.
+        calls = Counter()
+        for name in ("compose", "revert", "exp", "__pow__", "__mul__", "__truediv__"):
+            def recording(*operands, exact=getattr(Series, name), name=name):
+                if all(x.order >= 1 for x in operands if isinstance(x, Series)):
+                    calls[name, operands] += 1
+                return exact(*operands)
+
+            monkeypatch.setattr(Series, name, recording)
+        integrality_report(model, order)
+        assert [name for (name, _), count in calls.items() if count > 1] == []
 
     def test_each_side_reverts_its_own_map(self, monkeypatch):
         reverted = recorded_reversions(monkeypatch)
