@@ -26,9 +26,12 @@ m^2 b_m t^m/(1 - t^m), its Lambert series, so the plain form is checked
 once as Y(z_X) = t exp(L); that implies the Lambert identity for the
 logarithmic derivative, not rechecked.  t exp(L) determines the Lambert
 series, so the alternating form holds exactly when its Lambert series is
-the plain form's, and is checked so, with no second exponential.  The last
-period is checked against its closed factorial form before the sides, the
-k-th roots of q/z and Q/z by their k-th powers after them.
+the plain form's, and is checked so, with no second exponential.  Before
+the sides, the last period is checked against its closed factorial form
+and the log tail h against the Frobenius identity of the operator
+(:func:`_check_periods`); after them, the k-th roots of q/z and Q/z by
+their k-th powers.  The ``series`` command checks the reversion it prints
+by the same Lagrange step as the sides (:func:`_reversion`).
 
 The column's second route is the chain rule
 t d/dt log Y(z(t)) = (theta_z log Y)(z(t)) * t d/dt log z(t):
@@ -59,7 +62,7 @@ from collections import namedtuple
 
 from .series import (Series, _coefficient_pairs, _coefficient_texts, _ratio_text, _reduced,
                      _theta_inverse, lagrange_coeffs)
-from .mirror import MirrorData, alpha
+from .mirror import MirrorData, _growth, _parameters, alpha
 from .weights import Model
 
 
@@ -87,6 +90,19 @@ def _first_difference(a: Series, b: Series, count: int) -> int | None:
 # u and v expansions (dual-route)
 # ---------------------------------------------------------------------------
 
+def _reversion(e_X: Series, X: Series, count: int, where: str) -> tuple[Series, Series]:
+    """X = z exp(e_X) reverted by Newton's method, and z in X to ``count``
+    by Lagrange inversion of e_X, which must agree with it to ``count``."""
+    z_X = X.revert()
+    z_in_X = lagrange_coeffs(e_X, count)
+    m = _first_difference(z_in_X, z_X, count)
+    if m is not None:
+        raise ConsistencyError(
+            f"Lagrange and Newton reversions disagree for {where}, m={m}"
+        )
+    return z_X, z_in_X
+
+
 def _side(e_X: Series, X: Series, Y: Series, K_Y: Series, count: int,
           label: str, where: str) -> tuple:
     """The side of the map X = z exp(e_X) of the report (see the module
@@ -94,8 +110,8 @@ def _side(e_X: Series, X: Series, Y: Series, K_Y: Series, count: int,
     ``count`` in order, as a logarithmic derivative loses one.  ``label``
     and ``where`` name the column, model and order in an error.
 
-    It reverts X to z_X and checks z_X against Lagrange inversion.  The
-    direct route (theta(w) + w)/w, Y(z_X) = t*w, must satisfy the chain rule
+    It reverts X to z_X by :func:`_reversion`.  The direct route
+    (theta(w) + w)/w, Y(z_X) = t*w, must satisfy the chain rule
     direct * K_X(z_X) = K_Y(z_X) to order ``count``; as K_X(z_X) has
     constant term 1, the two first differ where direct and K_Y(z_X)/K_X(z_X)
     do.  Returns, as columns to ``count``: z in X by Lagrange inversion,
@@ -105,13 +121,7 @@ def _side(e_X: Series, X: Series, Y: Series, K_Y: Series, count: int,
     """
     if X.order <= count:
         raise ValueError("mirror data order must exceed the coefficient count")
-    z_X = X.revert()
-    z_in_X = lagrange_coeffs(e_X, count)
-    m = _first_difference(z_in_X, z_X, count)
-    if m is not None:
-        raise ConsistencyError(
-            f"Lagrange and Newton reversions disagree for {where}, m={m}"
-        )
+    z_X, z_in_X = _reversion(e_X, X, count, where)
     Y_of_z = Y.compose(z_X)
     K_Y_of_z = K_Y.compose(z_X).truncate(count)
     s = z_X.shift_down(1).truncate(count)
@@ -331,6 +341,49 @@ def _kth_root(series: Series, exponent: Series, k: int, label: str,
     return root
 
 
+def _check_periods(md: MirrorData, where: str) -> None:
+    """Halt unless g0 and h pass their second routes; ``where`` names the
+    model and order in an error.
+
+    The periods come from a running ratio of int floor divisions, which a
+    wrong ratio would corrupt silently, so the last is checked against the
+    closed factorial form.  h comes from its own recurrence, which every
+    later route reads through phi, so it is checked at every m = 1..N
+    against the Frobenius identity L(g0 log z + h) = 0 of the reduced
+    operator.  With its parameters a and b as ints over L, P(t) =
+    prod(t - b_j), R(t) = prod(t + a_j), C = cn/cd, h = H/D and g0 = alpha
+    (over 1), that identity reads, on ints,
+
+        cd P(Lm) H_m - cn R(L(m-1)) H_(m-1)
+            = -L D (cd P'(Lm) alpha_m - cn R'(L(m-1)) alpha_(m-1)).
+    """
+    N, g0 = md.order, md.g0.numerators
+    if g0[N] != alpha(md.model, N) * md.g0.denominator:
+        raise ConsistencyError(
+            f"running-ratio and closed-form periods disagree for {where}, m={N}"
+        )
+    L, a, b = _parameters(md.model, "reduced")
+    cn, cd = _growth(md.model)
+    H, D = md.h.numerators, md.h.denominator
+
+    def with_slope(t: int, roots) -> tuple[int, int]:
+        # prod(t - r) over the roots and its t-derivative, by the product rule
+        value, slope = 1, 0
+        for r in roots:
+            value, slope = value * (t - r), slope * (t - r) + value
+        return value, slope
+
+    minus_a = [-x for x in a]
+    for m in range(1, N + 1):
+        P, dP = with_slope(L * m, b)
+        R, dR = with_slope(L * (m - 1), minus_a)
+        lhs = cd * P * H[m] - cn * R * H[m - 1]
+        if lhs != -L * D * (cd * dP * g0[m] - cn * dR * g0[m - 1]):
+            raise ConsistencyError(
+                f"log tail h fails the Frobenius identity for {where}, m={m}"
+            )
+
+
 def integrality_report(model: Model, order: int) -> IntegralityReport:
     """Full pipeline: mirror data, one side per map (reversion and its
     Lagrange check, u or v on two routes, Moebius tables, product checks),
@@ -344,15 +397,7 @@ def integrality_report(model: Model, order: int) -> IntegralityReport:
         raise ValueError("order must be at least 1")
     md = MirrorData.build(model, order + 1)
     where = f"model {model.name} at order {order}"
-    # The periods come from a running ratio of int floor divisions, which a
-    # wrong ratio would corrupt silently (h runs on the same ratio); check
-    # the last against the closed factorial form.
-    if md.g0.numerators[md.order] != alpha(model, md.order) * md.g0.denominator:
-        raise ConsistencyError(
-            f"running-ratio and closed-form periods disagree for {where}, "
-            f"m={md.order}"
-        )
-
+    _check_periods(md, where)
     z_in_q, g0_in_q, _, u, b, bhat = _side(md.phi, md.q, md.Q, md.g0, order, "u", where)
     z_in_Q, _, g0_in_Q, v, c, chat = _side(
         md.f, md.Q, md.q, md.phi.theta() + 1, order, "v", where)

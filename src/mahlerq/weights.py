@@ -70,7 +70,7 @@ class KVector(tuple):
 
 
 class Model(namedtuple("Model", "k w kvec name")):
-    """A degree k with weights (w_1..w_n), sum w_i = k; optionally from a KVector.
+    """A degree k with n >= 2 weights (w_1..w_n), sum w_i = k; optionally from a KVector.
 
     An empty name is replaced by the k-vector, or by "k:w_1,..,w_n".  k and
     w pass ``operator.index``: floats and strings raise, never truncate.
@@ -81,6 +81,8 @@ class Model(namedtuple("Model", "k w kvec name")):
     def __new__(cls, k: int, w: Iterable[int], kvec: KVector | None = None,
                 name: str = ""):
         k, w = operator.index(k), tuple(map(operator.index, w))
+        if len(w) < 2:
+            raise ValueError("a weight system needs at least two weights")
         if k < 1 or any(wi < 1 for wi in w):
             raise ValueError("degree and weights must be positive")
         if sum(w) != k:

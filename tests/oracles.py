@@ -2,17 +2,19 @@
 
 Each one computes its value another way than the library does, in
 ``Fraction`` arithmetic where that is the plainer route, so a test that
-compares the two checks the library's int arithmetic.  Three helpers,
-:func:`corrupt_reversion`, :func:`corrupt_g0_column` and
-:func:`corrupt_exponents`, instead break a value inside the report so a
-test can see the report's own cross-check catch it, and
-:func:`recorded_reversions` lists the series a call reverts.
+compares the two checks the library's int arithmetic.  Four helpers,
+:func:`corrupt_reversion`, :func:`corrupt_g0_column`,
+:func:`corrupt_exponents` and :func:`corrupt_log_tail`, instead break a
+value inside the report so a test can see the report's own cross-check
+catch it, and :func:`recorded_reversions` lists the series a call
+reverts.
 """
 
 import math
 from fractions import Fraction as F
 
 import mahlerq.inversion as inversion
+import mahlerq.mirror as mirror
 from mahlerq import MahlerMeasure, MirrorData, Series, alpha, pf_operator
 from mahlerq.inversion import u_series, v_series
 from mahlerq.mirror import _growth, _parameters, f_series
@@ -88,6 +90,92 @@ def corrupt_exponents(monkeypatch, model, order: int, side: str, alternating: bo
         return result + monomial(1, degree, result.order) if (column, alt) == target else result
 
     monkeypatch.setattr(inversion, "lambert_invert", corrupted)
+
+
+def corrupt_log_tail(monkeypatch, degree: int) -> None:
+    """Make every log tail h that ``MirrorData.build`` computes 1 larger at
+    z^degree, and so phi, q and every q-side column with it."""
+    exact = mirror._log_tail
+
+    def corrupted(model, alphas):
+        result = exact(model, alphas)
+        return result + monomial(1, degree, result.order)
+
+    monkeypatch.setattr(mirror, "_log_tail", corrupted)
+
+
+def _product(a: list, b: list) -> list:
+    """Cauchy product of two int coefficient lists, to the shorter length."""
+    return [sum(a[i] * b[m - i] for i in range(m + 1)) for m in range(min(len(a), len(b)))]
+
+
+def _quotient(a: list, b: list) -> list:
+    """a / b for int coefficient lists with b[0] = 1, to the shorter length."""
+    out = []
+    for m in range(min(len(a), len(b))):
+        out.append(a[m] - sum(b[i] * out[m - i] for i in range(1, m + 1)))
+    return out
+
+
+def _euler_power(step: int, exponent: int, order: int) -> list:
+    """prod_{n>=1} (1 - q^(step*n))^exponent to ``order``, on ints: each
+    factor multiplies (or divides) in place."""
+    c = [1] + [0] * order
+    for n in range(step, order + 1, step):
+        for _ in range(abs(exponent)):
+            if exponent > 0:
+                for i in range(order, n - 1, -1):
+                    c[i] -= c[i - n]
+            else:
+                for i in range(n, order + 1):
+                    c[i] += c[i - n]
+    return c
+
+
+def _divisor_sums(order: int, weight) -> list:
+    """sum_{d|n} weight(d) for n = 0..order, 0 at n = 0."""
+    out = [0] * (order + 1)
+    for d in range(1, order + 1):
+        w = weight(d)
+        for n in range(d, order + 1, d):
+            out[n] += w
+    return out
+
+
+def cubic_theta(order: int) -> list:
+    """The Borweins' cubic theta function a(q) = 1 + 6 sum (d_1,3(n) -
+    d_2,3(n)) q^n to ``order``, d_r,3(n) counting the divisors of n that
+    are r mod 3: g0(z(q)) of the model (3,3,3) (Stienstra, "Mahler measure
+    variations, Eisenstein series and instanton expansions")."""
+    counts = _divisor_sums(order, lambda d: (0, 1, -1)[d % 3])
+    return [1] + [6 * c for c in counts[1:]]
+
+
+def eisenstein_e4(order: int) -> list:
+    """E_4(q) = 1 + 240 sum sigma_3(n) q^n to ``order``: the fourth power of
+    g0(z(q)) of the model (2,3,6)."""
+    sigma3 = _divisor_sums(order, lambda d: d**3)
+    return [1] + [240 * c for c in sigma3[1:]]
+
+
+def elliptic_333(order: int) -> tuple[list, list]:
+    """z(q) and u for the model (3,3,3) to ``order``, as int lists, from
+    a(q) = :func:`cubic_theta` and eta products alone:
+
+        z(q) = q prod (1 - q^(3n))^9 (1 - q^n)^(-3) / a(q)^3,
+
+    and u = (theta_q log z) a - 1 = a (1 - 27 sum sigma(n) q^(3n) + 3 sum
+    sigma(n) q^n) - 3 theta(a) - 1, as theta_q log prod (1 - q^n) =
+    -sum sigma(n) q^n.  O(order^2) int operations."""
+    a = cubic_theta(order)
+    eta = _product(_euler_power(3, 9, order - 1), _euler_power(1, -3, order - 1))
+    z = [0] + _quotient(eta, _product(_product(a, a), a))
+    sigma = _divisor_sums(order, lambda d: d)
+    log_derivative = [1] + [3 * sigma[m] - (0 if m % 3 else 27 * sigma[m // 3])
+                            for m in range(1, order + 1)]
+    u = [x - 3 * m * a[m] for m, x in enumerate(_product(a, log_derivative))]
+    u[0] -= 1
+    return z, u
 
 
 def multinomial_diag(kv, m: int) -> int:

@@ -21,8 +21,8 @@ from mahlerq.cli import (
 )
 from mahlerq.mirror import _SERIES_KEYS
 from mahlerq.weights import enumerate_solutions
-from oracles import (corrupt_exponents, corrupt_g0_column, corrupt_reversion, monomial,
-                     recorded_reversions)
+from oracles import (corrupt_exponents, corrupt_g0_column, corrupt_log_tail,
+                     corrupt_reversion, monomial, recorded_reversions)
 
 SRC = Path(mahlerq.__file__).resolve().parents[1]
 
@@ -135,6 +135,18 @@ class TestSeries:
         )
         assert (code, len(reverted)) == (0, reversions)
 
+    def test_wrong_reversion_exits_3(self, monkeypatch, capsys):
+        from mahlerq import Model
+
+        # corrupt_reversion targets the q of order 8 + 1, which series --order 9 reverts.
+        corrupt_reversion(monkeypatch, Model.from_kvector((3, 3, 3)), 8, "q", 5)
+        code, out, err = run_cli(
+            "series", "--model", "3,3,3", "--order", "9", "--which", "zq", capsys=capsys
+        )
+        assert (code, out) == (3, "")
+        assert err == ("internal-consistency fault: Lagrange and Newton reversions disagree "
+                       "for model 3,3,3 at order 9, m=5\n")
+
     def test_g0_236(self, capsys):
         code, out, _ = run_cli(
             "series", "--model", "2,3,6", "--order", "3", "--which", "g0", capsys=capsys
@@ -220,6 +232,13 @@ class TestVerify:
         assert code == 3
         assert out == ""
         assert err.startswith("internal-consistency fault: Lagrange and Newton")
+
+    def test_wrong_log_tail_exits_3(self, monkeypatch, capsys):
+        corrupt_log_tail(monkeypatch, 5)
+        code, out, err = run_cli("verify", "--model", "3,3,3", "--order", "12", capsys=capsys)
+        assert (code, out) == (3, "")
+        assert err == ("internal-consistency fault: log tail h fails the Frobenius identity "
+                       "for model 3,3,3 at order 12, m=5\n")
 
     # A wrong linear coefficient of Q fails the u route's t + O(t^2) check;
     # one of q fails the q side's own reversion check first.
@@ -1021,7 +1040,12 @@ class TestParser:
         (("batch", "--n", "1", "--order", "4"), "need --n at least 2"),
         (("measure", "--model", "3,3,3", "--psi", "2", "--order", "0"),
          "order must be at least 1"),
-    ], ids=["series-order-0", "batch-n-1", "measure-order-0"])
+        (("verify", "--weights", "3:3", "--order", "3"),
+         "a weight system needs at least two weights"),
+        (("measure", "--weights", "3:3", "--psi", "2"),
+         "a weight system needs at least two weights"),
+    ], ids=["series-order-0", "batch-n-1", "measure-order-0", "verify-one-weight",
+            "measure-one-weight"])
     def test_out_of_range_values_fail_their_checks(self, capsys, argv, message):
         assert run_cli(*argv, capsys=capsys) == (2, "", f"error: {message}\n")
 

@@ -16,7 +16,8 @@ from mahlerq import (
     product_check,
 )
 from mahlerq.inversion import g0_expansions, u_series, v_series
-from oracles import (corrupt_exponents, corrupt_g0_column, corrupt_reversion, monomial,
+from oracles import (corrupt_exponents, corrupt_g0_column, corrupt_log_tail,
+                     corrupt_reversion, cubic_theta, eisenstein_e4, elliptic_333, monomial,
                      recorded_reversions)
 
 M22 = Model.from_kvector((2, 2))
@@ -465,6 +466,16 @@ class TestReport:
         ):
             integrality_report(M333, 6)
 
+    def test_wrong_log_tail_halts(self, monkeypatch):
+        # Every later route reads h through phi; only the Frobenius identity
+        # of the operator sees it.
+        corrupt_log_tail(monkeypatch, 5)
+        with pytest.raises(
+            ConsistencyError,
+            match="log tail h fails the Frobenius identity for model 3,3,3 at order 12, m=5$",
+        ):
+            integrality_report(M333, 12)
+
     @pytest.mark.parametrize("parts", [(3, 3, 3), (2, 3, 6), (4, 4, 4, 4)])
     def test_no_composition_is_repeated(self, monkeypatch, parts):
         compose, revert = Series.compose, Series.revert
@@ -640,3 +651,23 @@ class TestReport:
         rep = integrality_report(Model.from_kvector((2, 3, 6)), 10)
         payload = json.loads(json.dumps(rep.to_json_dict()))
         assert payload["rows"][9]["b"] == "-2925411405456230806590"
+
+
+class TestEllipticClosedForms:
+    """The n = 3 reports against the modular closed forms of the elliptic
+    case, which share no code with the engine, above every pinned order."""
+
+    def test_333_at_120(self):
+        N = 120
+        rep = integrality_report(M333, N)
+        z, u = elliptic_333(N)
+        assert rep.g0_in_q + 1 == Series(cubic_theta(N))
+        assert rep.z_in_q == Series(z)
+        assert rep.u == Series(u)
+        assert lambert_invert(Series(u)) == rep.b
+        assert lambert_invert(Series(u), alternating=True) == rep.bhat
+
+    def test_236_at_100(self):
+        N = 100
+        rep = integrality_report(Model.from_kvector((2, 3, 6)), N)
+        assert (rep.g0_in_q + 1) ** 4 == Series(eisenstein_e4(N))

@@ -156,7 +156,7 @@ class TestValidation:
         assert Model.from_weights(12, (4, 3, 3, 2)).name == "12:4,3,3,2"
         assert Model.from_kvector((2, 3, 6), name="E8").name == "E8"
 
-    @pytest.mark.parametrize("k, w", [(6, (3, 2, 2)), (0, ()), (4, (5, -1))])
+    @pytest.mark.parametrize("k, w", [(6, (3, 2, 2)), (0, ()), (4, (5, -1)), (3, (3,))])
     def test_model_rejects_bad_weights(self, k, w):
         with pytest.raises(ValueError):
             Model(k, w)
