@@ -12,6 +12,7 @@ from .weights import (
     floor_gaps,
 )
 from .mirror import (
+    ConsistencyError,
     ConvergenceError,
     MahlerMeasure,
     MirrorData,
@@ -22,7 +23,6 @@ from .mirror import (
     pf_operator,
 )
 from .inversion import (
-    ConsistencyError,
     IntegralityReport,
     integrality_report,
     lambert_invert,

@@ -48,7 +48,6 @@ from .inversion import (
     CHECK_NAMES,
     ConsistencyError,
     IntegralityReport,
-    _reversion,
     integrality_report,
 )
 from .mirror import (
@@ -320,14 +319,7 @@ def render_enumerate(n: int, fmt: str) -> str:
 
 
 def render_series(model: Model, order: int, which: str, fmt: str) -> str:
-    md = MirrorData.build(model, order)
-    if which in ("zq", "zQ"):
-        # The report's Lagrange check of the reversion it prints.
-        exponent, mapping = (md.phi, md.q) if which == "zq" else (md.f, md.Q)
-        series = _reversion(exponent, mapping, order, f"model {model.name} at order {order}")[0]
-    else:
-        series = md.series(which)
-    values = _coefficient_texts(series)
+    values = _coefficient_texts(MirrorData.build(model, order).series(which))
     if fmt == "json":
         return _json_text(values)
     if fmt == "csv":

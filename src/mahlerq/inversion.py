@@ -26,12 +26,11 @@ m^2 b_m t^m/(1 - t^m), its Lambert series, so the plain form is checked
 once as Y(z_X) = t exp(L); that implies the Lambert identity for the
 logarithmic derivative, not rechecked.  t exp(L) determines the Lambert
 series, so the alternating form holds exactly when its Lambert series is
-the plain form's, and is checked so, with no second exponential.  Before
-the sides, the last period is checked against its closed factorial form
-and the log tail h against the Frobenius identity of the operator
-(:func:`_check_periods`); after them, the k-th roots of q/z and Q/z by
-their k-th powers.  The ``series`` command checks the reversion it prints
-by the same Lagrange step as the sides (:func:`_reversion`).
+the plain form's, and is checked so, with no second exponential.  The
+mirror data the sides read was checked where it was built
+(:meth:`MirrorData.build`), and each side checks its reversion by the
+step of :mod:`mahlerq.mirror` that ``series`` runs for zq and zQ; after
+the sides, the k-th roots of q/z and Q/z are checked by their k-th powers.
 
 The column's second route is the chain rule
 t d/dt log Y(z(t)) = (theta_z log Y)(z(t)) * t d/dt log z(t):
@@ -61,13 +60,9 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .series import (Series, _coefficient_pairs, _coefficient_texts, _ratio_text, _reduced,
-                     _theta_inverse, lagrange_coeffs)
-from .mirror import MirrorData, _growth, _parameters, alpha
+                     _theta_inverse)
+from .mirror import ConsistencyError, MirrorData, _first_difference, _reversion
 from .weights import Model
-
-
-class ConsistencyError(RuntimeError):
-    """Two independent computation routes disagreed; results are not trusted."""
 
 
 def _column(values: Series) -> Series:
@@ -80,28 +75,9 @@ def _column(values: Series) -> Series:
     return values
 
 
-def _first_difference(a: Series, b: Series, count: int) -> int | None:
-    """The least m <= count where the z^m coefficients of a and b differ."""
-    an, ad, bn, bd = a.numerators, a.denominator, b.numerators, b.denominator
-    return next((m for m in range(count + 1) if an[m] * bd != bn[m] * ad), None)
-
-
 # ---------------------------------------------------------------------------
 # u and v expansions (dual-route)
 # ---------------------------------------------------------------------------
-
-def _reversion(e_X: Series, X: Series, count: int, where: str) -> tuple[Series, Series]:
-    """X = z exp(e_X) reverted by Newton's method, and z in X to ``count``
-    by Lagrange inversion of e_X, which must agree with it to ``count``."""
-    z_X = X.revert()
-    z_in_X = lagrange_coeffs(e_X, count)
-    m = _first_difference(z_in_X, z_X, count)
-    if m is not None:
-        raise ConsistencyError(
-            f"Lagrange and Newton reversions disagree for {where}, m={m}"
-        )
-    return z_X, z_in_X
-
 
 def _side(e_X: Series, X: Series, Y: Series, K_Y: Series, count: int,
           label: str, where: str) -> tuple:
@@ -341,49 +317,6 @@ def _kth_root(series: Series, exponent: Series, k: int, label: str,
     return root
 
 
-def _check_periods(md: MirrorData, where: str) -> None:
-    """Halt unless g0 and h pass their second routes; ``where`` names the
-    model and order in an error.
-
-    The periods come from a running ratio of int floor divisions, which a
-    wrong ratio would corrupt silently, so the last is checked against the
-    closed factorial form.  h comes from its own recurrence, which every
-    later route reads through phi, so it is checked at every m = 1..N
-    against the Frobenius identity L(g0 log z + h) = 0 of the reduced
-    operator.  With its parameters a and b as ints over L, P(t) =
-    prod(t - b_j), R(t) = prod(t + a_j), C = cn/cd, h = H/D and g0 = alpha
-    (over 1), that identity reads, on ints,
-
-        cd P(Lm) H_m - cn R(L(m-1)) H_(m-1)
-            = -L D (cd P'(Lm) alpha_m - cn R'(L(m-1)) alpha_(m-1)).
-    """
-    N, g0 = md.order, md.g0.numerators
-    if g0[N] != alpha(md.model, N) * md.g0.denominator:
-        raise ConsistencyError(
-            f"running-ratio and closed-form periods disagree for {where}, m={N}"
-        )
-    L, a, b = _parameters(md.model, "reduced")
-    cn, cd = _growth(md.model)
-    H, D = md.h.numerators, md.h.denominator
-
-    def with_slope(t: int, roots) -> tuple[int, int]:
-        # prod(t - r) over the roots and its t-derivative, by the product rule
-        value, slope = 1, 0
-        for r in roots:
-            value, slope = value * (t - r), slope * (t - r) + value
-        return value, slope
-
-    minus_a = [-x for x in a]
-    for m in range(1, N + 1):
-        P, dP = with_slope(L * m, b)
-        R, dR = with_slope(L * (m - 1), minus_a)
-        lhs = cd * P * H[m] - cn * R * H[m - 1]
-        if lhs != -L * D * (cd * dP * g0[m] - cn * dR * g0[m - 1]):
-            raise ConsistencyError(
-                f"log tail h fails the Frobenius identity for {where}, m={m}"
-            )
-
-
 def integrality_report(model: Model, order: int) -> IntegralityReport:
     """Full pipeline: mirror data, one side per map (reversion and its
     Lagrange check, u or v on two routes, Moebius tables, product checks),
@@ -397,7 +330,6 @@ def integrality_report(model: Model, order: int) -> IntegralityReport:
         raise ValueError("order must be at least 1")
     md = MirrorData.build(model, order + 1)
     where = f"model {model.name} at order {order}"
-    _check_periods(md, where)
     z_in_q, g0_in_q, _, u, b, bhat = _side(md.phi, md.q, md.Q, md.g0, order, "u", where)
     z_in_Q, _, g0_in_Q, v, c, chat = _side(
         md.f, md.Q, md.q, md.phi.theta() + 1, order, "v", where)

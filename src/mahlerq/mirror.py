@@ -18,7 +18,7 @@ The period coefficients alpha_m = (km)!/prod_i (w_i m)! that every series
 here is built from come from one ratio over the reduced operator's
 parameters, alpha_j / alpha_(j-1) = C prod(L(j-1) + a) / prod(Lj - b), an
 exact int division per coefficient (:func:`period_coefficients`);
-:func:`alpha` keeps the closed factorial form as an independent oracle.
+:func:`alpha` keeps the closed factorial form, which checks the last.
 The log tail h runs its recurrence on the same ratio and sums its harmonic
 bracket on ints, so one period pass serves a whole :class:`MirrorData`:
 h reads the coefficients of g0, f = theta^(-1)(g0 - 1), and no step loads
@@ -26,6 +26,11 @@ h reads the coefficients of g0, f = theta^(-1)(g0 - 1), and no step loads
 the same ints.  The Mahler measure sums f(z) exactly by binary splitting
 on that same ratio, with no period list, and rounds once; it computes on
 int pairs throughout, so it never loads ``fractions`` either.
+
+Every check on that data runs here: a :class:`MirrorData` from ``build``
+has passed :func:`_check_periods`, and ``MirrorData.series`` checks the
+reversion zq or zQ it returns by :func:`_reversion`, the Lagrange step
+that each side of the integrality report runs on its own map.
 """
 
 from __future__ import annotations
@@ -34,12 +39,16 @@ import math
 from collections import Counter, namedtuple
 from collections.abc import Sequence
 
-from .series import Series, _exact, _ratio_text, _reduced, _theta_inverse
+from .series import Series, _exact, _ratio_text, _reduced, _theta_inverse, lagrange_coeffs
 from .weights import Model
 
 
 class ConvergenceError(ValueError):
     """The evaluation point lies outside the series' disk of convergence."""
+
+
+class ConsistencyError(RuntimeError):
+    """Two independent computation routes disagreed; results are not trusted."""
 
 
 # ---------------------------------------------------------------------------
@@ -77,6 +86,48 @@ def _ratio_factors(model: Model, order: int):
     L, a, b = _parameters(model, "reduced")
     for j in range(1, order + 1):
         yield [L * (j - 1) + x for x in a], [L * j - x for x in b]
+
+
+def _check_periods(model: Model, g0: Series, h: Series, where: str) -> None:
+    """Halt unless g0 and h pass their second routes; ``where`` names the
+    model and order in an error.
+
+    The periods come from a running ratio of int floor divisions, which a
+    wrong ratio would corrupt silently, so the last is checked against the
+    closed factorial form.  h comes from its own recurrence, which every
+    later route reads through phi, so it is checked at every m = 1..N
+    against the Frobenius identity L(g0 log z + h) = 0 of the reduced
+    operator.  With C = cn/cd, h = H/D, g0 = alpha (over 1), and
+    P(Lm) = prod(down) and R(L(m-1)) = prod(up) over the factors of
+    :func:`_ratio_factors` at j = m, that identity reads, on ints,
+
+        cd P(Lm) H_m - cn R(L(m-1)) H_(m-1)
+            = -L D (cd P'(Lm) alpha_m - cn R'(L(m-1)) alpha_(m-1)).
+    """
+    N, A = g0.order, g0.numerators
+    if A[N] != alpha(model, N) * g0.denominator:
+        raise ConsistencyError(
+            f"running-ratio and closed-form periods disagree for {where}, m={N}"
+        )
+    L = _parameters(model, "reduced")[0]
+    cn, cd = _growth(model)
+    H, D = h.numerators, h.denominator
+
+    def with_slope(factors: list[int]) -> tuple[int, int]:
+        # The product of the factors t - r and its t-derivative, by the product rule.
+        value, slope = 1, 0
+        for x in factors:
+            value, slope = value * x, slope * x + value
+        return value, slope
+
+    for m, (up, down) in enumerate(_ratio_factors(model, N), start=1):
+        P, dP = with_slope(down)
+        R, dR = with_slope(up)
+        lhs = cd * P * H[m] - cn * R * H[m - 1]
+        if lhs != -L * D * (cd * dP * A[m] - cn * dR * A[m - 1]):
+            raise ConsistencyError(
+                f"log tail h fails the Frobenius identity for {where}, m={m}"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +199,25 @@ def _log_tail(model: Model, alphas: Sequence[int]) -> Series:
 def _map(exponent: Series) -> Series:
     # z * exp(exponent), one order above the exponent it is given.
     return exponent.exp().zshift(1)
+
+
+def _first_difference(a: Series, b: Series, count: int) -> int | None:
+    """The least m <= count where the z^m coefficients of a and b differ."""
+    an, ad, bn, bd = a.numerators, a.denominator, b.numerators, b.denominator
+    return next((m for m in range(count + 1) if an[m] * bd != bn[m] * ad), None)
+
+
+def _reversion(e_X: Series, X: Series, count: int, where: str) -> tuple[Series, Series]:
+    """X = z exp(e_X) reverted by Newton's method, and z in X to ``count``
+    by Lagrange inversion of e_X, which must agree with it to ``count``."""
+    z_X = X.revert()
+    z_in_X = lagrange_coeffs(e_X, count)
+    m = _first_difference(z_in_X, z_X, count)
+    if m is not None:
+        raise ConsistencyError(
+            f"Lagrange and Newton reversions disagree for {where}, m={m}"
+        )
+    return z_X, z_in_X
 
 
 def local_mirror_map(model: Model, order: int) -> Series:
@@ -262,9 +332,10 @@ _SERIES_KEYS = ("g0", "h", "f", "Q", "q", "zq", "zQ")
 class MirrorData(namedtuple("MirrorData", "model order g0 h f phi Q q")):
     """The periods and both maps of one model at one truncation order.
 
-    phi = h/g0 is the exponent of q = z * exp(phi).  The reversions zq and
-    zQ (z as a series in q and in Q) are derived, not stored: ``series``
-    reverts q or Q when asked for them, and each side of the integrality
+    phi = h/g0 is the exponent of q = z * exp(phi); a record from
+    :meth:`build` has passed its checks.  The reversions zq and zQ (z as a
+    series in q and in Q) are derived, not stored: ``series`` reverts and
+    checks q or Q when asked for them, and each side of the integrality
     report reverts its own map.
     """
 
@@ -280,6 +351,7 @@ class MirrorData(namedtuple("MirrorData", "model order g0 h f phi Q q")):
             raise ValueError("order must be at least 1")
         g0 = g0_series(model, order)
         h = _log_tail(model, g0.numerators)
+        _check_periods(model, g0, h, f"model {model.name} at order {order}")
         f = _theta_inverse(g0)
         phi = h / g0
         Q = _map(f.truncate(order - 1))
@@ -291,7 +363,9 @@ class MirrorData(namedtuple("MirrorData", "model order g0 h f phi Q q")):
         if key not in _SERIES_KEYS:
             raise KeyError(f"unknown series {key!r}; choose from {_SERIES_KEYS}")
         if key in ("zq", "zQ"):
-            return getattr(self, key[1]).revert()
+            exponent = self.phi if key == "zq" else self.f
+            where = f"model {self.model.name} at order {self.order}"
+            return _reversion(exponent, getattr(self, key[1]), self.order, where)[0]
         return getattr(self, key)
 
 

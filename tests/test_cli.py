@@ -238,7 +238,7 @@ class TestVerify:
         code, out, err = run_cli("verify", "--model", "3,3,3", "--order", "12", capsys=capsys)
         assert (code, out) == (3, "")
         assert err == ("internal-consistency fault: log tail h fails the Frobenius identity "
-                       "for model 3,3,3 at order 12, m=5\n")
+                       "for model 3,3,3 at order 13, m=5\n")
 
     # A wrong linear coefficient of Q fails the u route's t + O(t^2) check;
     # one of q fails the q side's own reversion check first.

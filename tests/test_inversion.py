@@ -378,7 +378,7 @@ class TestReport:
         monkeypatch.setattr(mirror, "period_coefficients", off_by_one)
         with pytest.raises(
             ConsistencyError,
-            match="closed-form periods disagree for model 3,3,3 at order 6, m=7$",
+            match="closed-form periods disagree for model 3,3,3 at order 7, m=7$",
         ):
             integrality_report(M333, 6)
 
@@ -472,7 +472,7 @@ class TestReport:
         corrupt_log_tail(monkeypatch, 5)
         with pytest.raises(
             ConsistencyError,
-            match="log tail h fails the Frobenius identity for model 3,3,3 at order 12, m=5$",
+            match="log tail h fails the Frobenius identity for model 3,3,3 at order 13, m=5$",
         ):
             integrality_report(M333, 12)
 
