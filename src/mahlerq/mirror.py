@@ -28,7 +28,10 @@ on that same ratio, with no period list, and rounds once; it computes on
 int pairs throughout, so it never loads ``fractions`` either.
 
 Every check on that data runs here: a :class:`MirrorData` from ``build``
-has passed :func:`_check_periods`, and ``MirrorData.series`` checks the
+has passed :func:`_check_periods`, then phi * g0 = h, as every route
+through q reads phi, and, where the floor gaps of the model all hold
+(:func:`~mahlerq.weights.floor_gap_check`, the criterion of Krattenthaler
+and Rivoal), integrality of q and Q.  ``MirrorData.series`` checks the
 reversion zq or zQ it returns by :func:`_reversion`, the Lagrange step
 that each side of the integrality report runs on its own map.
 """
@@ -40,7 +43,7 @@ from collections import Counter, namedtuple
 from collections.abc import Sequence
 
 from .series import Series, _exact, _ratio_text, _reduced, _theta_inverse, lagrange_coeffs
-from .weights import Model
+from .weights import Model, floor_gap_check
 
 
 class ConvergenceError(ValueError):
@@ -349,13 +352,21 @@ class MirrorData(namedtuple("MirrorData", "model order g0 h f phi Q q")):
         built at that order."""
         if order < 1:
             raise ValueError("order must be at least 1")
+        where = f"model {model.name} at order {order}"
         g0 = g0_series(model, order)
         h = _log_tail(model, g0.numerators)
-        _check_periods(model, g0, h, f"model {model.name} at order {order}")
+        _check_periods(model, g0, h, where)
         f = _theta_inverse(g0)
         phi = h / g0
+        m = _first_difference(phi * g0, h, order)
+        if m is not None:
+            raise ConsistencyError(f"phi * g0 and h disagree for {where}, m={m}")
         Q = _map(f.truncate(order - 1))
         q = _map(phi.truncate(order - 1))
+        for label, X in (("q", q), ("Q", Q)):
+            if X.denominator != 1 and floor_gap_check(model):
+                raise ConsistencyError(
+                    f"{label} is not integral for {where}, whose floor gaps all hold")
         return cls(model, order, g0, h, f, phi, Q, q)
 
     def series(self, key: str) -> Series:

@@ -2,12 +2,10 @@
 
 Each one computes its value another way than the library does, in
 ``Fraction`` arithmetic where that is the plainer route, so a test that
-compares the two checks the library's int arithmetic.  Four helpers,
-:func:`corrupt_reversion`, :func:`corrupt_g0_column`,
-:func:`corrupt_exponents` and :func:`corrupt_log_tail`, instead break a
-value inside the report so a test can see the report's own cross-check
-catch it, and :func:`recorded_reversions` lists the series a call
-reverts.
+compares the two checks the library's int arithmetic.  The ``corrupt_``
+helpers instead break a value inside the mirror data or the report so a
+test can see the library's own cross-check catch it, and
+:func:`recorded_reversions` lists the series a call reverts.
 """
 
 import math
@@ -102,6 +100,45 @@ def corrupt_log_tail(monkeypatch, degree: int) -> None:
         return result + monomial(1, degree, result.order)
 
     monkeypatch.setattr(mirror, "_log_tail", corrupted)
+
+
+def corrupt_last_period(monkeypatch) -> None:
+    """Make every period list that ``MirrorData.build`` computes 1 larger in
+    its last entry, as a wrong running ratio would."""
+    exact = mirror.period_coefficients
+
+    def off_by_one(model, order):
+        return [a + (m == order) for m, a in enumerate(exact(model, order))]
+
+    monkeypatch.setattr(mirror, "period_coefficients", off_by_one)
+
+
+def corrupt_phi(monkeypatch, model, order: int, degree: int) -> None:
+    """Make ``MirrorData.build(model, order)`` add z^degree to phi = h/g0,
+    its quotient by g0; every other division stays exact."""
+    g0 = mirror.g0_series(model, order)
+    exact = Series.__truediv__
+
+    def corrupted(num, den):
+        result = exact(num, den)
+        return result + monomial(1, degree, result.order) if den == g0 else result
+
+    monkeypatch.setattr(Series, "__truediv__", corrupted)
+
+
+def corrupt_mirror_map(monkeypatch, model, order: int, value, degree: int) -> None:
+    """Make ``MirrorData.build(model, order)`` add value * z^degree to q;
+    Q stays exact."""
+    phi = mirror.h_series(model, order) / mirror.g0_series(model, order)
+    exact = mirror._map
+
+    def corrupted(exponent):
+        result = exact(exponent)
+        if exponent == phi.truncate(order - 1):
+            return result + monomial(value, degree, result.order)
+        return result
+
+    monkeypatch.setattr(mirror, "_map", corrupted)
 
 
 def _product(a: list, b: list) -> list:

@@ -9,6 +9,7 @@ import stat
 import subprocess
 import sys
 from contextlib import contextmanager
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
@@ -21,8 +22,9 @@ from mahlerq.cli import (
 )
 from mahlerq.mirror import _SERIES_KEYS
 from mahlerq.weights import enumerate_solutions
-from oracles import (corrupt_exponents, corrupt_g0_column, corrupt_log_tail,
-                     corrupt_reversion, monomial, recorded_reversions)
+from oracles import (corrupt_exponents, corrupt_g0_column, corrupt_last_period,
+                     corrupt_log_tail, corrupt_mirror_map, corrupt_phi, corrupt_reversion,
+                     monomial, recorded_reversions)
 
 SRC = Path(mahlerq.__file__).resolve().parents[1]
 
@@ -147,6 +149,32 @@ class TestSeries:
         assert err == ("internal-consistency fault: Lagrange and Newton reversions disagree "
                        "for model 3,3,3 at order 9, m=5\n")
 
+    # Every key reads checked mirror data, so a wrong period, log tail or
+    # map exits 3 before anything is printed.
+    FAULTS = [
+        ("h", lambda mp: corrupt_log_tail(mp, 5),
+         "log tail h fails the Frobenius identity for model 3,3,3 at order 8, m=5"),
+        ("q", lambda mp: corrupt_log_tail(mp, 5),
+         "log tail h fails the Frobenius identity for model 3,3,3 at order 8, m=5"),
+        ("zq", lambda mp: corrupt_log_tail(mp, 5),
+         "log tail h fails the Frobenius identity for model 3,3,3 at order 8, m=5"),
+        ("g0", corrupt_last_period,
+         "running-ratio and closed-form periods disagree for model 3,3,3 at order 8, m=8"),
+        ("q", lambda mp: corrupt_mirror_map(mp, mahlerq.Model.from_kvector((3, 3, 3)), 8,
+                                            F(1, 2), 3),
+         "q is not integral for model 3,3,3 at order 8, whose floor gaps all hold"),
+    ]
+
+    @pytest.mark.parametrize("which, corrupt, message", FAULTS,
+                             ids=["h-log-tail", "q-log-tail", "zq-log-tail", "g0-period",
+                                  "q-floor-gap"])
+    def test_wrong_mirror_data_exits_3(self, monkeypatch, capsys, which, corrupt, message):
+        corrupt(monkeypatch)
+        code, out, err = run_cli(
+            "series", "--model", "3,3,3", "--order", "8", "--which", which, capsys=capsys
+        )
+        assert (code, out, err) == (3, "", f"internal-consistency fault: {message}\n")
+
     def test_g0_236(self, capsys):
         code, out, _ = run_cli(
             "series", "--model", "2,3,6", "--order", "3", "--which", "g0", capsys=capsys
@@ -239,6 +267,14 @@ class TestVerify:
         assert (code, out) == (3, "")
         assert err == ("internal-consistency fault: log tail h fails the Frobenius identity "
                        "for model 3,3,3 at order 13, m=5\n")
+
+    def test_wrong_phi_exits_3(self, monkeypatch, capsys):
+        # Both reversions of q and its k-th root read phi; only phi * g0 = h sees it.
+        corrupt_phi(monkeypatch, mahlerq.Model.from_kvector((3, 3, 3)), 13, 3)
+        code, out, err = run_cli("verify", "--model", "3,3,3", "--order", "12", capsys=capsys)
+        assert (code, out) == (3, "")
+        assert err == ("internal-consistency fault: phi * g0 and h disagree "
+                       "for model 3,3,3 at order 13, m=3\n")
 
     # A wrong linear coefficient of Q fails the u route's t + O(t^2) check;
     # one of q fails the q side's own reversion check first.

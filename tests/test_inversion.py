@@ -16,9 +16,9 @@ from mahlerq import (
     product_check,
 )
 from mahlerq.inversion import g0_expansions, u_series, v_series
-from oracles import (corrupt_exponents, corrupt_g0_column, corrupt_log_tail,
-                     corrupt_reversion, cubic_theta, eisenstein_e4, elliptic_333, monomial,
-                     recorded_reversions)
+from oracles import (corrupt_exponents, corrupt_g0_column, corrupt_last_period,
+                     corrupt_log_tail, corrupt_reversion, cubic_theta, eisenstein_e4,
+                     elliptic_333, monomial, recorded_reversions)
 
 M22 = Model.from_kvector((2, 2))
 M333 = Model.from_kvector((3, 3, 3))
@@ -368,14 +368,7 @@ class TestReport:
             integrality_report(M333, 0)
 
     def test_wrong_period_recurrence_raises_consistency_fault(self, monkeypatch):
-        import mahlerq.mirror as mirror
-
-        exact = mirror.period_coefficients
-
-        def off_by_one(model, order):
-            return [a + (m == order) for m, a in enumerate(exact(model, order))]
-
-        monkeypatch.setattr(mirror, "period_coefficients", off_by_one)
+        corrupt_last_period(monkeypatch)
         with pytest.raises(
             ConsistencyError,
             match="closed-form periods disagree for model 3,3,3 at order 7, m=7$",

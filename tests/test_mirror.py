@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import re
 from collections import Counter, namedtuple
 from fractions import Fraction as F
 from functools import partial
@@ -9,12 +10,14 @@ from functools import partial
 import pytest
 
 from mahlerq import (
+    ConsistencyError,
     ConvergenceError,
     KVector,
     MirrorData,
     Model,
     Series,
     alpha,
+    floor_gap_check,
     mahler_measure,
     pf2_applicable,
     pf_operator,
@@ -22,9 +25,10 @@ from mahlerq import (
 from mahlerq.mirror import (_f_split, f_series, g0_series, h_series, local_mirror_map,
                             mirror_map, period_coefficients)
 from mahlerq.weights import enumerate_solutions
-from oracles import (binary_splitting_sum, gamma, jensen_measure_4444, jensen_measure_5221,
-                     jensen_measure_quadratic, measure_by_f_series, multinomial_diag, pf_apply,
-                     recorded_reversions)
+from oracles import (binary_splitting_sum, corrupt_last_period, corrupt_log_tail,
+                     corrupt_mirror_map, corrupt_phi, gamma, jensen_measure_4444,
+                     jensen_measure_5221, jensen_measure_quadratic, measure_by_f_series,
+                     multinomial_diag, pf_apply, recorded_reversions)
 
 M22 = Model.from_kvector((2, 2))
 M333 = Model.from_kvector((3, 3, 3))
@@ -371,6 +375,30 @@ class TestMirrorData:
         assert md.series("Q") is md.Q and reverted == []
         assert md.series("zq") == revert(md.q) and reverted == [md.q]
         assert md.series("zQ") == revert(md.Q) and reverted == [md.q, md.Q]
+
+    # Each fault halts the build on its own route: the last period against
+    # its closed form, h against the Frobenius identity, phi against
+    # phi * g0 = h, and q, whose floor gaps all hold, against integrality.
+    FAULTS = [
+        (corrupt_last_period, "running-ratio and closed-form periods disagree", 8),
+        (lambda mp: corrupt_log_tail(mp, 5), "log tail h fails the Frobenius identity", 5),
+        (lambda mp: corrupt_phi(mp, M333, 8, 3), "phi * g0 and h disagree", 3),
+        (lambda mp: corrupt_mirror_map(mp, M333, 8, F(1, 2), 3), "q is not integral", None),
+    ]
+
+    @pytest.mark.parametrize("corrupt, route, m", FAULTS,
+                             ids=["period", "log-tail", "phi", "floor-gap"])
+    def test_build_checks_its_data(self, monkeypatch, corrupt, route, m):
+        corrupt(monkeypatch)
+        where = "for model 3,3,3 at order 8"
+        message = f"{route} {where}, m={m}" if m else f"{route} {where}, whose floor gaps all hold"
+        with pytest.raises(ConsistencyError, match=f"^{re.escape(message)}$"):
+            MirrorData.build(M333, 8)
+
+    def test_floor_gaps_failing_leave_q_as_it_is(self):
+        # (5; 2,2,1) has a zero floor gap, so its q is reported, not refused.
+        assert not floor_gap_check(M5221)
+        assert MirrorData.build(M5221, 8).q.denominator > 1
 
     @pytest.mark.parametrize("model", [M22, M333, M236, Model.from_kvector((2, 3, 7, 42))])
     @pytest.mark.parametrize("order", [1, 2, 9])

@@ -36,3 +36,9 @@ def test_removed_names_are_not_exported():
             assert not hasattr(mahlerq, name)
             assert callable(getattr(module, name))
     assert len(mahlerq.__all__) == 23
+
+
+def test_one_consistency_error_class():
+    # The checks on the mirror data and on the report raise the same class.
+    assert mahlerq.inversion.ConsistencyError is mahlerq.mirror.ConsistencyError
+    assert mahlerq.ConsistencyError is mahlerq.mirror.ConsistencyError
