@@ -46,12 +46,12 @@ from types import SimpleNamespace
 from . import __version__
 from .inversion import (
     CHECK_NAMES,
-    ConsistencyError,
     IntegralityReport,
     integrality_report,
 )
 from .mirror import (
     _SERIES_KEYS,
+    ConsistencyError,
     ConvergenceError,
     MirrorData,
     mahler_measure,

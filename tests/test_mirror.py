@@ -17,7 +17,6 @@ from mahlerq import (
     Model,
     Series,
     alpha,
-    floor_gap_check,
     mahler_measure,
     pf2_applicable,
     pf_operator,
@@ -380,25 +379,22 @@ class TestMirrorData:
     # its closed form, h against the Frobenius identity, phi against
     # phi * g0 = h, and q, whose floor gaps all hold, against integrality.
     FAULTS = [
-        (corrupt_last_period, "running-ratio and closed-form periods disagree", 8),
-        (lambda mp: corrupt_log_tail(mp, 5), "log tail h fails the Frobenius identity", 5),
-        (lambda mp: corrupt_phi(mp, M333, 8, 3), "phi * g0 and h disagree", 3),
-        (lambda mp: corrupt_mirror_map(mp, M333, 8, F(1, 2), 3), "q is not integral", None),
+        (corrupt_last_period, "running-ratio and closed-form periods disagree for model 3,3,3 "
+                              "at order 8, m=8"),
+        (lambda mp: corrupt_log_tail(mp, 5), "log tail h fails the Frobenius identity for "
+                                             "model 3,3,3 at order 8, m=5"),
+        (lambda mp: corrupt_phi(mp, M333, 8, 3), "phi * g0 and h disagree for model 3,3,3 "
+                                                 "at order 8, m=3"),
+        (lambda mp: corrupt_mirror_map(mp, M333, 8, F(1, 2), 3),
+         "q is not integral for model 3,3,3 at order 8, whose floor gaps all hold"),
     ]
 
-    @pytest.mark.parametrize("corrupt, route, m", FAULTS,
+    @pytest.mark.parametrize("corrupt, message", FAULTS,
                              ids=["period", "log-tail", "phi", "floor-gap"])
-    def test_build_checks_its_data(self, monkeypatch, corrupt, route, m):
+    def test_build_checks_its_data(self, monkeypatch, corrupt, message):
         corrupt(monkeypatch)
-        where = "for model 3,3,3 at order 8"
-        message = f"{route} {where}, m={m}" if m else f"{route} {where}, whose floor gaps all hold"
         with pytest.raises(ConsistencyError, match=f"^{re.escape(message)}$"):
             MirrorData.build(M333, 8)
-
-    def test_floor_gaps_failing_leave_q_as_it_is(self):
-        # (5; 2,2,1) has a zero floor gap, so its q is reported, not refused.
-        assert not floor_gap_check(M5221)
-        assert MirrorData.build(M5221, 8).q.denominator > 1
 
     @pytest.mark.parametrize("model", [M22, M333, M236, Model.from_kvector((2, 3, 7, 42))])
     @pytest.mark.parametrize("order", [1, 2, 9])
