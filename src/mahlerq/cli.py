@@ -27,10 +27,12 @@ gives the help text and every usage error.
 
 ``batch`` keeps one JSON report per model in its cache directory, written
 by :func:`write_atomic` (a sibling temporary file, then ``os.replace``).
-With more than one worker it forks one child per worker, once; child i
-writes the entries ``pending[i::workers]`` in turn and leaves through
-``os._exit``, so the cache is the only result channel: the parent reads
-every entry, new or cached, through one validating reader.  Each worker
+It runs at most one worker per CPU the process may use
+(:func:`_usable_cpus`).  With more than one worker it forks one child per
+worker, once; child i starts on the i-th of those CPUs, writes the entries
+``pending[i::workers]`` in turn and leaves through ``os._exit``, so the
+cache is the only result channel: the parent reads every entry, new or
+cached, through one validating reader.  Each worker
 stops at its own first failure; the other workers finish their shares,
 every entry they write stays valid, and ``batch`` exits with the code of
 the first child that failed (2 for a child killed by a signal).
@@ -430,12 +432,21 @@ def write_atomic(path: str, text: str) -> None:
         raise
 
 
+def _usable_cpus() -> list[int]:
+    """The CPUs this process may run on, in order: its affinity mask where
+    ``os`` can read one, else CPUs 0..cpu_count-1."""
+    if hasattr(os, "sched_getaffinity"):
+        return sorted(os.sched_getaffinity(0))
+    return list(range(os.cpu_count() or 1))
+
+
 def batch_workers(jobs: int, pending: int) -> int:
     """Worker processes for ``pending`` reports: at most ``jobs``, one per CPU
-    and one per report; one (this process) where ``os`` cannot fork."""
+    this process may use (not per CPU installed) and one per report; one
+    (this process) where ``os`` cannot fork."""
     if not hasattr(os, "fork"):
         return 1
-    return min(jobs, os.cpu_count() or 1, pending)
+    return min(jobs, len(_usable_cpus()), pending)
 
 
 def _batch_compute(model: Model, order: int) -> str:
@@ -448,9 +459,29 @@ def _write_entries(pending: list[tuple[Model, str]], order: int) -> int:
     return 0
 
 
-def _fork_worker(share: list[tuple[Model, str]], order: int) -> int:
-    """Fork a child that writes the entries of ``share`` in turn and stops at
-    its first failure; returns its pid.
+def _start_on(cpu: int, cpus: list[int]) -> None:
+    """Move this process to ``cpu`` now, then allow it ``cpus`` again.
+
+    A forked child starts on its parent's CPU and may stay there for its
+    whole short life, so two workers would share one CPU.  Placing moves it
+    at once; the restored mask leaves the scheduler free to move it later.
+    Best effort: where ``os`` cannot set a mask or the kernel refuses one,
+    the process runs where it is.
+    """
+    if not hasattr(os, "sched_setaffinity"):
+        return
+    for mask in ({cpu}, cpus):
+        try:
+            os.sched_setaffinity(0, mask)
+        except OSError:
+            pass
+
+
+def _fork_worker(share: list[tuple[Model, str]], order: int, cpu: int,
+                 cpus: list[int]) -> int:
+    """Fork a child that starts on ``cpu`` (:func:`_start_on`), writes the
+    entries of ``share`` in turn and stops at its first failure; returns its
+    pid.
 
     The child always ends in ``os._exit``, so it never returns into the
     caller's stack, flushes the buffers it inherited or runs atexit hooks.
@@ -461,6 +492,7 @@ def _fork_worker(share: list[tuple[Model, str]], order: int) -> int:
         return pid
     code = 1
     try:
+        _start_on(cpu, cpus)
         code = _exit_code(_write_entries, share, order)
         sys.stderr.flush()
     except BaseException:
@@ -472,19 +504,22 @@ def _fork_worker(share: list[tuple[Model, str]], order: int) -> int:
 
 def _fork_entries(pending: list[tuple[Model, str]], order: int, workers: int) -> int:
     """Write the ``pending`` entries from ``workers`` forked children, child i
-    the entries ``pending[i::workers]``.
+    the entries ``pending[i::workers]``, started on the i-th CPU of
+    :func:`_usable_cpus`.
 
     Each child stops at its own first failure and the others finish their
     shares.  Returns 0, or the exit code of the first child that failed.
     The children write their entries through :func:`_json_text` and build
     no ``Fraction``, so they import neither ``json`` nor ``fractions``.
+    The parent's own CPU mask is left as it is.
     """
+    cpus = _usable_cpus()
     running: dict[int, list[tuple[Model, str]]] = {}  # pid -> its share
     failed = None  # (share, wait status) of the first failed child
     try:
         for i in range(workers):
             share = pending[i::workers]
-            running[_fork_worker(share, order)] = share
+            running[_fork_worker(share, order, cpus[i % len(cpus)], cpus)] = share
         while running:
             pid, status = os.wait()
             share = running.pop(pid)

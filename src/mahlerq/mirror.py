@@ -18,7 +18,7 @@ The period coefficients alpha_m = (km)!/prod_i (w_i m)! that every series
 here is built from come from one ratio over the reduced operator's
 parameters, alpha_j / alpha_(j-1) = C prod(L(j-1) + a) / prod(Lj - b), an
 exact int division per coefficient (:func:`period_coefficients`);
-:func:`alpha` keeps the closed factorial form, which checks the last.
+:func:`alpha` keeps a closed multinomial form, which checks the last.
 The log tail h runs its recurrence on the same ratio and sums its harmonic
 bracket on ints, so one period pass serves a whole :class:`MirrorData`:
 h reads the coefficients of g0, f = theta^(-1)(g0 - 1), and no step loads
@@ -59,12 +59,18 @@ class ConsistencyError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 def alpha(model: Model, m: int) -> int:
-    """Period coefficient (km)! / prod_i (w_i m)!, a positive integer."""
+    """Period coefficient (km)! / prod_i (w_i m)!, a positive integer.
+
+    The weights sum to k, so it is the multinomial coefficient
+    prod_j C(m(w_1 + ... + w_j), m w_j), a product of binomials.
+    """
     if m < 0:
         raise ValueError("index must be nonnegative")
-    num = math.factorial(model.k * m)
-    den = math.prod(math.factorial(wi * m) for wi in model.w)
-    return num // den
+    value, total = 1, 0
+    for wi in model.w:
+        total += wi * m
+        value *= math.comb(total, wi * m)
+    return value
 
 
 def period_coefficients(model: Model, order: int) -> list[int]:
@@ -97,7 +103,7 @@ def _check_periods(model: Model, g0: Series, h: Series, where: str) -> None:
 
     The periods come from a running ratio of int floor divisions, which a
     wrong ratio would corrupt silently, so the last is checked against the
-    closed factorial form.  h comes from its own recurrence, which every
+    closed multinomial form of :func:`alpha`.  h comes from its own recurrence, which every
     later route reads through phi, so it is checked at every m = 1..N
     against the Frobenius identity L(g0 log z + h) = 0 of the reduced
     operator.  With C = cn/cd, h = H/D, g0 = alpha (over 1), and

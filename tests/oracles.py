@@ -13,7 +13,7 @@ from fractions import Fraction as F
 
 import mahlerq.inversion as inversion
 import mahlerq.mirror as mirror
-from mahlerq import MahlerMeasure, MirrorData, Series, alpha, pf_operator
+from mahlerq import MahlerMeasure, MirrorData, Series, pf_operator
 from mahlerq.inversion import u_series, v_series
 from mahlerq.mirror import _growth, _parameters, f_series
 
@@ -228,10 +228,18 @@ def multinomial_diag(kv, m: int) -> int:
     return math.factorial(m) // math.prod(math.factorial(m // ki) for ki in parts)
 
 
+def alpha_factorial(model, m: int) -> int:
+    """Period coefficient alpha_m as the factorial quotient (km)! / prod_i (w_i m)!,
+    the definition that ``mirror.alpha``'s product of binomials computes another way."""
+    if m < 0:
+        raise ValueError("index must be nonnegative")
+    return math.factorial(model.k * m) // math.prod(math.factorial(wi * m) for wi in model.w)
+
+
 def gamma(model, m: int) -> F:
     """Coefficient of z^m in the logarithmic tail h(z), summed in Fractions:
     alpha_m * sum_(j=1..m) [sum_a 1/(j - 1 + a) - sum_b 1/(j - b)] over the
-    reduced operator's parameters, alpha_m in its closed factorial form."""
+    reduced operator's parameters, alpha_m by :func:`alpha_factorial`."""
     if m < 1:
         raise ValueError("index must be positive")
     op = pf_operator(model, "reduced")
@@ -240,7 +248,7 @@ def gamma(model, m: int) -> F:
          for j in range(1, m + 1)),
         F(0),
     )
-    return alpha(model, m) * bracket
+    return alpha_factorial(model, m) * bracket
 
 
 def pf_apply(op, regular: Series, logpart: Series, model=None) -> tuple[Series, Series]:

@@ -694,6 +694,7 @@ class TestBatchWorkerFailures:
             monkeypatch.setattr(cli, "integrality_report", report)
 
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         return patch
 
     def run_batch(self, cache, capfd):
@@ -900,24 +901,31 @@ class TestWriteAtomic:
 
 class TestBatchWorkers:
     @pytest.mark.parametrize(
-        "jobs, cpus, pending, expected",
+        "jobs, installed, usable, pending, expected",
         [
-            (4, 2, 14, 2),
-            (2, 8, 14, 2),
-            (8, 8, 3, 3),
-            (4, 8, 1, 1),
-            (4, None, 14, 1),
-            (1, 8, 14, 1),
+            (4, 2, {0, 1}, 14, 2),
+            (2, 8, set(range(8)), 14, 2),
+            (8, 8, set(range(8)), 3, 3),
+            (4, 8, set(range(8)), 1, 1),
+            (1, 8, set(range(8)), 14, 1),
+            (4, 8, {0}, 14, 1),  # e.g. under taskset -c 0
+            (4, 8, None, 14, 4),  # no affinity mask to read: the CPUs installed
+            (4, None, None, 14, 1),
         ],
     )
-    def test_clamped_to_cpus_and_pending_reports(
-        self, monkeypatch, jobs, cpus, pending, expected
+    def test_clamped_to_usable_cpus_and_pending_reports(
+        self, monkeypatch, jobs, installed, usable, pending, expected
     ):
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(os, "cpu_count", lambda: installed)
+        if usable is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: usable, raising=False)
         assert batch_workers(jobs, pending) == expected
 
     def test_one_worker_without_fork(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
         monkeypatch.delattr(os, "fork")
         assert batch_workers(4, 14) == 1
 
@@ -1124,23 +1132,26 @@ class TestParser:
         assert run_cli("--version", capsys=capsys) == (0, "0.1.0\n", "")
 
 
-def run_forked_batch(cache, epilogue="", prologue=""):
-    """``batch --n 3 --order 5 --jobs 2`` in a fresh ``python -S`` with two
-    CPUs reported, stdout on a pipe; ``prologue`` runs before ``main`` and
-    ``epilogue`` after it."""
+def run_forked_batch(cache, epilogue="", prologue="", options=()):
+    """``batch --n 3 --order 5 --jobs 2`` and then ``options`` (the last value
+    of an option wins) in a fresh ``python -S`` with two CPUs installed and
+    usable, CPUs 0 and 1, stdout on a pipe; ``prologue`` runs before those
+    CPUs are reported, ``epilogue`` after ``main``."""
     return subprocess.run(
         [
             sys.executable,
             "-S",
             "-c",
             "import os, sys\n"
-            "os.cpu_count = lambda: 2\n"
             f"{prologue}\n"
+            "os.cpu_count = lambda: 2\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
             "from mahlerq.cli import main\n"
             "code = main(sys.argv[1:])\n"
             f"{epilogue}\n"
             "sys.exit(code)",
             "batch", "--n", "3", "--order", "5", "--jobs", "2", "--cache", str(cache),
+            *options,
         ],
         capture_output=True,
         text=True,
@@ -1307,6 +1318,7 @@ class TestConsoleEntry:
                 [sys.executable, "-S", "-X", "importtime", "-c",
                  "import os, sys\n"
                  "os.cpu_count = lambda: 2\n"
+                 "os.sched_getaffinity = lambda pid: {0, 1}\n"
                  "from mahlerq.cli import main\n"
                  "sys.exit(main(sys.argv[1:]))",
                  "batch", "--n", "3", "--order", "4", "--jobs", "2",
@@ -1365,3 +1377,66 @@ class TestConsoleEntry:
             "models=3 all_integer=2 with_fractional=1 failed_checks=0\n"
         )
         assert proc.stderr == ""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity masks")
+class TestWorkerPlacement:
+    """Each forked worker starts on its own CPU.  ``os.sched_setaffinity`` is
+    wrapped to log every call, one write each, so no test depends on where
+    the host's scheduler puts a process."""
+
+    LOGGED = (
+        "real_mask = os.sched_getaffinity\n"
+        "inherited = real_mask(0)\n"
+        "place = os.sched_setaffinity\n"
+        "def logged(pid, mask):\n"
+        "    os.write(2, b'%d %r\\n' % (os.getpid(), sorted(mask)))\n"
+        "    place(pid, mask)\n"
+        "os.sched_setaffinity = logged"
+    )
+    # The parent's pid and whether its own mask is what it inherited.
+    PARENT = "os.write(2, b'%d %r\\n' % (os.getpid(), real_mask(0) == inherited))"
+
+    def placements(self, proc) -> dict[str, list]:
+        """The masks each process set, by pid, after checking the parent's line."""
+        assert proc.returncode == 0, proc.stderr
+        *lines, parent = proc.stderr.splitlines()
+        pid, unchanged = parent.split()
+        assert unchanged == "True"
+        calls = {}
+        for line in lines:
+            who, mask = line.split(" ", 1)
+            calls.setdefault(who, []).append(ast.literal_eval(mask))
+        assert pid not in calls
+        return calls
+
+    def test_each_worker_starts_on_its_own_cpu_then_gets_the_mask_back(self, tmp_path):
+        proc = run_forked_batch(tmp_path / "cache", self.PARENT, self.LOGGED)
+        assert proc.stdout.startswith("0 cached, 3 computed\n")
+        calls = self.placements(proc)
+        assert sorted(calls.values()) == [[[0], [0, 1]], [[1], [0, 1]]]
+
+    def test_no_placement_without_forked_workers(self, tmp_path):
+        cache = tmp_path / "cache"
+        for options, summary in ((("--jobs", "1"), "0 cached, 3 computed"),
+                                 ((), "3 cached, 0 computed")):
+            proc = run_forked_batch(cache, self.PARENT, self.LOGGED, options)
+            assert proc.stdout.startswith(summary + "\n")
+            assert self.placements(proc) == {}
+
+    @pytest.mark.parametrize("prologue", [
+        "def refuse(pid, mask):\n"
+        "    raise OSError(22, 'Invalid argument')\n"
+        "os.sched_setaffinity = refuse",
+        "del os.sched_setaffinity",
+    ], ids=["refused", "missing"])
+    def test_workers_run_unplaced_where_a_mask_cannot_be_set(self, tmp_path, prologue):
+        one, two = tmp_path / "one", tmp_path / "two"
+        assert run_forked_batch(one, options=("--jobs", "1")).returncode == 0
+        proc = run_forked_batch(two, prologue=prologue)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        assert proc.stdout.startswith("0 cached, 3 computed\n")
+        assert sorted(p.name for p in two.iterdir()) == sorted(p.name for p in one.iterdir())
+        for path in one.iterdir():
+            assert path.read_bytes() == (two / path.name).read_bytes()

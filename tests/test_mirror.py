@@ -24,7 +24,7 @@ from mahlerq import (
 from mahlerq.mirror import (_f_split, f_series, g0_series, h_series, local_mirror_map,
                             mirror_map, period_coefficients)
 from mahlerq.weights import enumerate_solutions
-from oracles import (binary_splitting_sum, corrupt_last_period, corrupt_log_tail,
+from oracles import (alpha_factorial, binary_splitting_sum, corrupt_last_period, corrupt_log_tail,
                      corrupt_mirror_map, corrupt_phi, gamma, jensen_measure_4444,
                      jensen_measure_5221, jensen_measure_quadratic, measure_by_f_series,
                      multinomial_diag, pf_apply, recorded_reversions)
@@ -51,6 +51,18 @@ class TestAlpha:
         for model in (M22, M333, M244, M236):
             for m in range(12):
                 assert alpha(model, m).denominator == 1
+
+    @pytest.mark.parametrize(
+        "model, orders",
+        [(Model.from_kvector(kv), range(61)) for n in (2, 3, 4) for kv in enumerate_solutions(n)]
+        + [(Model.from_weights(k, w), range(61))
+           for k, w in ((5, (2, 2, 1)), (9, (4, 3, 2)), (12, (4, 3, 3, 2)))]
+        + [(Model.from_kvector(kv), (21,)) for kv in ((5, 5, 5, 5, 5), (2, 3, 7, 43, 1806))],
+        ids=lambda value: getattr(value, "name", ""),
+    )
+    def test_multinomial_equals_factorial_quotient(self, model, orders):
+        for m in orders:
+            assert alpha(model, m) == alpha_factorial(model, m)
 
 
 class TestPeriodCoefficients:
