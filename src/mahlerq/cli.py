@@ -32,10 +32,10 @@ It runs at most one worker per CPU the process may use
 worker, once; child i starts on the i-th of those CPUs, writes the entries
 ``pending[i::workers]`` in turn and leaves through ``os._exit``, so the
 cache is the only result channel: the parent reads every entry, new or
-cached, through one validating reader.  Each worker
-stops at its own first failure; the other workers finish their shares,
-every entry they write stays valid, and ``batch`` exits with the code of
-the first child that failed (2 for a child killed by a signal).
+cached, through one validating reader.  Each worker stops at its own first
+failure; the other workers finish their shares, every entry they write
+stays valid, and ``batch`` exits with the code of the first child that
+failed (2 for a child killed by a signal).
 """
 
 from __future__ import annotations

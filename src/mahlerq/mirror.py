@@ -103,10 +103,10 @@ def _check_periods(model: Model, g0: Series, h: Series, where: str) -> None:
 
     The periods come from a running ratio of int floor divisions, which a
     wrong ratio would corrupt silently, so the last is checked against the
-    closed multinomial form of :func:`alpha`.  h comes from its own recurrence, which every
-    later route reads through phi, so it is checked at every m = 1..N
-    against the Frobenius identity L(g0 log z + h) = 0 of the reduced
-    operator.  With C = cn/cd, h = H/D, g0 = alpha (over 1), and
+    closed multinomial form of :func:`alpha`.  h comes from its own
+    recurrence, which every later route reads through phi, so it is checked
+    at every m = 1..N against the Frobenius identity L(g0 log z + h) = 0 of
+    the reduced operator.  With C = cn/cd, h = H/D, g0 = alpha (over 1), and
     P(Lm) = prod(down) and R(L(m-1)) = prod(up) over the factors of
     :func:`_ratio_factors` at j = m, that identity reads, on ints,
 

@@ -900,32 +900,45 @@ class TestWriteAtomic:
 
 
 class TestBatchWorkers:
-    @pytest.mark.parametrize(
-        "jobs, installed, usable, pending, expected",
-        [
-            (4, 2, {0, 1}, 14, 2),
-            (2, 8, set(range(8)), 14, 2),
-            (8, 8, set(range(8)), 3, 3),
-            (4, 8, set(range(8)), 1, 1),
-            (1, 8, set(range(8)), 14, 1),
-            (4, 8, {0}, 14, 1),  # e.g. under taskset -c 0
-            (4, 8, None, 14, 4),  # no affinity mask to read: the CPUs installed
-            (4, None, None, 14, 1),
-        ],
-    )
-    def test_clamped_to_usable_cpus_and_pending_reports(
-        self, monkeypatch, jobs, installed, usable, pending, expected
-    ):
+    @staticmethod
+    def report_cpus(monkeypatch, installed, usable):
+        """``installed`` from ``os.cpu_count`` and ``usable`` from
+        ``os.sched_getaffinity``, or no ``sched_getaffinity`` when ``usable``
+        is None."""
         monkeypatch.setattr(os, "cpu_count", lambda: installed)
         if usable is None:
             monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         else:
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: usable, raising=False)
+
+    @pytest.mark.parametrize(
+        "jobs, cpus, pending, expected",
+        [
+            (4, 2, 14, 2),
+            (2, 8, 14, 2),
+            (8, 8, 3, 3),
+            (4, 8, 1, 1),
+            (4, None, 14, 1),
+            (1, 8, 14, 1),
+        ],
+    )
+    def test_clamped_to_cpus_and_pending_reports(
+        self, monkeypatch, jobs, cpus, pending, expected
+    ):
+        self.report_cpus(monkeypatch, cpus, set(range(cpus)) if cpus else None)
         assert batch_workers(jobs, pending) == expected
 
+    @pytest.mark.parametrize("usable, expected", [
+        ({0}, 1),  # e.g. under taskset -c 0
+        ({3, 5}, 2),
+        (None, 4),  # no mask to read: the CPUs installed
+    ], ids=["one-usable", "two-usable", "no-mask"])
+    def test_counts_usable_cpus_not_installed_ones(self, monkeypatch, usable, expected):
+        self.report_cpus(monkeypatch, 8, usable)
+        assert batch_workers(4, 14) == expected
+
     def test_one_worker_without_fork(self, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 8)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+        self.report_cpus(monkeypatch, 8, set(range(8)))
         monkeypatch.delattr(os, "fork")
         assert batch_workers(4, 14) == 1
 
