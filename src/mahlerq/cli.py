@@ -583,7 +583,8 @@ def _read_entry(path: str, model: Model, order: int) -> tuple[bool, bool]:
     an int belongs is corrupted, and so is one nested too deeply to read.
     It must hold one boolean per name of :data:`CHECK_NAMES`, both product
     forms true (a failed one halts the report, so none is written), and the
-    rows m = 1..order, each with boolean integrality flags.
+    rows m = 1..order, each with boolean integrality flags that match its
+    values: a flag is true exactly when its value has no "/".
     """
     try:
         with open(path) as handle:
@@ -605,12 +606,11 @@ def _read_entry(path: str, model: Model, order: int) -> tuple[bool, bool]:
         rows = payload["rows"]
         if [row["m"] for row in rows] != list(range(1, order + 1)):
             raise ValueError(f"its rows are not m = 1..{order}")
-        flags = [
-            row[f"{key}_integer"] for row in rows for key in ("b", "bhat", "c", "chat")
-        ]
-        if not all(isinstance(x, bool) for x in flags):
-            raise ValueError("its integrality flags are not all booleans")
-        return all(flags), all(checks.values())
+        flags = [(row[f"{key}_integer"], "/" not in row[key])
+                 for row in rows for key in ("b", "bhat", "c", "chat")]
+        if any(flag is not integral for flag, integral in flags):
+            raise ValueError("its integrality flags are not the booleans its values give")
+        return all(integral for _, integral in flags), all(checks.values())
     except (ValueError, KeyError, TypeError, AttributeError, RecursionError) as exc:
         raise ValueError(f"corrupted cache entry {path}: {exc}") from exc
 

@@ -17,20 +17,20 @@ q = Q prod (1 - Q^m)^{m c_m}.
 The report runs one side per map, the same steps with the maps swapped.
 The side of X (q or Q, with X = z exp(e_X), e_X = phi or f) has the other
 map Y and K_Y = theta_z log Y (K_Q = g0, K_q = 1 + theta(phi)).  It reverts
-X to z_X by Newton's method (the mirror data stores no reversion), checks
-z_X against Lagrange inversion of e_X, composes Y(z_X) and K_Y(z_X) once
-each, takes its column X d/dX log Y(z_X) - 1 (u or v), and
-Moebius-inverts that by a divisor sieve; both product forms must then
-reproduce Y(z_X).  The log L of a product satisfies 1 + theta(L) = 1 - sum
-m^2 b_m t^m/(1 - t^m), its Lambert series, so the plain form is checked
-once as Y(z_X) = t exp(L); that implies the Lambert identity for the
-logarithmic derivative, not rechecked.  t exp(L) determines the Lambert
-series, so the alternating form holds exactly when its Lambert series is
-the plain form's, and is checked so, with no second exponential.  The
-mirror data the sides read was checked where it was built
-(:meth:`MirrorData.build`), and each side checks its reversion by the
-step of :mod:`mahlerq.mirror` that ``series`` runs for zq and zQ; after
-the sides, the k-th roots of q/z and Q/z are checked by their k-th powers.
+X to z_X by Lagrange inversion of e_X (the mirror data stores no reversion),
+checks X(z_X) = t, composes Y(z_X) and K_Y(z_X) once each, takes its column
+X d/dX log Y(z_X) - 1 (u or v), and Moebius-inverts that by a divisor
+sieve; both product forms must then reproduce Y(z_X).  The log L of a
+product satisfies 1 + theta(L) = 1 - sum m^2 b_m t^m/(1 - t^m), its
+Lambert series, so the plain form is checked once as Y(z_X) = t exp(L);
+that implies the Lambert identity for the logarithmic derivative, not
+rechecked.  t exp(L) determines the Lambert series, so the alternating
+form holds exactly when its Lambert series is the plain form's, and is
+checked so, with no second exponential.  The mirror data the sides read
+was checked where it was built (:meth:`MirrorData.build`), and each side
+reverts and checks its map by the step of :mod:`mahlerq.mirror` that
+``series`` runs for zq and zQ; after the sides, the k-th roots of q/z and
+Q/z are checked by their k-th powers.
 
 The column's second route is the chain rule
 t d/dt log Y(z(t)) = (theta_z log Y)(z(t)) * t d/dt log z(t):
@@ -86,18 +86,18 @@ def _side(e_X: Series, X: Series, Y: Series, K_Y: Series, count: int,
     ``count`` in order, as a logarithmic derivative loses one.  ``label``
     and ``where`` name the column, model and order in an error.
 
-    It reverts X to z_X by :func:`_reversion`.  The direct route
-    (theta(w) + w)/w, Y(z_X) = t*w, must satisfy the chain rule
-    direct * K_X(z_X) = K_Y(z_X) to order ``count``; as K_X(z_X) has
-    constant term 1, the two first differ where direct and K_Y(z_X)/K_X(z_X)
-    do.  Returns, as columns to ``count``: z in X by Lagrange inversion,
+    It reverts X to z_X by :func:`_reversion` at order count + 1, which it
+    reads.  The direct route (theta(w) + w)/w, Y(z_X) = t*w, must satisfy
+    the chain rule direct * K_X(z_X) = K_Y(z_X) to order ``count``; as
+    K_X(z_X) has constant term 1, the two first differ where direct and
+    K_Y(z_X)/K_X(z_X) do.  Returns, as columns to ``count``: z in X,
     K_Y(z_X) - 1, K_X(z_X) - 1, the checked column X d/dX log Y(z_X) - 1
     and its plain and alternating Moebius inversions, each checked as a
     product form of Y(z_X) (see the module docstring).
     """
     if X.order <= count:
         raise ValueError("mirror data order must exceed the coefficient count")
-    z_X, z_in_X = _reversion(e_X, X, count, where)
+    z_X = _reversion(e_X, X.truncate(count + 1), "q" if label == "u" else "Q", where)
     Y_of_z = Y.compose(z_X)
     K_Y_of_z = K_Y.compose(z_X).truncate(count)
     s = z_X.shift_down(1).truncate(count)
@@ -123,7 +123,7 @@ def _side(e_X: Series, X: Series, Y: Series, K_Y: Series, count: int,
         raise ConsistencyError(f"{label}-series product form fails for {where}")
     if lambert_series(alt, count - 1, True) != lambert_series(plain, count - 1):
         raise ConsistencyError(f"{label}-series alternating product form fails for {where}")
-    return z_in_X, K_Y_of_z - 1, K_X_of_z - 1, column, plain, alt
+    return z_X.truncate(count), K_Y_of_z - 1, K_X_of_z - 1, column, plain, alt
 
 
 # The columns come from integrality_report; the three functions below are not
@@ -319,7 +319,7 @@ def _kth_root(series: Series, exponent: Series, k: int, label: str,
 
 def integrality_report(model: Model, order: int) -> IntegralityReport:
     """Full pipeline: mirror data, one side per map (reversion and its
-    Lagrange check, u or v on two routes, Moebius tables, product checks),
+    check X(z) = t, u or v on two routes, Moebius tables, product checks),
     k-th roots and the integrality checks.  Deterministic for a given
     (model, order).
 

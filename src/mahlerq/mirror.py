@@ -31,9 +31,9 @@ Every check on that data runs here: a :class:`MirrorData` from ``build``
 has passed :func:`_check_periods`, then phi * g0 = h, as every route
 through q reads phi, and, where the floor gaps of the model all hold
 (:func:`~mahlerq.weights.floor_gap_check`, the criterion of Krattenthaler
-and Rivoal), integrality of q and Q.  ``MirrorData.series`` checks the
-reversion zq or zQ it returns by :func:`_reversion`, the Lagrange step
-that each side of the integrality report runs on its own map.
+and Rivoal), integrality of q and Q.  ``MirrorData.series`` reverts q or
+Q for zq or zQ by :func:`_reversion`, Lagrange inversion checked by
+X(z) = t, as each side of the integrality report does on its own map.
 """
 
 from __future__ import annotations
@@ -216,17 +216,15 @@ def _first_difference(a: Series, b: Series, count: int) -> int | None:
     return next((m for m in range(count + 1) if an[m] * bd != bn[m] * ad), None)
 
 
-def _reversion(e_X: Series, X: Series, count: int, where: str) -> tuple[Series, Series]:
-    """X = z exp(e_X) reverted by Newton's method, and z in X to ``count``
-    by Lagrange inversion of e_X, which must agree with it to ``count``."""
-    z_X = X.revert()
-    z_in_X = lagrange_coeffs(e_X, count)
-    m = _first_difference(z_in_X, z_X, count)
+def _reversion(e_X: Series, X: Series, label: str, where: str) -> Series:
+    """z in X to X's order by Lagrange inversion of X = z exp(e_X), which must
+    satisfy X(z) = t, the definition of the reversion, to that order."""
+    z = lagrange_coeffs(e_X, X.order)
+    m = _first_difference(X.compose(z), Series.identity(X.order), X.order)
     if m is not None:
         raise ConsistencyError(
-            f"Lagrange and Newton reversions disagree for {where}, m={m}"
-        )
-    return z_X, z_in_X
+            f"z({label}) is not the reversion of {label} for {where}, m={m}")
+    return z
 
 
 def local_mirror_map(model: Model, order: int) -> Series:
@@ -344,8 +342,8 @@ class MirrorData(namedtuple("MirrorData", "model order g0 h f phi Q q")):
     phi = h/g0 is the exponent of q = z * exp(phi); a record from
     :meth:`build` has passed its checks.  The reversions zq and zQ (z as a
     series in q and in Q) are derived, not stored: ``series`` reverts and
-    checks q or Q when asked for them, and each side of the integrality
-    report reverts its own map.
+    checks q or Q when asked for them (:func:`_reversion`), and each side
+    of the integrality report reverts its own map.
     """
 
     __slots__ = ()
@@ -382,7 +380,7 @@ class MirrorData(namedtuple("MirrorData", "model order g0 h f phi Q q")):
         if key in ("zq", "zQ"):
             exponent = self.phi if key == "zq" else self.f
             where = f"model {self.model.name} at order {self.order}"
-            return _reversion(exponent, getattr(self, key[1]), self.order, where)[0]
+            return _reversion(exponent, getattr(self, key[1]), key[1], where)
         return getattr(self, key)
 
 

@@ -423,7 +423,8 @@ class Series:
         return Series._from_ints(acc, scale * self._den)
 
     def revert(self) -> "Series":
-        """Compositional inverse of a series with f(0)=0, f'(0)!=0.
+        """Compositional inverse of a series with f(0)=0, f'(0)!=0; the mirror
+        pipeline reverts by :func:`lagrange_coeffs`, and this is its test oracle.
 
         Newton iteration with order doubling: with g correct mod
         z^(p+1), one step of g -= (f(g) - z)/f'(g) is correct mod
@@ -498,8 +499,8 @@ def lagrange_coeffs(phi: Series, count: int) -> Series:
     Returns z = sum a_m w^m as the series 0 + a_1 w + ... + a_count w^count.
     Since z = w*exp(-phi(z)), the Lagrange inversion formula gives
     a_m = [z^(m-1)] exp(-m*phi) / m, one coefficient of one exponential.
-    Needs phi(0) = 0 and phi.order >= count - 1.  Serves as the independent
-    cross-check of :meth:`Series.revert`.
+    Needs phi(0) = 0 and phi.order >= count - 1.  The mirror pipeline
+    reverts by it, and :meth:`Series.revert` is its independent test oracle.
     """
     if count < 1:
         raise ValueError("count must be positive")

@@ -5,7 +5,7 @@ Each one computes its value another way than the library does, in
 compares the two checks the library's int arithmetic.  The ``corrupt_``
 helpers instead break a value inside the mirror data or the report so a
 test can see the library's own cross-check catch it, and
-:func:`recorded_reversions` lists the series a call reverts.
+:func:`recorded_reversions` lists the exponents whose maps a call reverts.
 """
 
 import math
@@ -26,30 +26,32 @@ def monomial(value, degree: int, order: int) -> Series:
 
 
 def recorded_reversions(monkeypatch) -> list:
-    """Wrap ``Series.revert`` so that it appends each series it reverts to
-    the list returned."""
-    exact, reverted = Series.revert, []
+    """Wrap ``mirror.lagrange_coeffs``, by which the library reverts each map
+    X = z exp(e_X), so that it appends each exponent e_X to the list returned."""
+    exact, reverted = mirror.lagrange_coeffs, []
 
-    def recording(series):
-        reverted.append(series)
-        return exact(series)
+    def recording(exponent, count):
+        reverted.append(exponent)
+        return exact(exponent, count)
 
-    monkeypatch.setattr(Series, "revert", recording)
+    monkeypatch.setattr(mirror, "lagrange_coeffs", recording)
     return reverted
 
 
 def corrupt_reversion(monkeypatch, model, order: int, key: str, degree: int) -> None:
     """Make ``integrality_report(model, order)`` add z^degree to the
-    reversion of the map ``key`` (q or Q) that its side computes; every
-    other reversion stays exact."""
-    target = MirrorData.build(model, order + 1).series(key)
-    exact = Series.revert
+    reversion of the map ``key`` (q or Q) that its side computes by Lagrange
+    inversion of the map's exponent (phi or f); every other reversion stays
+    exact."""
+    md = MirrorData.build(model, order + 1)
+    target = md.phi if key == "q" else md.f
+    exact = mirror.lagrange_coeffs
 
-    def corrupted(series):
-        result = exact(series)
-        return result + monomial(1, degree, result.order) if series == target else result
+    def corrupted(exponent, count):
+        result = exact(exponent, count)
+        return result + monomial(1, degree, result.order) if exponent == target else result
 
-    monkeypatch.setattr(Series, "revert", corrupted)
+    monkeypatch.setattr(mirror, "lagrange_coeffs", corrupted)
 
 
 def corrupt_g0_column(monkeypatch, model, order: int, side: str, degree: int) -> None:

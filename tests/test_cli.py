@@ -140,13 +140,13 @@ class TestSeries:
     def test_wrong_reversion_exits_3(self, monkeypatch, capsys):
         from mahlerq import Model
 
-        # corrupt_reversion targets the q of order 8 + 1, which series --order 9 reverts.
+        # corrupt_reversion targets the phi of order 8 + 1, whose q series --order 9 reverts.
         corrupt_reversion(monkeypatch, Model.from_kvector((3, 3, 3)), 8, "q", 5)
         code, out, err = run_cli(
             "series", "--model", "3,3,3", "--order", "9", "--which", "zq", capsys=capsys
         )
         assert (code, out) == (3, "")
-        assert err == ("internal-consistency fault: Lagrange and Newton reversions disagree "
+        assert err == ("internal-consistency fault: z(q) is not the reversion of q "
                        "for model 3,3,3 at order 9, m=5\n")
 
     # Every key reads checked mirror data, so a wrong period, log tail or
@@ -259,7 +259,8 @@ class TestVerify:
         code, out, err = run_cli("verify", "--model", "3,3,3", "--order", "4", capsys=capsys)
         assert code == 3
         assert out == ""
-        assert err.startswith("internal-consistency fault: Lagrange and Newton")
+        assert err == ("internal-consistency fault: z(q) is not the reversion of q "
+                       "for model 3,3,3 at order 4, m=2\n")
 
     def test_wrong_log_tail_exits_3(self, monkeypatch, capsys):
         corrupt_log_tail(monkeypatch, 5)
@@ -269,7 +270,7 @@ class TestVerify:
                        "for model 3,3,3 at order 13, m=5\n")
 
     def test_wrong_phi_exits_3(self, monkeypatch, capsys):
-        # Both reversions of q and its k-th root read phi; only phi * g0 = h sees it.
+        # The reversion of q and its k-th root read phi; only phi * g0 = h sees it.
         corrupt_phi(monkeypatch, mahlerq.Model.from_kvector((3, 3, 3)), 13, 3)
         code, out, err = run_cli("verify", "--model", "3,3,3", "--order", "12", capsys=capsys)
         assert (code, out) == (3, "")
@@ -281,7 +282,7 @@ class TestVerify:
     @pytest.mark.parametrize("field, message", [
         ("Q", "u-series composition for model 3,3,3 at order 4 is not t + O(t^2): "
               "it starts 0 + 2*t"),
-        ("q", "Lagrange and Newton reversions disagree for model 3,3,3 at order 4, m=1"),
+        ("q", "z(q) is not the reversion of q for model 3,3,3 at order 4, m=1"),
     ], ids=["Q-u", "q-lagrange"])
     def test_linear_coefficient_tamper_exits_3(self, monkeypatch, capsys, field, message):
         from mahlerq.mirror import MirrorData
@@ -509,6 +510,12 @@ class TestBatch:
         lambda own, other: json.dumps(  # an integrality flag the string "true"
             {**json.loads(own), "rows": [
                 {**row, "b_integer": "true"} for row in json.loads(own)["rows"]
+            ]}
+        ),
+        lambda own, other: json.dumps(  # every entry, bhat_2 = -9/2 too, flagged integral
+            {**json.loads(own), "rows": [
+                {**row, **{f"{key}_integer": True for key in ("b", "bhat", "c", "chat")}}
+                for row in json.loads(own)["rows"]
             ]}
         ),
         lambda own, other: "[" * 100000 + "]" * 100000,  # too deep to read

@@ -18,7 +18,7 @@ from mahlerq import (
 from mahlerq.inversion import g0_expansions, u_series, v_series
 from oracles import (corrupt_exponents, corrupt_g0_column, corrupt_last_period,
                      corrupt_log_tail, corrupt_reversion, cubic_theta, eisenstein_e4,
-                     elliptic_333, monomial, recorded_reversions)
+                     elliptic_333, monomial)
 
 M22 = Model.from_kvector((2, 2))
 M333 = Model.from_kvector((3, 3, 3))
@@ -116,29 +116,20 @@ class TestUV:
             v_series(md, 4)  # both routes lose one order to a log derivative
 
     @pytest.mark.parametrize("column", [u_series, v_series])
-    def test_each_side_composes_twice(self, monkeypatch, column):
-        # One side composes the other map and its kernel K_Y with its own
-        # reversion, and nothing else; the reversion composes internally.
+    def test_each_side_composes_three_times(self, monkeypatch, column):
+        # One side composes its own map with its reversion, the check
+        # X(z_X) = t, and the other map and its kernel K_Y with it.
         md = MirrorData.build(M333, 9)
-        compose, revert = Series.compose, Series.revert
-        calls, reverting = [], [0]
+        compose = Series.compose
+        calls = []
 
         def counted(outer, inner):
-            if not reverting[0]:
-                calls.append(inner.order)
+            calls.append(inner.order)
             return compose(outer, inner)
 
-        def nested(series):
-            reverting[0] += 1
-            try:
-                return revert(series)
-            finally:
-                reverting[0] -= 1
-
         monkeypatch.setattr(Series, "compose", counted)
-        monkeypatch.setattr(Series, "revert", nested)
         column(md, 8)
-        assert len(calls) == 2
+        assert calls == [9, 9, 9]
 
     def test_tampered_data_raises_consistency_fault(self):
         md = MirrorData.build(M333, 6)
@@ -375,21 +366,21 @@ class TestReport:
         ):
             integrality_report(M333, 6)
 
-    # A tampered q is reverted on its own side first, so that side's
-    # Lagrange check names it; zq and zQ are the sides' reversions of q and Q.
+    # A tampered q is reverted on its own side first, so that side's check
+    # X(z_X) = t names it; zq and zQ are the sides' reversions of q and Q.
     TAMPERS = [
-        ("q", 3, "Lagrange and Newton reversions disagree for model 3,3,3 at order 6, m=3$"),
+        ("q", 3, r"z\(q\) is not the reversion of q for model 3,3,3 at order 6, m=3$"),
         ("Q", 3, "u-series routes disagree for model 3,3,3 at order 6, m=2: "),
-        ("zq", 3, "Lagrange and Newton reversions disagree for model 3,3,3 at order 6, m=3$"),
-        ("zQ", 3, "Lagrange and Newton reversions disagree for model 3,3,3 at order 6, m=3$"),
-        ("q", 1, "Lagrange and Newton reversions disagree for model 3,3,3 at order 6, m=1$"),
+        ("zq", 3, r"z\(q\) is not the reversion of q for model 3,3,3 at order 6, m=3$"),
+        ("zQ", 3, r"z\(Q\) is not the reversion of Q for model 3,3,3 at order 6, m=3$"),
+        ("q", 1, r"z\(q\) is not the reversion of q for model 3,3,3 at order 6, m=1$"),
         ("Q", 1, r"u-series composition for model 3,3,3 at order 6 is not t \+ O\(t\^2\)"),
     ]
 
     @pytest.mark.parametrize(
         "field, degree, message",
         TAMPERS,
-        ids=[f"{f}-{m.split(' for model')[0]}" if d == 3 else f"{f}-z{d}"
+        ids=[f + "-" + m.split(" for model")[0].replace("\\", "") if d == 3 else f"{f}-z{d}"
              for f, d, m in TAMPERS],
     )
     def test_tampered_mirror_data_raises_consistency_fault(
@@ -471,29 +462,19 @@ class TestReport:
 
     @pytest.mark.parametrize("parts", [(3, 3, 3), (2, 3, 6), (4, 4, 4, 4)])
     def test_no_composition_is_repeated(self, monkeypatch, parts):
-        compose, revert = Series.compose, Series.revert
-        seen, outside, reverting = [], [], [0]
+        compose = Series.compose
+        seen = []
 
         def recording(outer, inner):
             seen.append((outer, inner))
-            if not reverting[0]:
-                outside.append((outer, inner))
             return compose(outer, inner)
 
-        def nested(series):
-            reverting[0] += 1
-            try:
-                return revert(series)
-            finally:
-                reverting[0] -= 1
-
         monkeypatch.setattr(Series, "compose", recording)
-        monkeypatch.setattr(Series, "revert", nested)
         integrality_report(Model.from_kvector(parts), 8)
         assert len(seen) - len(set(seen)) == 0
-        # Q(zq) and g0(zq) on the q side, q(zQ) and (1 + theta(phi))(zQ) on
-        # the Q side; the reversions compose internally.
-        assert len(outside) == 4
+        # q(zq), Q(zq) and g0(zq) on the q side, Q(zQ), q(zQ) and
+        # (1 + theta(phi))(zQ) on the Q side.
+        assert len(seen) == 6
 
     @pytest.mark.parametrize("model, order", [
         (M333, 12), (Model.from_kvector((2, 3, 6)), 10),
@@ -514,13 +495,32 @@ class TestReport:
         integrality_report(model, order)
         assert [name for (name, _), count in calls.items() if count > 1] == []
 
-    def test_each_side_reverts_its_own_map(self, monkeypatch):
-        reverted = recorded_reversions(monkeypatch)
+    def test_report_and_series_never_call_newton(self, monkeypatch):
+        # Series.revert, Newton's method, is the tests' oracle: the report
+        # and the zq and zQ series revert by Lagrange inversion alone.
+        revert, newton = Series.revert, []
+
+        def recording(series):
+            newton.append(series)
+            return revert(series)
+
+        monkeypatch.setattr(Series, "revert", recording)
         integrality_report(M333, 8)
         md = MirrorData.build(M333, 9)
-        assert reverted == [md.q, md.Q]
+        md.series("zq")
+        md.series("zQ")
+        assert newton == []
 
-    def test_report_composes_twelve_times(self, monkeypatch):
+    @pytest.mark.parametrize("model", [
+        M333, Model.from_kvector((2, 3, 6)), Model.from_weights(12, (4, 3, 3, 2)),
+    ], ids=["3,3,3", "2,3,6", "12:4,3,3,2"])
+    def test_each_side_reversion_matches_newton(self, model):
+        rep = integrality_report(model, 8)
+        md = MirrorData.build(model, 9)
+        assert rep.z_in_q == md.q.revert().truncate(8)
+        assert rep.z_in_Q == md.Q.revert().truncate(8)
+
+    def test_report_composes_six_times(self, monkeypatch):
         compose = Series.compose
         calls = []
 
@@ -530,9 +530,9 @@ class TestReport:
 
         monkeypatch.setattr(Series, "compose", counted)
         integrality_report(M333, 8)
-        # One composition per Newton step, four steps in each of the two
-        # reversions at order 9, and the four compositions of the routes.
-        assert len(calls) == 12
+        # On each side, the check X(z_X) = t of its reversion and the
+        # compositions Y(z_X) and K_Y(z_X) of its routes.
+        assert len(calls) == 6
 
     def test_h_over_g0_is_divided_once(self, monkeypatch):
         from mahlerq.mirror import g0_series
@@ -547,13 +547,11 @@ class TestReport:
 
         monkeypatch.setattr(Series, "__truediv__", recording)
         integrality_report(M333, 8)
-        # phi = h/g0 once in the build; in each of the two reversions at
-        # order 9, four Newton steps that each divide (f o g)' by g' and
-        # then the error by that f'(g); and on each side, its kernel
+        # phi = h/g0 once in the build, and on each side its kernel
         # K_X(z_X) = s/(theta(s) + s) with s = z_X/z and the logarithmic
         # derivative of Y(z_X).  The chain rule is checked as a product
         # with K_X(z_X), so neither side divides by its kernel.
-        assert len(divisors) == 21
+        assert len(divisors) == 5
         assert divisors.count(g0_series(M333, 9)) == 1
 
     def test_structure_and_schema(self):

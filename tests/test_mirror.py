@@ -377,15 +377,15 @@ class TestMirrorData:
 
     def test_build_stores_no_reversion(self, monkeypatch):
         # zq and zQ are derived: the build reverts nothing, and ``series``
-        # reverts q or Q only when asked for zq or zQ.
-        revert = Series.revert
+        # reverts q or Q, by Lagrange inversion of phi or f, only when asked
+        # for zq or zQ.  Newton's reversion is the oracle.
         reverted = recorded_reversions(monkeypatch)
         assert MirrorData._fields == ("model", "order", "g0", "h", "f", "phi", "Q", "q")
         md = MirrorData.build(M333, 8)
         assert reverted == []
         assert md.series("Q") is md.Q and reverted == []
-        assert md.series("zq") == revert(md.q) and reverted == [md.q]
-        assert md.series("zQ") == revert(md.Q) and reverted == [md.q, md.Q]
+        assert md.series("zq") == md.q.revert() and reverted == [md.phi]
+        assert md.series("zQ") == md.Q.revert() and reverted == [md.phi, md.f]
 
     # Each fault halts the build on its own route: the last period against
     # its closed form, h against the Frobenius identity, phi against
