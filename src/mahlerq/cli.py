@@ -27,15 +27,14 @@ gives the help text and every usage error.
 
 ``batch`` keeps one JSON report per model in its cache directory, written
 by :func:`write_atomic` (a sibling temporary file, then ``os.replace``).
-It runs at most one worker per CPU the process may use
-(:func:`_usable_cpus`).  With more than one worker it forks one child per
-worker, once; child i starts on the i-th of those CPUs, writes the entries
-``pending[i::workers]`` in turn and leaves through ``os._exit``, so the
-cache is the only result channel: the parent reads every entry, new or
-cached, through one validating reader.  Each worker stops at its own first
-failure; the other workers finish their shares, every entry they write
-stays valid, and ``batch`` exits with the code of the first child that
-failed (2 for a child killed by a signal).
+One loop, :func:`_write_entries`, writes them from at most one worker per
+CPU the process may use (:func:`_usable_cpus`), worker i the entries
+``pending[i::workers]`` in turn.  Worker 0 is the process itself; each
+other worker is a child forked once that leaves through ``os._exit``, so
+the cache is the only result channel, and every entry, new or cached, is
+read back through one validating reader.  Each worker stops at its own
+first failure and the others finish their shares; ``batch`` exits with
+its own code, else the first failed child's (2 if a signal killed it).
 """
 
 from __future__ import annotations
@@ -453,8 +452,8 @@ def _batch_compute(model: Model, order: int) -> str:
     return report_json_text(integrality_report(model, order))
 
 
-def _write_entries(pending: list[tuple[Model, str]], order: int) -> int:
-    for model, path in pending:
+def _write_share(share: list[tuple[Model, str]], order: int) -> int:
+    for model, path in share:
         write_atomic(path, _batch_compute(model, order))
     return 0
 
@@ -493,7 +492,7 @@ def _fork_worker(share: list[tuple[Model, str]], order: int, cpu: int,
     code = 1
     try:
         _start_on(cpu, cpus)
-        code = _exit_code(_write_entries, share, order)
+        code = _exit_code(_write_share, share, order)
         sys.stderr.flush()
     except BaseException:
         # Outside the exit-code contract: report it as the interpreter would.
@@ -502,24 +501,28 @@ def _fork_worker(share: list[tuple[Model, str]], order: int, cpu: int,
         os._exit(code)
 
 
-def _fork_entries(pending: list[tuple[Model, str]], order: int, workers: int) -> int:
-    """Write the ``pending`` entries from ``workers`` forked children, child i
-    the entries ``pending[i::workers]``, started on the i-th CPU of
-    :func:`_usable_cpus`.
+def _write_entries(pending: list[tuple[Model, str]], order: int, workers: int) -> int:
+    """Write the ``pending`` entries from ``workers`` workers, worker i the
+    entries ``pending[i::workers]`` in turn: worker 0 is this process, each
+    other one a child forked for it, and with children worker i starts on
+    the i-th CPU of :func:`_usable_cpus`.  One worker forks and places nothing.
 
-    Each child stops at its own first failure and the others finish their
-    shares.  Returns 0, or the exit code of the first child that failed.
-    The children write their entries through :func:`_json_text` and build
-    no ``Fraction``, so they import neither ``json`` nor ``fractions``.
-    The parent's own CPU mask is left as it is.
+    Each worker stops at its own first failure and the others finish their
+    shares.  Returns this process's exit code if its share failed, else
+    the exit code of the first child that failed, else 0.  The workers
+    write their entries through :func:`_json_text` and build no
+    ``Fraction``, so they import neither ``json`` nor ``fractions``.
     """
     cpus = _usable_cpus()
     running: dict[int, list[tuple[Model, str]]] = {}  # pid -> its share
     failed = None  # (share, wait status) of the first failed child
     try:
-        for i in range(workers):
+        for i in range(1, workers):
             share = pending[i::workers]
             running[_fork_worker(share, order, cpus[i % len(cpus)], cpus)] = share
+        if running:
+            _start_on(cpus[0], cpus)
+        code = _exit_code(_write_share, pending[::workers], order)
         while running:
             pid, status = os.wait()
             share = running.pop(pid)
@@ -528,8 +531,8 @@ def _fork_entries(pending: list[tuple[Model, str]], order: int, workers: int) ->
     finally:
         for pid in running:
             os.waitpid(pid, 0)
-    if failed is None:
-        return 0
+    if code or failed is None:
+        return code
     share, status = failed
     if os.WIFSIGNALED(status):
         for model, path in share:  # the first entry not written was in flight
@@ -690,13 +693,9 @@ def cmd_batch(args) -> int:
             os.unlink(probe)
         except OSError as exc:
             raise ValueError(f"cache directory {cache_dir} is not writable: {exc}")
-        workers = batch_workers(args.jobs, len(pending))
-        if workers > 1:
-            code = _fork_entries(pending, args.order, workers)
-            if code:
-                return code
-        else:
-            _write_entries(pending, args.order)
+        code = _write_entries(pending, args.order, batch_workers(args.jobs, len(pending)))
+        if code:
+            return code
         verdicts += [_read_entry(path, model, args.order) for model, path in pending]
 
     all_integer = sum(integral for integral, _ in verdicts)

@@ -4,8 +4,9 @@ Each one computes its value another way than the library does, in
 ``Fraction`` arithmetic where that is the plainer route, so a test that
 compares the two checks the library's int arithmetic.  The ``corrupt_``
 helpers instead break a value inside the mirror data or the report so a
-test can see the library's own cross-check catch it, and
-:func:`recorded_reversions` lists the exponents whose maps a call reverts.
+test can see the library's own cross-check catch it;
+:func:`recorded_reversions` lists the exponents whose maps a call reverts,
+and :func:`recorded_calls` the operands of each call of a ``Series`` method.
 """
 
 import math
@@ -36,6 +37,20 @@ def recorded_reversions(monkeypatch) -> list:
 
     monkeypatch.setattr(mirror, "lagrange_coeffs", recording)
     return reverted
+
+
+def recorded_calls(monkeypatch, name: str) -> list:
+    """Wrap the ``Series`` method ``name`` (``"compose"``, ``"__truediv__"``,
+    ...) so that it appends the operands of each call, self first, as one
+    tuple to the list returned."""
+    exact, calls = getattr(Series, name), []
+
+    def recording(*operands):
+        calls.append(operands)
+        return exact(*operands)
+
+    monkeypatch.setattr(Series, name, recording)
+    return calls
 
 
 def corrupt_reversion(monkeypatch, model, order: int, key: str, degree: int) -> None:
@@ -215,6 +230,64 @@ def elliptic_333(order: int) -> tuple[list, list]:
     u = [x - 3 * m * a[m] for m, x in enumerate(_product(a, log_derivative))]
     u[0] -= 1
     return z, u
+
+
+def _square_root(a: list) -> list:
+    """The int list r with r[0] = 1 and r * r = a, for a[0] = 1; a
+    ValueError if r is not integral."""
+    r = [1]
+    for m in range(1, len(a)):
+        twice = a[m] - sum(r[i] * r[m - i] for i in range(1, m))
+        if twice % 2:
+            raise ValueError(f"the square root has a half at q^{m}")
+        r.append(twice // 2)
+    return r
+
+
+def _theta_log(z: list) -> list:
+    """theta_q log z = q z'/z for z = q + O(q^2), to one order below z's."""
+    s = z[1:]
+    out = _quotient([m * x for m, x in enumerate(s)], s)
+    out[0] += 1
+    return out
+
+
+def eisenstein_odd(order: int) -> list:
+    """E(q) = 1 + 24 sum sigma_odd(n) q^n to ``order``, sigma_odd(n) the sum
+    of the odd divisors of n: the weight-2 Eisenstein series of level 2,
+    -E_2(q) + 2 E_2(q^2)."""
+    sums = _divisor_sums(order, lambda d: d % 2 * d)
+    return [1] + [24 * c for c in sums[1:]]
+
+
+def level2_columns(power: int, order: int) -> tuple[list, list]:
+    """z(q) and u for the model (2,4,4) (``power`` 1) or (4,4,4,4)
+    (``power`` 2) to ``order``, as int lists, from the level-2 Hauptmodul
+    t = eta(2 tau)^24 / eta(tau)^24 = q prod (1 - q^(2n))^24 (1 - q^n)^(-24)
+    and E = :func:`eisenstein_odd` alone:
+
+        z(q) = t / (1 + 64 t)^power,   g0(z(q)) = E^(power/2),
+
+    and u = (theta_q log z) g0(z(q)) - 1.  The n = 3 model is Ramanujan's
+    signature-4 theory (Berndt, Bhargava & Garvan 1995), and Clausen's
+    formula makes the quartic K3 its square (Lian & Yau 1995)."""
+    n = order + 1  # theta_q log z loses one order
+    s = _product(_euler_power(2, 24, n - 1), _euler_power(1, -24, n - 1))  # t/q
+    one_plus = [1] + [64 * c for c in s[:-1]]  # 1 + 64 t
+    for _ in range(power):
+        s = _quotient(s, one_plus)
+    z = [0] + s  # to q^n
+    e = eisenstein_odd(order)
+    u = _product(_theta_log(z), _square_root(e) if power == 1 else e)
+    u[0] -= 1
+    return z[:order + 1], u
+
+
+def inverse_j(order: int) -> list:
+    """1/j(q) = q prod (1 - q^n)^24 / E_4(q)^3 to ``order``: z - 432 z^2 for
+    z = z(q) of the model (2,3,6)."""
+    e4 = eisenstein_e4(order - 1)
+    return [0] + _quotient(_euler_power(1, 24, order - 1), _product(_product(e4, e4), e4))
 
 
 def multinomial_diag(kv, m: int) -> int:

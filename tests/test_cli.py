@@ -679,22 +679,20 @@ class TestPastTheDigitLimit:
 
 
 class TestBatchWorkerFailures:
-    """Forked workers under ``--jobs 2``; capfd captures the children's stderr."""
+    """Two workers under ``--jobs 2``: this process writes 2,3,6 and then
+    3,3,3, one forked child writes 2,4,4; capfd captures both stderrs."""
 
     @pytest.fixture
     def patch_report(self, monkeypatch):
-        """Replace ``integrality_report`` for one model (2,4,4 unless named) in
-        forked workers only."""
+        """Make ``integrality_report`` run ``fault`` first for one model (2,4,4
+        unless named); each call adds one fault."""
         import mahlerq.cli as cli
 
-        exact = cli.integrality_report
-        parent = os.getpid()
-
         def patch(fault, name="2,4,4"):
+            exact = cli.integrality_report
+
             def report(model, order):
                 if model.name == name:
-                    # A fault in this process would end the test run itself.
-                    assert os.getpid() != parent, "report computed without a fork"
                     fault()
                 return exact(model, order)
 
@@ -702,6 +700,8 @@ class TestBatchWorkerFailures:
 
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        # This process is worker 0: it keeps the CPU mask of the test run.
+        monkeypatch.setattr(os, "sched_setaffinity", lambda pid, mask: None, raising=False)
         return patch
 
     def run_batch(self, cache, capfd):
@@ -730,12 +730,12 @@ class TestBatchWorkerFailures:
     @pytest.mark.parametrize("name, written", [
         ("2,3,6", [(2, 4, 4)]),
         ("2,4,4", [(2, 3, 6), (3, 3, 3)]),
-    ])
+    ], ids=["own-share", "child-share"])
     def test_each_worker_stops_at_its_own_first_failure(
         self, tmp_path, capfd, patch_report, name, written
     ):
-        # Worker 0 writes 2,3,6 and then 3,3,3, worker 1 writes 2,4,4.  A
-        # fault stops the worker it happens in; the other finishes its share.
+        # A fault stops the worker it happens in, this process or its child;
+        # the other worker finishes its share.
         from mahlerq import Model, integrality_report
         from mahlerq.cli import cache_path, report_json_text
         from mahlerq.inversion import ConsistencyError
@@ -757,8 +757,37 @@ class TestBatchWorkerFailures:
         for model, entry in zip(models, entries):
             assert entry.read_text() == report_json_text(integrality_report(model, 4))
 
+    def test_own_failure_takes_precedence_over_a_child_failure(
+        self, tmp_path, capfd, patch_report
+    ):
+        from mahlerq.inversion import ConsistencyError
+        from mahlerq.mirror import ConvergenceError
+
+        def consistency():
+            raise ConsistencyError("u-series routes disagree for model 2,3,6 at m=1")
+
+        def convergence():
+            raise ConvergenceError("model 2,4,4")
+
+        patch_report(consistency, "2,3,6")
+        patch_report(convergence)
+        code, out, err = self.run_batch(tmp_path / "cache", capfd)
+        assert code == 3
+        assert out == ""
+        assert sorted(err.splitlines()) == [
+            "internal-consistency fault: u-series routes disagree for model 2,3,6 at m=1",
+            "outside disk of convergence: model 2,4,4",
+        ]
+
     def test_killed_worker_exits_2(self, tmp_path, capfd, patch_report):
-        patch_report(lambda: os.kill(os.getpid(), signal.SIGKILL))
+        parent = os.getpid()
+
+        def kill():
+            # A kill in this process would end the test run itself.
+            assert os.getpid() != parent, "report computed without a fork"
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        patch_report(kill)
         code, out, err = self.run_batch(tmp_path / "cache", capfd)
         assert code == 2
         assert out == ""
@@ -1355,7 +1384,9 @@ class TestConsoleEntry:
             assert "mahlerq.inversion" in imported
             assert imported.isdisjoint(unneeded)
 
-    def test_forks_once_per_worker(self, tmp_path):
+    @pytest.mark.parametrize("jobs, forks", [("2", 1), ("1", 0)])
+    def test_forks_once_per_worker_but_the_first(self, tmp_path, jobs, forks):
+        # Worker 0 is the process itself.
         proc = run_forked_batch(
             tmp_path / "cache",
             prologue="forks = []\n"
@@ -1365,17 +1396,19 @@ class TestConsoleEntry:
             "    return fork()\n"
             "os.fork = counted_fork",
             epilogue="print(len(forks), file=sys.stderr)",
+            options=("--jobs", jobs),
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("0 cached, 3 computed\n")
-        assert proc.stderr == "2\n"
+        assert proc.stderr == f"{forks}\n"
 
     def test_no_process_of_a_forked_batch_loads_fractions(self, tmp_path):
-        # Workers compute and write their reports on ints, so neither they
-        # nor the parent, which reads the entries back, load fractions (and
-        # with it re, enum, decimal and numbers).  Each worker reports as it
-        # leaves through os._exit, the parent after main returns; one write
-        # per line, so that lines of concurrent workers do not interleave.
+        # Workers compute and write their reports on ints, so neither the
+        # forked one nor the parent, which is worker 0 and reads the entries
+        # back, loads fractions (and with it re, enum, decimal and numbers).
+        # The child reports as it leaves through os._exit, the parent after
+        # main returns; one write per line, so that the lines do not
+        # interleave.
         report = "os.write(2, b'%r\\n' % ('fractions' in sys.modules))"
         proc = run_forked_batch(
             tmp_path / "cache",
@@ -1387,7 +1420,7 @@ class TestConsoleEntry:
             epilogue=report,
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stderr == "False\n" * 3
+        assert proc.stderr == "False\n" * 2
 
     def test_children_print_nothing_to_a_block_buffered_stdout(self, tmp_path):
         proc = run_forked_batch(tmp_path / "cache")
@@ -1401,14 +1434,20 @@ class TestConsoleEntry:
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity masks")
 class TestWorkerPlacement:
-    """Each forked worker starts on its own CPU.  ``os.sched_setaffinity`` is
-    wrapped to log every call, one write each, so no test depends on where
-    the host's scheduler puts a process."""
+    """With forked workers, each worker, the parent too, starts on its own
+    CPU.  ``os.sched_setaffinity`` is wrapped to log every call, one write
+    each, so no test depends on where the host's scheduler puts a process.
+    The process first takes the mask that CPUs 0 and 1 give on its host,
+    so the mask the parent restores is the one it started with."""
 
     LOGGED = (
         "real_mask = os.sched_getaffinity\n"
-        "inherited = real_mask(0)\n"
         "place = os.sched_setaffinity\n"
+        "try:\n"
+        "    place(0, {0, 1})\n"
+        "except OSError:\n"
+        "    pass\n"
+        "inherited = real_mask(0)\n"
         "def logged(pid, mask):\n"
         "    os.write(2, b'%d %r\\n' % (os.getpid(), sorted(mask)))\n"
         "    place(pid, mask)\n"
@@ -1417,8 +1456,9 @@ class TestWorkerPlacement:
     # The parent's pid and whether its own mask is what it inherited.
     PARENT = "os.write(2, b'%d %r\\n' % (os.getpid(), real_mask(0) == inherited))"
 
-    def placements(self, proc) -> dict[str, list]:
-        """The masks each process set, by pid, after checking the parent's line."""
+    def placements(self, proc) -> tuple[str, dict[str, list]]:
+        """The parent's pid and the masks each process set, by pid, after
+        checking that the parent ends with the mask it started with."""
         assert proc.returncode == 0, proc.stderr
         *lines, parent = proc.stderr.splitlines()
         pid, unchanged = parent.split()
@@ -1427,14 +1467,14 @@ class TestWorkerPlacement:
         for line in lines:
             who, mask = line.split(" ", 1)
             calls.setdefault(who, []).append(ast.literal_eval(mask))
-        assert pid not in calls
-        return calls
+        return pid, calls
 
     def test_each_worker_starts_on_its_own_cpu_then_gets_the_mask_back(self, tmp_path):
         proc = run_forked_batch(tmp_path / "cache", self.PARENT, self.LOGGED)
         assert proc.stdout.startswith("0 cached, 3 computed\n")
-        calls = self.placements(proc)
-        assert sorted(calls.values()) == [[[0], [0, 1]], [[1], [0, 1]]]
+        parent, calls = self.placements(proc)
+        assert calls.pop(parent) == [[0], [0, 1]]
+        assert list(calls.values()) == [[[1], [0, 1]]]
 
     def test_no_placement_without_forked_workers(self, tmp_path):
         cache = tmp_path / "cache"
@@ -1442,7 +1482,7 @@ class TestWorkerPlacement:
                                  ((), "3 cached, 0 computed")):
             proc = run_forked_batch(cache, self.PARENT, self.LOGGED, options)
             assert proc.stdout.startswith(summary + "\n")
-            assert self.placements(proc) == {}
+            assert self.placements(proc)[1] == {}
 
     @pytest.mark.parametrize("prologue", [
         "def refuse(pid, mask):\n"

@@ -18,7 +18,8 @@ from mahlerq import (
 from mahlerq.inversion import g0_expansions, u_series, v_series
 from oracles import (corrupt_exponents, corrupt_g0_column, corrupt_last_period,
                      corrupt_log_tail, corrupt_reversion, cubic_theta, eisenstein_e4,
-                     elliptic_333, monomial)
+                     eisenstein_odd, elliptic_333, inverse_j, level2_columns, monomial,
+                     recorded_calls)
 
 M22 = Model.from_kvector((2, 2))
 M333 = Model.from_kvector((3, 3, 3))
@@ -120,16 +121,9 @@ class TestUV:
         # One side composes its own map with its reversion, the check
         # X(z_X) = t, and the other map and its kernel K_Y with it.
         md = MirrorData.build(M333, 9)
-        compose = Series.compose
-        calls = []
-
-        def counted(outer, inner):
-            calls.append(inner.order)
-            return compose(outer, inner)
-
-        monkeypatch.setattr(Series, "compose", counted)
+        calls = recorded_calls(monkeypatch, "compose")
         column(md, 8)
-        assert calls == [9, 9, 9]
+        assert [inner.order for _, inner in calls] == [9, 9, 9]
 
     def test_tampered_data_raises_consistency_fault(self):
         md = MirrorData.build(M333, 6)
@@ -251,23 +245,11 @@ class TestProductCheck:
         md = MirrorData.build(M333, 13)
         target = md.Q.compose(md.q.revert()).truncate(12)
         b = lambert_invert(u_series(md, 12), alternating=alternating)
-        multiply, exponential = Series.__mul__, Series.exp
-        products, exponentials = [], []
-
-        def recording_mul(left, right):
-            if isinstance(right, Series):
-                products.append(right)
-            return multiply(left, right)
-
-        def recording_exp(series):
-            exponentials.append(series)
-            return exponential(series)
-
-        monkeypatch.setattr(Series, "__mul__", recording_mul)
-        monkeypatch.setattr(Series, "__rmul__", recording_mul)
-        monkeypatch.setattr(Series, "exp", recording_exp)
+        products = [recorded_calls(monkeypatch, name) for name in ("__mul__", "__rmul__")]
+        exponentials = recorded_calls(monkeypatch, "exp")
         assert product_check(target, b, alternating)
-        assert products == []
+        assert [right for calls in products for _, right in calls
+                if isinstance(right, Series)] == []
         assert len(exponentials) == 1
 
     def test_empty_exponents_are_refused(self):
@@ -462,14 +444,7 @@ class TestReport:
 
     @pytest.mark.parametrize("parts", [(3, 3, 3), (2, 3, 6), (4, 4, 4, 4)])
     def test_no_composition_is_repeated(self, monkeypatch, parts):
-        compose = Series.compose
-        seen = []
-
-        def recording(outer, inner):
-            seen.append((outer, inner))
-            return compose(outer, inner)
-
-        monkeypatch.setattr(Series, "compose", recording)
+        seen = recorded_calls(monkeypatch, "compose")
         integrality_report(Model.from_kvector(parts), 8)
         assert len(seen) - len(set(seen)) == 0
         # q(zq), Q(zq) and g0(zq) on the q side, Q(zQ), q(zQ) and
@@ -484,27 +459,18 @@ class TestReport:
     def test_no_series_operation_is_repeated(self, monkeypatch, model, order):
         # Each intermediate series is computed once per report: no operation
         # runs twice on equal operands of order >= 1.
-        calls = Counter()
-        for name in ("compose", "revert", "exp", "__pow__", "__mul__", "__truediv__"):
-            def recording(*operands, exact=getattr(Series, name), name=name):
-                if all(x.order >= 1 for x in operands if isinstance(x, Series)):
-                    calls[name, operands] += 1
-                return exact(*operands)
-
-            monkeypatch.setattr(Series, name, recording)
+        calls = {name: recorded_calls(monkeypatch, name) for name in
+                 ("compose", "revert", "exp", "__pow__", "__mul__", "__truediv__")}
         integrality_report(model, order)
-        assert [name for (name, _), count in calls.items() if count > 1] == []
+        repeated = [name for name, operands in calls.items()
+                    for ops, count in Counter(operands).items()
+                    if count > 1 and all(x.order >= 1 for x in ops if isinstance(x, Series))]
+        assert repeated == []
 
     def test_report_and_series_never_call_newton(self, monkeypatch):
         # Series.revert, Newton's method, is the tests' oracle: the report
         # and the zq and zQ series revert by Lagrange inversion alone.
-        revert, newton = Series.revert, []
-
-        def recording(series):
-            newton.append(series)
-            return revert(series)
-
-        monkeypatch.setattr(Series, "revert", recording)
+        newton = recorded_calls(monkeypatch, "revert")
         integrality_report(M333, 8)
         md = MirrorData.build(M333, 9)
         md.series("zq")
@@ -520,33 +486,12 @@ class TestReport:
         assert rep.z_in_q == md.q.revert().truncate(8)
         assert rep.z_in_Q == md.Q.revert().truncate(8)
 
-    def test_report_composes_six_times(self, monkeypatch):
-        compose = Series.compose
-        calls = []
-
-        def counted(outer, inner):
-            calls.append(inner.order)
-            return compose(outer, inner)
-
-        monkeypatch.setattr(Series, "compose", counted)
-        integrality_report(M333, 8)
-        # On each side, the check X(z_X) = t of its reversion and the
-        # compositions Y(z_X) and K_Y(z_X) of its routes.
-        assert len(calls) == 6
-
     def test_h_over_g0_is_divided_once(self, monkeypatch):
         from mahlerq.mirror import g0_series
 
-        divide = Series.__truediv__
-        divisors = []
-
-        def recording(numerator, divisor):
-            if isinstance(divisor, Series):
-                divisors.append(divisor)
-            return divide(numerator, divisor)
-
-        monkeypatch.setattr(Series, "__truediv__", recording)
+        calls = recorded_calls(monkeypatch, "__truediv__")
         integrality_report(M333, 8)
+        divisors = [divisor for _, divisor in calls if isinstance(divisor, Series)]
         # phi = h/g0 once in the build, and on each side its kernel
         # K_X(z_X) = s/(theta(s) + s) with s = z_X/z and the logarithmic
         # derivative of Y(z_X).  The chain rule is checked as a product
@@ -662,3 +607,18 @@ class TestEllipticClosedForms:
         N = 100
         rep = integrality_report(Model.from_kvector((2, 3, 6)), N)
         assert (rep.g0_in_q + 1) ** 4 == Series(eisenstein_e4(N))
+        assert rep.z_in_q - 432 * rep.z_in_q * rep.z_in_q == Series(inverse_j(N))
+
+    @pytest.mark.parametrize("parts, power", [((2, 4, 4), 1), ((4, 4, 4, 4), 2)],
+                             ids=["2,4,4", "4,4,4,4"])
+    def test_level2_at_100(self, parts, power):
+        # g0(z(q)) is E^(power/2): the square root of E for (2,4,4), E itself
+        # for the quartic K3.
+        N = 100
+        rep = integrality_report(Model.from_kvector(parts), N)
+        z, u = level2_columns(power, N)
+        assert (rep.g0_in_q + 1) ** (2 // power) == Series(eisenstein_odd(N))
+        assert rep.z_in_q == Series(z)
+        assert rep.u == Series(u)
+        assert lambert_invert(Series(u)) == rep.b
+        assert lambert_invert(Series(u), alternating=True) == rep.bhat

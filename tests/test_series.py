@@ -9,7 +9,7 @@ import pytest
 
 import mahlerq
 from mahlerq import Series, lagrange_coeffs
-from oracles import monomial
+from oracles import monomial, recorded_calls
 
 SRC = Path(mahlerq.__file__).resolve().parents[1]
 
@@ -213,14 +213,7 @@ class TestComposition:
     def test_revert_composes_once_per_newton_step(self, monkeypatch, order, steps):
         # Precision doubles 1 -> 2 -> 4 -> 8 -> 9 (and ... -> 16 -> 29), and
         # each step reads f'(g) off the derivative of the f(g) it composed.
-        compose = Series.compose
-        calls = []
-
-        def counted(outer, inner):
-            calls.append(inner.order)
-            return compose(outer, inner)
-
-        monkeypatch.setattr(Series, "compose", counted)
+        calls = recorded_calls(monkeypatch, "compose")
         f = Series([0, 2, 1, F(-1, 3), 5], order)
         g = f.revert()
         assert len(calls) == steps
