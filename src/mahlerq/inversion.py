@@ -18,9 +18,10 @@ The report runs one side per map, the same steps with the maps swapped.
 The side of X (q or Q, with X = z exp(e_X), e_X = phi or f) has the other
 map Y and K_Y = theta_z log Y (K_Q = g0, K_q = 1 + theta(phi)).  It reverts
 X to z_X by Lagrange inversion of e_X (the mirror data stores no reversion),
-checks X(z_X) = t, composes Y(z_X) and K_Y(z_X) once each, takes its column
-X d/dX log Y(z_X) - 1 (u or v), and Moebius-inverts that by a divisor
-sieve; both product forms must then reproduce Y(z_X).  The log L of a
+composes X, Y and K_Y with z_X from one table of the powers of z_X, checks
+X(z_X) = t on the first, takes its column X d/dX log Y(z_X) - 1 (u or v),
+and Moebius-inverts that by a divisor sieve; both product forms must then
+reproduce Y(z_X).  The log L of a
 product satisfies 1 + theta(L) = 1 - sum m^2 b_m t^m/(1 - t^m), its
 Lambert series, so the plain form is checked once as Y(z_X) = t exp(L);
 that implies the Lambert identity for the logarithmic derivative, not
@@ -86,20 +87,21 @@ def _side(e_X: Series, X: Series, Y: Series, K_Y: Series, count: int,
     ``count`` in order, as a logarithmic derivative loses one.  ``label``
     and ``where`` name the column, model and order in an error.
 
-    It reverts X to z_X by :func:`_reversion` at order count + 1, which it
-    reads.  The direct route (theta(w) + w)/w, Y(z_X) = t*w, must satisfy
-    the chain rule direct * K_X(z_X) = K_Y(z_X) to order ``count``; as
-    K_X(z_X) has constant term 1, the two first differ where direct and
-    K_Y(z_X)/K_X(z_X) do.  Returns, as columns to ``count``: z in X,
+    It reverts X to z_X by :func:`_reversion` at order count + 1, which
+    checks X(z_X) = t and composes Y(z_X) and K_Y(z_X) from the same table
+    of the powers of z_X.  The direct route (theta(w) + w)/w, Y(z_X) = t*w,
+    must satisfy the chain rule direct * K_X(z_X) = K_Y(z_X) to order
+    ``count``; as K_X(z_X) has constant term 1, the two first differ where
+    direct and K_Y(z_X)/K_X(z_X) do.  Returns, as columns to ``count``: z in X,
     K_Y(z_X) - 1, K_X(z_X) - 1, the checked column X d/dX log Y(z_X) - 1
     and its plain and alternating Moebius inversions, each checked as a
     product form of Y(z_X) (see the module docstring).
     """
     if X.order <= count:
         raise ValueError("mirror data order must exceed the coefficient count")
-    z_X = _reversion(e_X, X.truncate(count + 1), "q" if label == "u" else "Q", where)
-    Y_of_z = Y.compose(z_X)
-    K_Y_of_z = K_Y.compose(z_X).truncate(count)
+    z_X, Y_of_z, K_Y_of_z = _reversion(
+        e_X, X.truncate(count + 1), "q" if label == "u" else "Q", where, (Y, K_Y))
+    K_Y_of_z = K_Y_of_z.truncate(count)
     s = z_X.shift_down(1).truncate(count)
     K_X_of_z = s / (s.theta() + s)
     if Y_of_z.truncate(1) != Series.identity(1):

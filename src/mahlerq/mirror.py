@@ -42,7 +42,8 @@ import math
 from collections import Counter, namedtuple
 from collections.abc import Sequence
 
-from .series import Series, _exact, _ratio_text, _reduced, _theta_inverse, lagrange_coeffs
+from .series import (Series, _compose_all, _exact, _ratio_text, _reduced, _theta_inverse,
+                     lagrange_coeffs)
 from .weights import Model, floor_gap_check
 
 
@@ -216,15 +217,22 @@ def _first_difference(a: Series, b: Series, count: int) -> int | None:
     return next((m for m in range(count + 1) if an[m] * bd != bn[m] * ad), None)
 
 
-def _reversion(e_X: Series, X: Series, label: str, where: str) -> Series:
+def _reversion(e_X: Series, X: Series, label: str, where: str,
+               others: Sequence[Series] = ()) -> list[Series]:
     """z in X to X's order by Lagrange inversion of X = z exp(e_X), which must
-    satisfy X(z) = t, the definition of the reversion, to that order."""
+    satisfy X(z) = t, the definition of the reversion, to that order, and
+    each of ``others`` composed with z; returns [z, *compositions].
+
+    X and the others are composed in one :func:`_compose_all` call, so the
+    check X(z) = t reads the same table of powers of z as the compositions
+    returned, and z, from Lagrange inversion, reads none of them."""
     z = lagrange_coeffs(e_X, X.order)
-    m = _first_difference(X.compose(z), Series.identity(X.order), X.order)
+    X_of_z, *composed = _compose_all((X, *others), z)
+    m = _first_difference(X_of_z, Series.identity(X.order), X.order)
     if m is not None:
         raise ConsistencyError(
             f"z({label}) is not the reversion of {label} for {where}, m={m}")
-    return z
+    return [z, *composed]
 
 
 def local_mirror_map(model: Model, order: int) -> Series:
@@ -380,7 +388,7 @@ class MirrorData(namedtuple("MirrorData", "model order g0 h f phi Q q")):
         if key in ("zq", "zQ"):
             exponent = self.phi if key == "zq" else self.f
             where = f"model {self.model.name} at order {self.order}"
-            return _reversion(exponent, getattr(self, key[1]), key[1], where)
+            return _reversion(exponent, getattr(self, key[1]), key[1], where)[0]
         return getattr(self, key)
 
 

@@ -14,6 +14,9 @@ almost always 1 and a product is a plain integer convolution.  Two
 recurrences, series division and J.C.P. Miller's power recurrence, give
 ``invert``/``log`` and ``exp``/``**``; they carry integer numerators over a
 running denominator and rescale only when a division is not exact.
+Composition substitutes one inner series into several outer ones from one
+table of the inner's powers (:func:`_compose_all`), so the report builds
+one table per side; :meth:`Series.compose` is the case of one outer.
 The integrality report carries its columns (u, v, b, ..., z in q) in this
 same form, as a series whose z^m coefficient is entry m, and renders them
 from reduced int pairs, so it runs without ``fractions``.
@@ -124,6 +127,42 @@ def _miller(f: Series, k: Series, order: int) -> Series:
         acc -= m * dk * sum(map(mul, F[1 : m + 1], rev))
         den = _append_quotient(out, m * dk * size, sign * acc, den)
     return Series._from_ints(out, den)
+
+
+def _compose_all(outers: Sequence[Series], inner: Series) -> list[Series]:
+    """Each of ``outers`` composed with ``inner`` (constant term 0), as
+    ``outer.compose(inner)`` gives it, from one table of the powers of
+    ``inner``: compositions grouped by inner series (Brent & Kung 1978).
+
+    With inner = G/d and N the highest order a result needs, the table
+    holds g^k = G^k*d^(N-k)/d^N for k = 1..N, stored by coefficient: row m
+    lists [z^m] G^k*d^(N-k) for k = 1..m, as g^k has valuation >= k.  An
+    outer F/df then gives coefficient m as one dot product of F_1..F_m with
+    row m, over df*d^N.  G^k = z^k*(G/z)^k, and (G/z)^k is only needed mod
+    z^(N-k+1), so the table takes about N^3/6 coefficient products and
+    each outer about N^2/2 more.
+    """
+    if inner._num[0] != 0:
+        raise ValueError("composition needs inner constant term 0")
+    N = max((min(f.order, inner.order) for f in outers), default=0)
+    g, d = inner._num[1 : N + 1], inner._den
+    rows: list[list[int]] = [[] for _ in range(N + 1)]
+    power = g  # (G/z)^k mod z^(N-k+1)
+    for k in range(1, N + 1):
+        scale = d ** (N - k)
+        for m, x in enumerate(power, start=k):
+            rows[m].append(x * scale if scale != 1 else x)
+        if k < N:
+            power = _convolve(power, g, N - k - 1)
+    top = d**N
+    out = []
+    for f in outers:
+        F = f._num
+        nums = [F[0] * top]
+        nums += [sum(map(mul, F[1 : m + 1], rows[m]))
+                 for m in range(1, min(f.order, inner.order) + 1)]
+        out.append(Series._from_ints(nums, f._den * top))
+    return out
 
 
 class Series:
@@ -403,24 +442,11 @@ class Series:
     # -- composition and reversion -------------------------------------
 
     def compose(self, inner: "Series") -> "Series":
-        """Substitute ``inner`` (constant term 0) into self, by Horner evaluation.
-
-        S_m = f_m + g*S_(m+1) runs on numerators: with g = G/d,
-        H_m = f_m*d^(N-m) + G*H_(m+1) and S_m = H_m/d^(N-m).  S_m is later
-        multiplied by g^m, which has valuation >= m, so it is only needed
-        mod z^(N-m+1).
-        """
-        if inner._num[0] != 0:
-            raise ValueError("composition needs inner constant term 0")
-        n = min(self.order, inner.order)
-        f, g, d = self._num, inner._num[1:], inner._den
-        acc = [f[n]]
-        scale = 1
-        for m in range(n - 1, -1, -1):
-            scale *= d
-            # acc holds H_(m+1) mod z^(n-m); G*H_(m+1) = z*(G/z)*H_(m+1)
-            acc = [f[m] * scale] + _convolve(g, acc, n - m - 1)
-        return Series._from_ints(acc, scale * self._den)
+        """Substitute ``inner`` (constant term 0) into self; the result has
+        order min(self.order, inner.order).  One outer of
+        :func:`_compose_all`, whose table of the powers of ``inner`` the
+        mirror pipeline shares among the series it composes on one inner."""
+        return _compose_all((self,), inner)[0]
 
     def revert(self) -> "Series":
         """Compositional inverse of a series with f(0)=0, f'(0)!=0; the mirror
@@ -499,6 +525,11 @@ def lagrange_coeffs(phi: Series, count: int) -> Series:
     Returns z = sum a_m w^m as the series 0 + a_1 w + ... + a_count w^count.
     Since z = w*exp(-phi(z)), the Lagrange inversion formula gives
     a_m = [z^(m-1)] exp(-m*phi) / m, one coefficient of one exponential.
+    theta(phi) = T/D is formed once, and row m runs Miller's recurrence
+    i*D*E_i = -m * sum_(j=1..i) T_j*E_(i-j) for E = exp(-m*phi) mod z^m
+    on a list of int numerators over a running denominator, as
+    :func:`_miller` does.  Where the map w is integral, so are theta(phi)
+    and E, and every division is exact.
     Needs phi(0) = 0 and phi.order >= count - 1.  The mirror pipeline
     reverts by it, and :meth:`Series.revert` is its independent test oracle.
     """
@@ -510,9 +541,14 @@ def lagrange_coeffs(phi: Series, count: int) -> Series:
         raise ValueError(
             f"phi order {phi.order} too small for {count} coefficients"
         )
+    theta = phi.truncate(count - 1).theta()
+    T, D = theta.numerators, theta.denominator
     out = [(0, 1)]
     for m in range(1, count + 1):
-        # Only z^(m-1) of the exponential is read, so phi stops there.
-        factor = (phi.truncate(m - 1) * (-m)).exp()
-        out.append((factor.numerators[m - 1], m * factor.denominator))
+        # Only z^(m-1) of the exponential is read, so its row stops there.
+        row, den = [1], 1
+        for i in range(1, m):
+            acc = -m * sum(map(mul, T[1 : i + 1], row[::-1]))
+            den = _append_quotient(row, i * D, acc, den)
+        out.append(_reduced(row[m - 1], m * den))
     return Series._from_pairs(out)

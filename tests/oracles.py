@@ -6,7 +6,9 @@ compares the two checks the library's int arithmetic.  The ``corrupt_``
 helpers instead break a value inside the mirror data or the report so a
 test can see the library's own cross-check catch it;
 :func:`recorded_reversions` lists the exponents whose maps a call reverts,
-and :func:`recorded_calls` the operands of each call of a ``Series`` method.
+:func:`recorded_calls` the operands of each call of a ``Series`` method,
+and :func:`recorded_tables` the outers and inner of each table of powers
+the mirror pipeline composes from.
 """
 
 import math
@@ -53,6 +55,21 @@ def recorded_calls(monkeypatch, name: str) -> list:
     return calls
 
 
+def recorded_tables(monkeypatch) -> list:
+    """Wrap ``mirror._compose_all``, by which the library composes every
+    series it substitutes a reversion into, so that it appends the outers,
+    as a tuple, and the inner of each call as one pair to the list
+    returned."""
+    exact, tables = mirror._compose_all, []
+
+    def recording(outers, inner):
+        tables.append((tuple(outers), inner))
+        return exact(outers, inner)
+
+    monkeypatch.setattr(mirror, "_compose_all", recording)
+    return tables
+
+
 def corrupt_reversion(monkeypatch, model, order: int, key: str, degree: int) -> None:
     """Make ``integrality_report(model, order)`` add z^degree to the
     reversion of the map ``key`` (q or Q) that its side computes by Lagrange
@@ -71,23 +88,33 @@ def corrupt_reversion(monkeypatch, model, order: int, key: str, degree: int) -> 
 
 def corrupt_g0_column(monkeypatch, model, order: int, side: str, degree: int) -> None:
     """Make ``integrality_report(model, order)`` add z^degree to the g0
-    column of ``side``: g0(z(q)), which the q side composes, or g0(z(Q)) =
-    s/(theta(s) + s) with s = z(Q)/z, which the Q side divides."""
+    column of ``side``: g0(z(q)), which the q side reads from its table of
+    the powers of z(q), or g0(z(Q)) = s/(theta(s) + s) with s = z(Q)/z,
+    which the Q side divides."""
     md = MirrorData.build(model, order + 1)
     if side == "q":
         zq = md.q.revert()
-        name, hit = "compose", lambda outer, inner: outer == md.g0 and inner == zq
-    else:
-        unit = md.Q.revert().shift_down(1)
-        kernel = unit.theta() + unit
-        name, hit = "__truediv__", lambda num, den: num == unit and den == kernel
-    exact = getattr(Series, name)
+        exact = mirror._compose_all
 
-    def corrupted(a, b):
-        result = exact(a, b)
-        return result + monomial(1, degree, result.order) if hit(a, b) else result
+        def composed(outers, inner):
+            results = exact(outers, inner)
+            return [result + monomial(1, degree, result.order)
+                    if outer == md.g0 and inner == zq else result
+                    for outer, result in zip(outers, results)]
 
-    monkeypatch.setattr(Series, name, corrupted)
+        monkeypatch.setattr(mirror, "_compose_all", composed)
+        return
+    unit = md.Q.revert().shift_down(1)
+    kernel = unit.theta() + unit
+    divide = Series.__truediv__
+
+    def divided(num, den):
+        result = divide(num, den)
+        if num == unit and den == kernel:
+            return result + monomial(1, degree, result.order)
+        return result
+
+    monkeypatch.setattr(Series, "__truediv__", divided)
 
 
 def corrupt_exponents(monkeypatch, model, order: int, side: str, alternating: bool,

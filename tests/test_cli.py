@@ -27,6 +27,9 @@ from oracles import (corrupt_exponents, corrupt_g0_column, corrupt_last_period,
                      monomial, recorded_reversions)
 
 SRC = Path(mahlerq.__file__).resolve().parents[1]
+# The environment of a child whose stdout and stderr are block buffered, as
+# they are by default when they are pipes.
+BUFFERED = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -310,6 +313,19 @@ class TestVerify:
         assert out == ""
         assert err.startswith(
             "internal-consistency fault: v-series routes disagree for model 3,3,3 "
+            "at order 4, m=4"
+        )
+
+    def test_corrupted_g0_in_q_from_the_table_exits_3(self, monkeypatch, capsys):
+        # The q side reads g0(z(q)) from its table of the powers of z(q).
+        from mahlerq import Model
+
+        corrupt_g0_column(monkeypatch, Model.from_kvector((3, 3, 3)), 4, "q", 4)
+        code, out, err = run_cli("verify", "--model", "3,3,3", "--order", "4", capsys=capsys)
+        assert code == 3
+        assert out == ""
+        assert err.startswith(
+            "internal-consistency fault: u-series routes disagree for model 3,3,3 "
             "at order 4, m=4"
         )
 
@@ -1220,6 +1236,77 @@ class TestConsoleEntry:
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == "0.1.0"
+
+    @pytest.mark.parametrize("argv, size", [
+        (["verify", "--model", "3,3,3", "--order", "80", "--format", "json"], 65536),
+        (["verify", "--model", "3,3,3", "--order", "8"], 0),
+    ], ids=["json-past-a-pipe", "table"])
+    def test_module_output_is_flushed_before_it_leaves(self, capsys, argv, size):
+        # The module leaves through os._exit, which flushes nothing, so it
+        # must flush first; the child's stdout is block buffered.  The JSON
+        # report at order 80 is more than a 64 KiB pipe holds, so the child
+        # blocks on the pipe until the parent reads; the table's last line
+        # is the kind of tail a buffer keeps.
+        proc = subprocess.run([sys.executable, "-m", "mahlerq", *argv],
+                              capture_output=True, cwd=SRC, env=BUFFERED)
+        assert proc.returncode == 0, proc.stderr
+        assert main(argv) == 0
+        expected = capsys.readouterr().out.encode()
+        assert len(expected) > size
+        assert proc.stdout == expected
+        assert proc.stderr == b""
+
+    def test_module_with_closed_stdout_exits_0(self):
+        # print writes nothing where sys.stdout is None, and nothing is flushed.
+        proc = subprocess.run(
+            ["/bin/sh", "-c", 'exec "$0" -m mahlerq --version >&-', sys.executable],
+            capture_output=True, text=True, cwd=SRC, env=BUFFERED,
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+
+    def test_module_on_a_broken_pipe_exits_as_teardown_does(self):
+        # The table stays in the buffer until the flush, which fails on a
+        # pipe with no reader; the module then leaves through sys.exit, and
+        # the interpreter's own flush reports the broken pipe with exit 120.
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "mahlerq", "verify", "--model", "3,3,3", "--order", "8"],
+                stdout=write, stderr=subprocess.PIPE, text=True, cwd=SRC, env=BUFFERED,
+            )
+        finally:
+            os.close(write)
+        assert proc.returncode == 120
+        assert "BrokenPipeError" in proc.stderr
+
+    @pytest.mark.parametrize("argv, code, message", [
+        (["verify", "--model", "3,3", "--order", "4"], 2, "error: reciprocals"),
+        (["verify", "--model", "3,3,3", "--order", "6"], 3, "internal-consistency fault"),
+        (["measure", "--model", "3,3,3", "--psi", "1/10", "--order", "5"], 4,
+         "outside disk of convergence"),
+    ], ids=["usage", "consistency", "convergence"])
+    def test_module_exit_codes(self, argv, code, message):
+        # runpy runs the package's __main__ as -m does; a wrong log tail
+        # makes the consistency fault.
+        prologue = (
+            "import runpy, sys\n"
+            "import mahlerq.mirror as mirror\n"
+            "from mahlerq import Series\n"
+            "exact = mirror._log_tail\n"
+            "def corrupted(model, alphas):\n"
+            "    result = exact(model, alphas)\n"
+            "    return result + Series([0, 0, 0, 1], result.order)\n"
+            "if sys.argv[1:4] == ['verify', '--model', '3,3,3']:\n"
+            "    mirror._log_tail = corrupted\n"
+            "runpy.run_module('mahlerq', run_name='__main__', alter_sys=True)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", prologue, *argv],
+                              capture_output=True, text=True, cwd=SRC, env=BUFFERED)
+        assert proc.returncode == code
+        assert proc.stdout == ""
+        assert proc.stderr.startswith(message)
 
     def test_pool_is_not_imported_at_start_up(self):
         # Only `--format csv` needs csv, and no command needs json.  Each

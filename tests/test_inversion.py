@@ -19,7 +19,7 @@ from mahlerq.inversion import g0_expansions, u_series, v_series
 from oracles import (corrupt_exponents, corrupt_g0_column, corrupt_last_period,
                      corrupt_log_tail, corrupt_reversion, cubic_theta, eisenstein_e4,
                      eisenstein_odd, elliptic_333, inverse_j, level2_columns, monomial,
-                     recorded_calls)
+                     recorded_calls, recorded_tables)
 
 M22 = Model.from_kvector((2, 2))
 M333 = Model.from_kvector((3, 3, 3))
@@ -119,11 +119,12 @@ class TestUV:
     @pytest.mark.parametrize("column", [u_series, v_series])
     def test_each_side_composes_three_times(self, monkeypatch, column):
         # One side composes its own map with its reversion, the check
-        # X(z_X) = t, and the other map and its kernel K_Y with it.
+        # X(z_X) = t, and the other map and its kernel K_Y with it, all
+        # three from one table of the powers of z_X.
         md = MirrorData.build(M333, 9)
-        calls = recorded_calls(monkeypatch, "compose")
+        tables = recorded_tables(monkeypatch)
         column(md, 8)
-        assert [inner.order for _, inner in calls] == [9, 9, 9]
+        assert [(len(outers), inner.order) for outers, inner in tables] == [(3, 9)]
 
     def test_tampered_data_raises_consistency_fault(self):
         md = MirrorData.build(M333, 6)
@@ -444,12 +445,14 @@ class TestReport:
 
     @pytest.mark.parametrize("parts", [(3, 3, 3), (2, 3, 6), (4, 4, 4, 4)])
     def test_no_composition_is_repeated(self, monkeypatch, parts):
-        seen = recorded_calls(monkeypatch, "compose")
+        tables = recorded_tables(monkeypatch)
         integrality_report(Model.from_kvector(parts), 8)
-        assert len(seen) - len(set(seen)) == 0
-        # q(zq), Q(zq) and g0(zq) on the q side, Q(zQ), q(zQ) and
-        # (1 + theta(phi))(zQ) on the Q side.
+        # One table per side: q(zq), Q(zq) and g0(zq) on the q side, Q(zQ),
+        # q(zQ) and (1 + theta(phi))(zQ) on the Q side.
+        assert len(tables) == 2
+        seen = [(outer, inner) for outers, inner in tables for outer in outers]
         assert len(seen) == 6
+        assert len(seen) - len(set(seen)) == 0
 
     @pytest.mark.parametrize("model, order", [
         (M333, 12), (Model.from_kvector((2, 3, 6)), 10),
@@ -458,10 +461,14 @@ class TestReport:
     ], ids=["3,3,3", "2,3,6", "4,4,4,4", "5:2,2,1", "12:4,3,3,2"])
     def test_no_series_operation_is_repeated(self, monkeypatch, model, order):
         # Each intermediate series is computed once per report: no operation
-        # runs twice on equal operands of order >= 1.
+        # runs twice on equal operands of order >= 1, and no (outer, inner)
+        # pair is composed twice, in one table or in two.
         calls = {name: recorded_calls(monkeypatch, name) for name in
                  ("compose", "revert", "exp", "__pow__", "__mul__", "__truediv__")}
+        tables = recorded_tables(monkeypatch)
         integrality_report(model, order)
+        calls["table"] = [(outer, inner) for outers, inner in tables for outer in outers]
+        assert calls["table"]
         repeated = [name for name, operands in calls.items()
                     for ops, count in Counter(operands).items()
                     if count > 1 and all(x.order >= 1 for x in ops if isinstance(x, Series))]

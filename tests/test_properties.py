@@ -3,9 +3,11 @@
 from fractions import Fraction as F
 from math import gcd
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from mahlerq import Series, lagrange_coeffs
+from mahlerq.series import _compose_all
 
 fractions = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 
@@ -222,6 +224,36 @@ def test_log_matches_reference(a):
 @given(free, zero_constant)
 def test_compose_matches_reference(f, g):
     assert_matches(Series(f).compose(Series(g)), ref_compose(f, g))
+
+
+@st.composite
+def inner_lists(draw):
+    """Coefficients of an inner series: constant term 0 and valuation 1 to 3
+    where the order allows it."""
+    cs = draw(zero_constant)
+    valuation = draw(st.integers(1, 3))
+    return [F(0)] * min(valuation, len(cs)) + cs[valuation:]
+
+
+@given(st.lists(free, min_size=1, max_size=4), inner_lists())
+@example([[F(3, 2)], [F(1, 2), F(1, 3), F(5, 7), F(-2, 9)]], [F(0), F(0), F(2, 3)])
+@example([[F(1, 2), F(1, 3)], [F(-4, 5)]], [F(0), F(5, 6), F(1, 4), F(7, 3)])
+@example([[F(2, 3), F(1, 2)]], [F(0)])
+def test_compose_all_matches_reference(outers, inner):
+    # Outers of several orders, order 0 among them, with non-unit
+    # denominators, on an inner with a denominator, a valuation up to 3,
+    # and an order below or above an outer's.
+    results = _compose_all([Series(f) for f in outers], Series(inner))
+    assert len(results) == len(outers)
+    for f, result in zip(outers, results):
+        assert_matches(result, ref_compose(f, inner))
+        assert result == Series(f).compose(Series(inner))
+
+
+@given(st.lists(free, max_size=3), units)
+def test_compose_all_needs_inner_constant_term_0(outers, inner):
+    with pytest.raises(ValueError, match="composition needs inner constant term 0"):
+        _compose_all([Series(f) for f in outers], Series(inner))
 
 
 @given(reversible)
