@@ -8,8 +8,9 @@ routes disagreed), 4 when an evaluation point falls outside the disk of
 convergence.
 
 Every command runs in a fresh process, so the module imports only the
-standard-library modules the commands need.  ``csv`` is imported where
-``--format csv`` needs it.  JSON output goes through one private writer,
+standard-library modules the commands need.  ``csv`` is imported by
+:func:`_csv_text`, which writes the ``--format csv`` tables of
+``enumerate`` and ``verify``.  JSON output goes through one private writer,
 :func:`_json_text`, which prints what ``json.dumps`` prints, and ``batch``
 reads its cache back through :func:`_json_load`, which drives the C
 scanner of ``_json`` that ``json`` itself wraps, so no command imports
@@ -291,29 +292,29 @@ def _fmt_fraction_list(values) -> str:
     return "[" + ", ".join(map(str, values)) + "]"
 
 
+def _csv_text(rows) -> str:
+    """``rows`` as ``csv.writer`` writes them, less the last line break."""
+    import csv  # only --format csv needs it
+
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue().rstrip("\n")
+
+
 def render_enumerate(n: int, fmt: str) -> str:
     sols = enumerate_solutions(n)
+    models = [Model.from_kvector(kv) for kv in sols]
     if fmt == "json":
-        return _json_text([Model.from_kvector(kv).to_json_dict() for kv in sols], 2)
+        return _json_text([model.to_json_dict() for model in models], 2)
     if fmt == "csv":
-        import csv  # only --format csv needs it
-
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["k", "lcm", "w", "aut"])
-        for kv in sols:
-            model = Model.from_kvector(kv)
-            writer.writerow(
-                [str(kv), model.k, ",".join(map(str, model.w)), aut_order(kv)]
-            )
-        return buf.getvalue().rstrip("\n")
-    lines = []
-    for kv in sols:
-        model = Model.from_kvector(kv)
-        lines.append(
-            f"k=({kv})  w=({','.join(map(str, model.w))})  "
-            f"lcm={model.k}  |Aut|={aut_order(kv)}"
-        )
+        return _csv_text([["k", "lcm", "w", "aut"]] + [
+            [str(kv), model.k, ",".join(map(str, model.w)), aut_order(kv)]
+            for kv, model in zip(sols, models)
+        ])
+    lines = [
+        f"k=({kv})  w=({','.join(map(str, model.w))})  lcm={model.k}  |Aut|={aut_order(kv)}"
+        for kv, model in zip(sols, models)
+    ]
     simple, weighted = counts(sols)
     lines.append(f"simple={simple} weighted={weighted}")
     return "\n".join(lines)
@@ -376,13 +377,8 @@ def _report_cells(report: IntegralityReport) -> list[list[str]]:
 
 
 def render_report_csv(report: IntegralityReport) -> str:
-    import csv  # only --format csv needs it
-
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["m", "b", "bhat", "c", "chat", "b_over_m", "chat_over_m", "flags"])
-    writer.writerows(_report_cells(report))
-    return buf.getvalue().rstrip("\n")
+    header = ["m", "b", "bhat", "c", "chat", "b_over_m", "chat_over_m", "flags"]
+    return _csv_text([header] + _report_cells(report))
 
 
 def render_report_table(report: IntegralityReport) -> str:
@@ -585,7 +581,8 @@ def _read_entry(path: str, model: Model, order: int) -> tuple[bool, bool]:
     The entry is read by :func:`_json_load`, so a float or a constant where
     an int belongs is corrupted, and so is one nested too deeply to read.
     It must hold one boolean per name of :data:`CHECK_NAMES`, both product
-    forms true (a failed one halts the report, so none is written), and the
+    forms true (a failed one halts the report, so none is written), the
+    integrality checks of z and of g0 matching its z and g0 lists, and the
     rows m = 1..order, each with boolean integrality flags that match its
     values: a flag is true exactly when its value has no "/".
     """
@@ -606,6 +603,11 @@ def _read_entry(path: str, model: Model, order: int) -> tuple[bool, bool]:
         for name in ("product_plain", "product_alt"):
             if not checks[name]:
                 raise ValueError(f"its {name} is false, which no written report holds")
+        for name, keys in (("lagrange_integral", ("z_in_q", "z_in_Q")),
+                           ("g0_in_q_integral", ("g0_in_q",)),
+                           ("g0_in_Q_integral", ("g0_in_Q",))):
+            if checks[name] is not all("/" not in x for key in keys for x in payload[key]):
+                raise ValueError(f"its {name} is not the boolean its {' and '.join(keys)} give")
         rows = payload["rows"]
         if [row["m"] for row in rows] != list(range(1, order + 1)):
             raise ValueError(f"its rows are not m = 1..{order}")

@@ -14,7 +14,8 @@ turns the expansion into the product forms
 and symmetrically Q d/dQ log q = 1 + sum v_m Q^m yields c_m, chat_m with
 q = Q prod (1 - Q^m)^{m c_m}.
 
-The report runs one side per map, the same steps with the maps swapped.
+The report runs one side per map, the same steps with the maps swapped
+(:func:`_side`, which reads its inputs from the mirror data by column).
 The side of X (q or Q, with X = z exp(e_X), e_X = phi or f) has the other
 map Y and K_Y = theta_z log Y (K_Q = g0, K_q = 1 + theta(phi)).  It reverts
 X to z_X by Lagrange inversion of e_X (the mirror data stores no reversion),
@@ -25,9 +26,9 @@ reproduce Y(z_X).  The log L of a
 product satisfies 1 + theta(L) = 1 - sum m^2 b_m t^m/(1 - t^m), its
 Lambert series, so the plain form is checked once as Y(z_X) = t exp(L);
 that implies the Lambert identity for the logarithmic derivative, not
-rechecked.  t exp(L) determines the Lambert series, so the alternating
-form holds exactly when its Lambert series is the plain form's, and is
-checked so, with no second exponential.  The mirror data the sides read
+rechecked.  Then 1 + theta(L) is one plus the column, so the alternating
+form holds exactly when its Lambert series is too, checked to the last
+entry, with no second exponential.  The mirror data the sides read
 was checked where it was built (:meth:`MirrorData.build`), and each side
 reverts and checks its map by the step of :mod:`mahlerq.mirror` that
 ``series`` runs for zq and zQ; after the sides, the k-th roots of q/z and
@@ -80,12 +81,12 @@ def _column(values: Series) -> Series:
 # u and v expansions (dual-route)
 # ---------------------------------------------------------------------------
 
-def _side(e_X: Series, X: Series, Y: Series, K_Y: Series, count: int,
-          label: str, where: str) -> tuple:
-    """The side of the map X = z exp(e_X) of the report (see the module
-    docstring); Y is the other map, K_Y = theta_z log Y.  X must exceed
-    ``count`` in order, as a logarithmic derivative loses one.  ``label``
-    and ``where`` name the column, model and order in an error.
+def _side(md: MirrorData, column: str, count: int) -> tuple:
+    """The side of the report (see the module docstring) whose column is
+    ``column``: "u", the side of the map X = q = z exp(phi), with Y = Q and
+    K_Q = g0, or "v", the side of X = Q = z exp(f), with Y = q and
+    K_q = 1 + theta(phi).  md.order must exceed ``count``, as a logarithmic
+    derivative loses one.
 
     It reverts X to z_X by :func:`_reversion` at order count + 1, which
     checks X(z_X) = t and composes Y(z_X) and K_Y(z_X) from the same table
@@ -97,17 +98,21 @@ def _side(e_X: Series, X: Series, Y: Series, K_Y: Series, count: int,
     and its plain and alternating Moebius inversions, each checked as a
     product form of Y(z_X) (see the module docstring).
     """
+    if column == "u":
+        name, e_X, X, Y, K_Y = "q", md.phi, md.q, md.Q, md.g0
+    else:
+        name, e_X, X, Y, K_Y = "Q", md.f, md.Q, md.q, md.phi.theta() + 1
     if X.order <= count:
         raise ValueError("mirror data order must exceed the coefficient count")
-    z_X, Y_of_z, K_Y_of_z = _reversion(
-        e_X, X.truncate(count + 1), "q" if label == "u" else "Q", where, (Y, K_Y))
+    where = f"model {md.model.name} at order {count}"
+    z_X, Y_of_z, K_Y_of_z = _reversion(e_X, X.truncate(count + 1), name, where, (Y, K_Y))
     K_Y_of_z = K_Y_of_z.truncate(count)
     s = z_X.shift_down(1).truncate(count)
     K_X_of_z = s / (s.theta() + s)
     if Y_of_z.truncate(1) != Series.identity(1):
         start, linear = _coefficient_texts(Y_of_z.truncate(1))
         raise ConsistencyError(
-            f"{label}-series composition for {where} is not t + O(t^2): "
+            f"{column}-series composition for {where} is not t + O(t^2): "
             f"it starts {start} + {linear}*t"
         )
     w = Y_of_z.shift_down(1)
@@ -115,17 +120,17 @@ def _side(e_X: Series, X: Series, Y: Series, K_Y: Series, count: int,
     m = _first_difference(direct * K_X_of_z, K_Y_of_z, count)
     if m is not None:
         raise ConsistencyError(
-            f"{label}-series routes disagree for {where}, m={m}: "
+            f"{column}-series routes disagree for {where}, m={m}: "
             f"composition gives {_coefficient_texts(direct)[m]}, "
             f"chain rule gives {_coefficient_texts(K_Y_of_z / K_X_of_z)[m]}"
         )
-    column = direct - 1
-    plain, alt = (lambert_invert(column, a) for a in (False, True))
+    values = direct - 1
+    plain, alt = (lambert_invert(values, a) for a in (False, True))
     if not product_check(Y_of_z, plain):
-        raise ConsistencyError(f"{label}-series product form fails for {where}")
-    if lambert_series(alt, count - 1, True) != lambert_series(plain, count - 1):
-        raise ConsistencyError(f"{label}-series alternating product form fails for {where}")
-    return z_X.truncate(count), K_Y_of_z - 1, K_X_of_z - 1, column, plain, alt
+        raise ConsistencyError(f"{column}-series product form fails for {where}")
+    if lambert_series(alt, count, True) != direct:
+        raise ConsistencyError(f"{column}-series alternating product form fails for {where}")
+    return z_X.truncate(count), K_Y_of_z - 1, K_X_of_z - 1, values, plain, alt
 
 
 # The columns come from integrality_report; the three functions below are not
@@ -149,14 +154,12 @@ def g0_expansions(md: MirrorData, count: int) -> tuple[Series, Series]:
 
 def u_series(md: MirrorData, count: int) -> Series:
     """The column u_1..u_count of q d/dq log Q(q) - 1; md.order must exceed count."""
-    where = f"model {md.model.name} at order {count}"
-    return _side(md.phi, md.q, md.Q, md.g0, count, "u", where)[3]
+    return _side(md, "u", count)[3]
 
 
 def v_series(md: MirrorData, count: int) -> Series:
     """The column v_1..v_count of Q d/dQ log q(Q) - 1; md.order must exceed count."""
-    where = f"model {md.model.name} at order {count}"
-    return _side(md.f, md.Q, md.q, md.phi.theta() + 1, count, "v", where)[3]
+    return _side(md, "v", count)[3]
 
 
 # ---------------------------------------------------------------------------
@@ -332,9 +335,8 @@ def integrality_report(model: Model, order: int) -> IntegralityReport:
         raise ValueError("order must be at least 1")
     md = MirrorData.build(model, order + 1)
     where = f"model {model.name} at order {order}"
-    z_in_q, g0_in_q, _, u, b, bhat = _side(md.phi, md.q, md.Q, md.g0, order, "u", where)
-    z_in_Q, _, g0_in_Q, v, c, chat = _side(
-        md.f, md.Q, md.q, md.phi.theta() + 1, order, "v", where)
+    z_in_q, g0_in_q, _, u, b, bhat = _side(md, "u", order)
+    z_in_Q, _, g0_in_Q, v, c, chat = _side(md, "v", order)
     root_q = _kth_root(md.q, md.phi, model.k, "q", where)
     root_Q = _kth_root(md.Q, md.f, model.k, "Q", where)
     return IntegralityReport(

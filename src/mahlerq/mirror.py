@@ -144,10 +144,11 @@ def _check_periods(model: Model, g0: Series, h: Series, where: str) -> None:
 # series-level data
 # ---------------------------------------------------------------------------
 
-# The periods and maps come from MirrorData.build; the five builders below are
-# not exported, and stay here as test and benchmark oracles that
-# bench/layers.py wraps by module attribute.  ROADMAP item 10 moves them into
-# the tests once item 3's stage hook replaces that monkeypatching.
+# The periods and maps come from MirrorData.build, which reads g0_series.  The
+# five builders below are not exported: f_series and h_series stay as test
+# oracles, local_mirror_map and mirror_map return the build's maps, and
+# bench/layers.py wraps all five by module attribute.  ROADMAP item 10 moves
+# them into the tests once item 3's stage hook replaces that monkeypatching.
 
 def g0_series(model: Model, order: int) -> Series:
     return Series._from_ints(period_coefficients(model, order))
@@ -236,18 +237,17 @@ def _reversion(e_X: Series, X: Series, label: str, where: str,
 
 
 def local_mirror_map(model: Model, order: int) -> Series:
-    """Q(z) = z * exp(f(z)); the top coefficient only needs f below order."""
+    """Q(z) = z * exp(f(z)), as :meth:`MirrorData.build` checks it."""
     if order < 1:
         raise ValueError("maps need order >= 1")
-    return _map(f_series(model, order - 1))
+    return MirrorData.build(model, order).Q
 
 
 def mirror_map(model: Model, order: int) -> Series:
-    """q(z) = z * exp(h(z)/g0(z))."""
+    """q(z) = z * exp(h(z)/g0(z)), as :meth:`MirrorData.build` checks it."""
     if order < 1:
         raise ValueError("maps need order >= 1")
-    g0 = g0_series(model, order - 1)
-    return _map(_log_tail(model, g0.numerators) / g0)
+    return MirrorData.build(model, order).q
 
 
 # ---------------------------------------------------------------------------

@@ -432,13 +432,6 @@ class Series:
         """Euler operator z*d/dz: multiplies coefficient m by m."""
         return Series._from_ints([m * c for m, c in enumerate(self._num)], self._den)
 
-    def derivative(self) -> "Series":
-        """Ordinary derivative d/dz; the order drops by one."""
-        if self.order == 0:
-            return Series.zero(0)
-        a = self._num
-        return Series._from_ints([m * a[m] for m in range(1, len(a))], self._den)
-
     # -- composition and reversion -------------------------------------
 
     def compose(self, inner: "Series") -> "Series":
@@ -455,7 +448,8 @@ class Series:
         Newton iteration with order doubling: with g correct mod
         z^(p+1), one step of g -= (f(g) - z)/f'(g) is correct mod
         z^(2p+2).  Each step composes once: f'(g) = f(g)'/g' by the chain
-        rule, exactly, since g'(0) != 0.  The quotient is formed after
+        rule, exactly, since g'(0) != 0, and a derivative h' is
+        theta(h)/z for h(0) = 0.  The quotient is formed after
         stripping the valuation of the numerator, so f'(g) is only ever
         needed below full order.
         """
@@ -479,7 +473,7 @@ class Series:
             if val is None:
                 g = gt
                 continue
-            d = composed.derivative().truncate(prec - val) / gt.derivative()
+            d = composed.theta().shift_down(1).truncate(prec - val) / gt.theta().shift_down(1)
             quot = err.shift_down(val) / d
             g = gt - quot.zshift(val).truncate(prec)
         return g

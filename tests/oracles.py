@@ -7,10 +7,12 @@ helpers instead break a value inside the mirror data or the report so a
 test can see the library's own cross-check catch it;
 :func:`recorded_reversions` lists the exponents whose maps a call reverts,
 :func:`recorded_calls` the operands of each call of a ``Series`` method,
-and :func:`recorded_tables` the outers and inner of each table of powers
-the mirror pipeline composes from.
+:func:`recorded_lambert_series` the arguments of each Lambert series the
+report expands, and :func:`recorded_tables` the outers and inner of each
+table of powers the mirror pipeline composes from.
 """
 
+import inspect
 import math
 from fractions import Fraction as F
 
@@ -52,6 +54,22 @@ def recorded_calls(monkeypatch, name: str) -> list:
         return exact(*operands)
 
     monkeypatch.setattr(Series, name, recording)
+    return calls
+
+
+def recorded_lambert_series(monkeypatch) -> list:
+    """Wrap ``inversion.lambert_series`` so that it appends the arguments of
+    each call, its defaults bound, as one tuple to the list returned."""
+    exact, calls = inversion.lambert_series, []
+    signature = inspect.signature(exact)
+
+    def recording(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        calls.append(tuple(bound.arguments.values()))
+        return exact(*args, **kwargs)
+
+    monkeypatch.setattr(inversion, "lambert_series", recording)
     return calls
 
 
@@ -239,6 +257,12 @@ def eisenstein_e4(order: int) -> list:
     return [1] + [240 * c for c in sigma3[1:]]
 
 
+def eisenstein_e6(order: int) -> list:
+    """E_6(q) = 1 - 504 sum sigma_5(n) q^n to ``order``."""
+    sigma5 = _divisor_sums(order, lambda d: d**5)
+    return [1] + [-504 * c for c in sigma5[1:]]
+
+
 def elliptic_333(order: int) -> tuple[list, list]:
     """z(q) and u for the model (3,3,3) to ``order``, as int lists, from
     a(q) = :func:`cubic_theta` and eta products alone:
@@ -306,6 +330,27 @@ def level2_columns(power: int, order: int) -> tuple[list, list]:
     z = [0] + s  # to q^n
     e = eisenstein_odd(order)
     u = _product(_theta_log(z), _square_root(e) if power == 1 else e)
+    u[0] -= 1
+    return z[:order + 1], u
+
+
+def elliptic_236(order: int) -> tuple[list, list]:
+    """z(q) and u for the model (2,3,6) to ``order``, as int lists, from
+    E_4 = :func:`eisenstein_e4` and E_6 = :func:`eisenstein_e6` alone:
+
+        z(q) = (1 - E_6 E_4^(-3/2)) / 864,   g0(z(q)) = E_4^(1/4),
+
+    and u = (theta_q log z) g0(z(q)) - 1.  Then z - 432 z^2 =
+    (1 - E_6^2/E_4^3)/1728 = 1/j, as :func:`inverse_j` has it.  The square
+    roots and the division by 864 are exact on ints, or a ValueError."""
+    n = order + 1  # theta_q log z loses one order
+    e4 = eisenstein_e4(n)
+    root = _square_root(e4)  # E_4^(1/2)
+    ratio = _quotient(eisenstein_e6(n), _product(e4, root))  # E_6 E_4^(-3/2)
+    if any(x % 864 for x in ratio[1:]):
+        raise ValueError("z(q) is not integral")
+    z = [0] + [-x // 864 for x in ratio[1:]]
+    u = _product(_theta_log(z), _square_root(root))
     u[0] -= 1
     return z[:order + 1], u
 

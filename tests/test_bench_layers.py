@@ -1,7 +1,8 @@
 """The traced benchmark wraps mahlerq functions by name; keep those names alive.
 
 ``bench/layers.py`` patches public functions, methods and the ``batch``
-handler of the mahlerq modules while its tracer is installed.  A function it
+handler of the mahlerq modules while its tracer is installed, and its kernel
+micro-table calls the map builders and ``Series.revert``.  A function it
 names that no longer exists fails here, in tier-1, instead of in a
 benchmark run.  The module is imported from its file, unchanged.
 """
@@ -49,3 +50,14 @@ def test_traced_pass_reaches_every_wrapped_layer():
     assert tracer.max_coeff_bits > 0
     metrics = tracer.metrics()
     assert metrics["cli.batch_compute.s"][0] > 0
+
+
+def test_micro_table_times_every_kernel_op():
+    # The benchmark's kernel micro-table: (3,3,3) maps from local_mirror_map
+    # and mirror_map, each op at orders 20, 40 and 80, Series.revert among them.
+    layers = load_layers()
+    table = layers.micro_table()
+    assert set(table) == {f"series.{op}.o{n}.s"
+                          for op in layers.MICRO_OPS for n in layers.MICRO_ORDERS}
+    assert len(table) == 18
+    assert all(unit == "s" and seconds > 0 for seconds, unit in table.values())

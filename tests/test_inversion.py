@@ -18,8 +18,8 @@ from mahlerq import (
 from mahlerq.inversion import g0_expansions, u_series, v_series
 from oracles import (corrupt_exponents, corrupt_g0_column, corrupt_last_period,
                      corrupt_log_tail, corrupt_reversion, cubic_theta, eisenstein_e4,
-                     eisenstein_odd, elliptic_333, inverse_j, level2_columns, monomial,
-                     recorded_calls, recorded_tables)
+                     eisenstein_odd, elliptic_236, elliptic_333, inverse_j, level2_columns,
+                     monomial, recorded_calls, recorded_lambert_series, recorded_tables)
 
 M22 = Model.from_kvector((2, 2))
 M333 = Model.from_kvector((3, 3, 3))
@@ -411,6 +411,17 @@ class TestReport:
         ):
             integrality_report(M333, 6)
 
+    @pytest.mark.parametrize("side", ["u", "v"])
+    def test_wrong_last_alternating_exponent_fails(self, monkeypatch, side):
+        # The alternating form is checked against the column to its last
+        # entry, so bhat_N and chat_N are checked too.
+        corrupt_exponents(monkeypatch, M333, 6, side, True, 6)
+        with pytest.raises(
+            ConsistencyError,
+            match=f"^{side}-series alternating product form fails for model 3,3,3 at order 6$",
+        ):
+            integrality_report(M333, 6)
+
     @pytest.mark.parametrize("call, label", [(0, "q"), (1, "Q")])
     def test_wrong_kth_root_raises_consistency_fault(self, monkeypatch, call, label):
         # The root is exp(exponent/k); skew its integer k-th power, the check.
@@ -461,14 +472,16 @@ class TestReport:
     ], ids=["3,3,3", "2,3,6", "4,4,4,4", "5:2,2,1", "12:4,3,3,2"])
     def test_no_series_operation_is_repeated(self, monkeypatch, model, order):
         # Each intermediate series is computed once per report: no operation
-        # runs twice on equal operands of order >= 1, and no (outer, inner)
-        # pair is composed twice, in one table or in two.
+        # runs twice on equal operands of order >= 1, no Lambert series is
+        # expanded twice, and no (outer, inner) pair is composed twice, in
+        # one table or in two.
         calls = {name: recorded_calls(monkeypatch, name) for name in
                  ("compose", "revert", "exp", "__pow__", "__mul__", "__truediv__")}
+        calls["lambert_series"] = recorded_lambert_series(monkeypatch)
         tables = recorded_tables(monkeypatch)
         integrality_report(model, order)
         calls["table"] = [(outer, inner) for outers, inner in tables for outer in outers]
-        assert calls["table"]
+        assert calls["table"] and calls["lambert_series"]
         repeated = [name for name, operands in calls.items()
                     for ops, count in Counter(operands).items()
                     if count > 1 and all(x.order >= 1 for x in ops if isinstance(x, Series))]
@@ -615,6 +628,11 @@ class TestEllipticClosedForms:
         rep = integrality_report(Model.from_kvector((2, 3, 6)), N)
         assert (rep.g0_in_q + 1) ** 4 == Series(eisenstein_e4(N))
         assert rep.z_in_q - 432 * rep.z_in_q * rep.z_in_q == Series(inverse_j(N))
+        z, u = elliptic_236(N)
+        assert rep.z_in_q == Series(z)
+        assert rep.u == Series(u)
+        assert lambert_invert(Series(u)) == rep.b
+        assert lambert_invert(Series(u), alternating=True) == rep.bhat
 
     @pytest.mark.parametrize("parts, power", [((2, 4, 4), 1), ((4, 4, 4, 4), 2)],
                              ids=["2,4,4", "4,4,4,4"])

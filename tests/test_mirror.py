@@ -411,9 +411,14 @@ class TestMirrorData:
     @pytest.mark.parametrize("model", [M22, M333, M236, Model.from_kvector((2, 3, 7, 42))])
     @pytest.mark.parametrize("order", [1, 2, 9])
     def test_maps_equal_the_public_functions(self, model, order):
+        # The functions return the build's maps; each must be z exp of its
+        # exponent built one order lower, from the period series alone.
+        g0 = g0_series(model, order - 1)
+        Q, q = local_mirror_map(model, order), mirror_map(model, order)
+        assert Q == f_series(model, order - 1).exp().zshift(1)
+        assert q == (h_series(model, order - 1) / g0).exp().zshift(1)
         md = MirrorData.build(model, order)
-        assert md.Q == local_mirror_map(model, order)
-        assert md.q == mirror_map(model, order)
+        assert (md.Q, md.q) == (Q, q)
 
     def test_build_computes_each_period_series_once(self, monkeypatch):
         import mahlerq.mirror as mirror

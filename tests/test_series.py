@@ -164,12 +164,6 @@ class TestCalculus:
         assert Series.constant(5, 3).theta() == Series.zero(3)
         assert Series([0, 1, 6, 63]).theta().coeffs == (0, 1, 12, 189)
 
-    def test_derivative(self):
-        assert Series([1, 2, 3]).derivative().coeffs == (2, 6)
-
-    def test_derivative_of_an_order_0_series_is_zero(self):
-        assert Series([7]).derivative() == Series.zero(0)
-
 
 class TestComposition:
     def test_compose_linear(self):
@@ -212,7 +206,7 @@ class TestComposition:
     @pytest.mark.parametrize("order, steps", [(9, 4), (29, 5)])
     def test_revert_composes_once_per_newton_step(self, monkeypatch, order, steps):
         # Precision doubles 1 -> 2 -> 4 -> 8 -> 9 (and ... -> 16 -> 29), and
-        # each step reads f'(g) off the derivative of the f(g) it composed.
+        # each step reads f'(g) off theta of the f(g) it composed.
         calls = recorded_calls(monkeypatch, "compose")
         f = Series([0, 2, 1, F(-1, 3), 5], order)
         g = f.revert()
