@@ -550,6 +550,12 @@ class TestBatch:
         lambda own, other: json.dumps(  # a false alternating product form
             {**json.loads(own), "checks": {**json.loads(own)["checks"], "product_alt": False}}
         ),
+        # A check of the integrality of columns the entry holds (z in q and
+        # in Q, g0 in q, g0 in Q), flipped alone, so the entry contradicts itself.
+        *[lambda own, other, check=check: json.dumps(
+            {**json.loads(own), "checks": {**json.loads(own)["checks"],
+                                           check: not json.loads(own)["checks"][check]}}
+        ) for check in ("lagrange_integral", "g0_in_q_integral", "g0_in_Q_integral")],
     ])
     def test_corrupted_cache_entry_names_its_file(self, tmp_path, capsys, damage):
         from mahlerq import Model
@@ -597,27 +603,6 @@ class TestBatch:
             "3 cached, 0 computed\n"
             "models=3 all_integer=2 with_fractional=1 failed_checks=1\n"
         )
-
-    @pytest.mark.parametrize("check", ["lagrange_integral", "g0_in_q_integral",
-                                       "g0_in_Q_integral"])
-    def test_check_that_contradicts_its_columns_is_corrupted(self, tmp_path, capsys, check):
-        # Each of these checks is the integrality of columns the entry holds
-        # (z in q and in Q, g0 in q, g0 in Q), so flipping the flag alone
-        # leaves an entry that contradicts itself.
-        from mahlerq import Model
-        from mahlerq.cli import cache_path
-
-        cache = tmp_path / "cache"
-        run_cli("batch", "--n", "3", "--order", "4", "--cache", str(cache), capsys=capsys)
-        entry = Path(cache_path(str(cache), Model.from_kvector((2, 4, 4)), 4))
-        payload = json.loads(entry.read_text())
-        payload["checks"][check] = not payload["checks"][check]
-        entry.write_text(json.dumps(payload))
-        code, out, err = run_cli(
-            "batch", "--n", "3", "--order", "4", "--cache", str(cache), capsys=capsys
-        )
-        assert (code, out) == (2, "")
-        assert f"corrupted cache entry {entry}: its {check} is not the boolean its" in err
 
     def test_failed_product_form_writes_no_entry(self, tmp_path, monkeypatch, capsys):
         from mahlerq import Model
