@@ -33,7 +33,7 @@ CPU the process may use (:func:`_usable_cpus`), worker i the entries
 ``pending[i::workers]`` in turn.  Worker 0 is the process itself; each
 other worker is a child forked once that leaves through ``os._exit``, so
 the cache is the only result channel, and every entry, new or cached, is
-read back through one validating reader.  Each worker stops at its own
+read back and rebuilt from its own columns.  Each worker stops at its own
 first failure and the others finish their shares; ``batch`` exits with
 its own code, else the first failed child's (2 if a signal killed it).
 """
@@ -46,11 +46,7 @@ import sys
 from types import SimpleNamespace
 
 from . import __version__
-from .inversion import (
-    CHECK_NAMES,
-    IntegralityReport,
-    integrality_report,
-)
+from .inversion import IntegralityReport, integrality_report
 from .mirror import (
     _SERIES_KEYS,
     ConsistencyError,
@@ -575,48 +571,27 @@ def _json_load(text: str):
 
 
 def _read_entry(path: str, model: Model, order: int) -> tuple[bool, bool]:
-    """(every row integral, every check true) of the cache entry of ``model``
-    at ``order``; a corrupted entry names its file.
+    """(every b, bhat, c and chat integral, every check true) of the cache
+    entry of ``model`` at ``order``; a corrupted entry names its file.
 
     The entry is read by :func:`_json_load`, so a float or a constant where
     an int belongs is corrupted, and so is one nested too deeply to read.
-    It must hold one boolean per name of :data:`CHECK_NAMES`, both product
-    forms true (a failed one halts the report, so none is written), the
-    integrality checks of z and of g0 matching its z and g0 lists, and the
-    rows m = 1..order, each with boolean integrality flags that match its
-    values: a flag is true exactly when its value has no "/".
+    It must equal the report of ``model`` at ``order`` that
+    :meth:`IntegralityReport.from_json_dict` rebuilds from its stored
+    columns and verdicts; those cannot be checked here, as recomputing
+    them is what the cache saves.
     """
     try:
         with open(path) as handle:
             payload = _json_load(handle.read())
-        found = (payload["model"]["name"], payload["order"])
-        if found != (model.name, order):
-            raise ValueError(
-                f"it holds model {found[0]} at order {found[1]}, "
-                f"not model {model.name} at order {order}"
-            )
-        checks = payload["checks"]
-        if set(checks) != set(CHECK_NAMES) or not all(
-            isinstance(x, bool) for x in checks.values()
-        ):
-            raise ValueError(f"its checks are not one boolean each for {CHECK_NAMES}")
-        for name in ("product_plain", "product_alt"):
-            if not checks[name]:
-                raise ValueError(f"its {name} is false, which no written report holds")
-        for name, keys in (("lagrange_integral", ("z_in_q", "z_in_Q")),
-                           ("g0_in_q_integral", ("g0_in_q",)),
-                           ("g0_in_Q_integral", ("g0_in_Q",))):
-            if checks[name] is not all("/" not in x for key in keys for x in payload[key]):
-                raise ValueError(f"its {name} is not the boolean its {' and '.join(keys)} give")
-        rows = payload["rows"]
-        if [row["m"] for row in rows] != list(range(1, order + 1)):
-            raise ValueError(f"its rows are not m = 1..{order}")
-        flags = [(row[f"{key}_integer"], "/" not in row[key])
-                 for row in rows for key in ("b", "bhat", "c", "chat")]
-        if any(flag is not integral for flag, integral in flags):
-            raise ValueError("its integrality flags are not the booleans its values give")
-        return all(integral for _, integral in flags), all(checks.values())
-    except (ValueError, KeyError, TypeError, AttributeError, RecursionError) as exc:
+        report = IntegralityReport.from_json_dict(model, payload)
+        if report.order != order or payload != report.to_json_dict():
+            raise ValueError(f"it is not the report of model {model.name} at order "
+                             f"{order} that its own columns give")
+        columns = (report.b, report.bhat, report.c, report.chat)
+        return all(x.denominator == 1 for x in columns), all(report.checks.values())
+    except (ValueError, KeyError, TypeError, AttributeError, RecursionError,
+            ZeroDivisionError) as exc:
         raise ValueError(f"corrupted cache entry {path}: {exc}") from exc
 
 

@@ -22,15 +22,15 @@ X to z_X by Lagrange inversion of e_X (the mirror data stores no reversion),
 composes X, Y and K_Y with z_X from one table of the powers of z_X, checks
 X(z_X) = t on the first, takes its column X d/dX log Y(z_X) - 1 (u or v),
 and Moebius-inverts that by a divisor sieve; both product forms must then
-reproduce Y(z_X).  The log L of a
-product satisfies 1 + theta(L) = 1 - sum m^2 b_m t^m/(1 - t^m), its
-Lambert series, so the plain form is checked once as Y(z_X) = t exp(L);
-that implies the Lambert identity for the logarithmic derivative, not
-rechecked.  Then 1 + theta(L) is one plus the column, so the alternating
-form holds exactly when its Lambert series is too, checked to the last
-entry, with no second exponential.  The mirror data the sides read
-was checked where it was built (:meth:`MirrorData.build`), and each side
-reverts and checks its map by the step of :mod:`mahlerq.mirror` that
+reproduce Y(z_X).  The log L of a product satisfies
+1 + theta(L) = 1 - sum m^2 b_m t^m/(1 - t^m), its Lambert series, so the
+plain form is checked once as Y(z_X) = t exp(L) to t^(count+1), its last
+exponent included; that implies the Lambert identity for the logarithmic
+derivative, not rechecked.  Then 1 + theta(L) is one plus the column, so
+the alternating form holds exactly when its Lambert series is too, checked
+to the last entry, with no second exponential.  The mirror data the sides
+read was checked where it was built (:meth:`MirrorData.build`), and each
+side reverts and checks its map by the step of :mod:`mahlerq.mirror` that
 ``series`` runs for zq and zQ; after the sides, the k-th roots of q/z and
 Q/z are checked by their k-th powers.
 
@@ -62,7 +62,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .series import (Series, _coefficient_pairs, _coefficient_texts, _ratio_text, _reduced,
-                     _theta_inverse)
+                     _series_from_texts, _theta_inverse)
 from .mirror import ConsistencyError, MirrorData, _first_difference, _reversion
 from .weights import Model
 
@@ -211,14 +211,14 @@ def lambert_series(b: Series, order: int, alternating: bool = False) -> Series:
 
 
 def product_check(target: Series, b: Series, alternating: bool = False) -> bool:
-    """Verify target = t * prod_{m<=M} (1 - (+-t)^m)^(m*b_m) mod t^(M+1).
+    """Verify target = t * prod_{m<=M} (1 - (+-t)^m)^(m*b_m) mod t^(N+1),
+    N = min(target.order, M + 1), for the column ``b`` of b_1..b_M.
 
-    ``b`` is the column of b_1..b_M.  The log L of the product obeys
-    1 + theta(L) = lam = lambert_series(b), so L_i = lam_i / i and the
-    product is exp(L): one exponential, no factor-by-factor product.  The
-    Lambert identity u + theta(u) = lam * u for u = target/t follows from
-    this equality, so it is not replayed.  The factor m = M starts at
-    t^(M+1), so b_M is unchecked.
+    The log L of the product obeys 1 + theta(L) = lam = lambert_series(b),
+    so L_i = lam_i / i and the product is exp(L): one exponential, no
+    factor-by-factor product.  The Lambert identity u + theta(u) = lam * u
+    for u = target/t follows from this equality, so it is not replayed.
+    The factor m = M starts at t^(M+1): only a target of order M + 1 checks b_M.
     """
     b = _column(b)
     M = b.order
@@ -226,20 +226,22 @@ def product_check(target: Series, b: Series, alternating: bool = False) -> bool:
         raise ValueError("product_check needs at least one exponent b_1")
     if target.order < M:
         raise ValueError("target order too small for the product test")
-    log_product = _theta_inverse(lambert_series(b, M - 1, alternating))
-    return target.truncate(M) == log_product.exp().zshift(1)
+    N = min(target.order, M + 1)
+    log_product = _theta_inverse(lambert_series(b, N - 1, alternating))
+    return target.truncate(N) == log_product.exp().zshift(1)
 
 
 # ---------------------------------------------------------------------------
 # integrality report
 # ---------------------------------------------------------------------------
 
-# The report's checks, in the order it lists them; the cache reader
-# validates an entry against CHECK_NAMES.
+# The report's checks, in the order it lists them; the last two are stored.
 CHECK_NAMES = (
     "product_plain", "product_alt", "lagrange_integral", "g0_in_q_integral",
     "g0_in_Q_integral", "proposition_qQ_integral", "conjecture1_root_integral",
 )
+# The columns a report's JSON stores, in its order; the other four are derived.
+_STORED_COLUMNS = ("u", "v", "g0_in_q", "g0_in_Q", "z_in_q", "z_in_Q")
 
 
 class IntegralityReport(namedtuple(
@@ -298,14 +300,25 @@ class IntegralityReport(namedtuple(
             "model": self.model.to_json_dict(),
             "order": self.order,
             "rows": self.rows(),
-            "u": _coefficient_texts(self.u)[1:],
-            "v": _coefficient_texts(self.v)[1:],
-            "g0_in_q": _coefficient_texts(self.g0_in_q)[1:],
-            "g0_in_Q": _coefficient_texts(self.g0_in_Q)[1:],
-            "z_in_q": _coefficient_texts(self.z_in_q)[1:],
-            "z_in_Q": _coefficient_texts(self.z_in_Q)[1:],
+            **{key: _coefficient_texts(getattr(self, key))[1:] for key in _STORED_COLUMNS},
             "checks": self.checks,
         }
+
+    @classmethod
+    def from_json_dict(cls, model: Model, payload: dict) -> "IntegralityReport":
+        """The report of ``model`` rebuilt from ``payload``, a :meth:`to_json_dict`,
+        with b, bhat, c and chat from :func:`lambert_invert`.  Its six stored
+        columns and two verdicts cannot be checked, as recomputing them is
+        what a cache saves.  A dict comparison takes 1 for True, so each
+        verdict must be a bool."""
+        order = payload["order"]
+        u, v, *columns = (_series_from_texts(["0", *payload[key]]).truncate(order)
+                          for key in _STORED_COLUMNS)
+        verdicts = [payload["checks"][name] for name in CHECK_NAMES[-2:]]
+        if not all(isinstance(verdict, bool) for verdict in verdicts):
+            raise ValueError("its stored verdicts are not booleans")
+        return cls(model, order, u, v, lambert_invert(u), lambert_invert(u, True),
+                   lambert_invert(v), lambert_invert(v, True), *columns, *verdicts)
 
 
 def _kth_root(series: Series, exponent: Series, k: int, label: str,

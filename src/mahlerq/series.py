@@ -513,6 +513,13 @@ def _coefficient_texts(s: Series) -> list[str]:
     return [_ratio_text(*p) for p in _coefficient_pairs(s)]
 
 
+def _series_from_texts(texts: Sequence[str]) -> Series:
+    """The inverse of :func:`_coefficient_texts`: each text a "p" or "p/q"
+    read with ``int()``; a zero denominator raises ZeroDivisionError."""
+    return Series._from_pairs([(int(num), int(den) if slash else 1)
+                               for num, slash, den in (t.partition("/") for t in texts)])
+
+
 def lagrange_coeffs(phi: Series, count: int) -> Series:
     """Reversion of w = z*exp(phi(z)) via Lagrange inversion.
 

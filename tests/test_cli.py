@@ -85,6 +85,13 @@ def run_cli(*argv, capsys=None):
     return code, out, err
 
 
+def with_row(entry: str, m: int, **fields) -> str:
+    """The cache entry ``entry`` with ``fields`` replaced in its row ``m``."""
+    payload = json.loads(entry)
+    payload["rows"][m - 1].update(fields)
+    return json.dumps(payload)
+
+
 class TestEnumerate:
     def test_table_with_counts_line(self, capsys):
         code, out, _ = run_cli("enumerate", "--n", "3", capsys=capsys)
@@ -344,6 +351,20 @@ class TestVerify:
             "model 3,3,3 at order 4\n"
         )
 
+    @pytest.mark.parametrize("side", ["u", "v"])
+    def test_wrong_last_plain_exponent_exits_3(self, monkeypatch, capsys, side):
+        # The plain product form is checked one order past the column, so
+        # b_N and c_N are checked too.
+        from mahlerq import Model
+
+        corrupt_exponents(monkeypatch, Model.from_kvector((3, 3, 3)), 6, side, False, 6)
+        code, out, err = run_cli("verify", "--model", "3,3,3", "--order", "6", capsys=capsys)
+        assert (code, out) == (3, "")
+        assert err == (
+            f"internal-consistency fault: {side}-series product form fails for "
+            "model 3,3,3 at order 6\n"
+        )
+
     def test_22_all_zero(self, capsys):
         code, out, _ = run_cli(
             "verify", "--model", "2,2", "--order", "12", "--format", "json",
@@ -556,6 +577,20 @@ class TestBatch:
             {**json.loads(own), "checks": {**json.loads(own)["checks"],
                                            check: not json.loads(own)["checks"][check]}}
         ) for check in ("lagrange_integral", "g0_in_q_integral", "g0_in_Q_integral")],
+        lambda own, other: with_row(own, 1, b="1/2", b_integer=False),  # b_1 = 9 made 1/2, flag false
+        lambda own, other: with_row(own, 1, b="10"),  # b_1 changed, its flag left true
+        lambda own, other: with_row(own, 1, b_div_m=False),  # a divisibility flag flipped
+        # A stored verdict that equals true but is not the boolean true.
+        *[lambda own, other, value=value: json.dumps(
+            {**json.loads(own), "checks": {**json.loads(own)["checks"],
+                                           "proposition_qQ_integral": value}}
+        ) for value in (1, "true")],
+        lambda own, other: json.dumps(  # a zero denominator
+            {**json.loads(own), "z_in_q": ["1/0", *json.loads(own)["z_in_q"][1:]]}
+        ),
+        lambda own, other: mahlerq.cli.report_json_text(  # the model's entry at order 3
+            mahlerq.integrality_report(mahlerq.Model.from_kvector((3, 3, 3)), 3)
+        ),
     ])
     def test_corrupted_cache_entry_names_its_file(self, tmp_path, capsys, damage):
         from mahlerq import Model

@@ -218,6 +218,16 @@ class TestProductCheck:
             assert not product_check(Qq, b, alternating=alternating)
 
     @pytest.mark.parametrize("alternating", [False, True])
+    def test_a_deeper_target_checks_the_last_exponent(self, alternating):
+        md = MirrorData.build(M333, 8)
+        Qq = md.Q.compose(md.q.revert()).truncate(7)
+        exact = lambert_invert(u_series(md, 6), alternating=alternating)
+        wrong = exact + monomial(1, 6, 6)
+        assert product_check(Qq, exact, alternating)
+        assert product_check(Qq.truncate(6), wrong, alternating)
+        assert not product_check(Qq, wrong, alternating)
+
+    @pytest.mark.parametrize("alternating", [False, True])
     @pytest.mark.parametrize(
         "parts, M", [((3, 3, 3), 12), ((2, 3, 6), 12), ((2, 3, 7, 42), 10)]
     )
