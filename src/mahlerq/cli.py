@@ -576,16 +576,17 @@ def _read_entry(path: str, model: Model, order: int) -> tuple[bool, bool]:
 
     The entry is read by :func:`_json_load`, so a float or a constant where
     an int belongs is corrupted, and so is one nested too deeply to read.
-    It must equal the report of ``model`` at ``order`` that
-    :meth:`IntegralityReport.from_json_dict` rebuilds from its stored
-    columns and verdicts; those cannot be checked here, as recomputing
-    them is what the cache saves.
+    Its text must be :func:`report_json_text` of the report of ``model`` at
+    ``order`` that :meth:`IntegralityReport.from_json_dict` rebuilds from
+    its stored columns and verdicts, byte for byte, so a 1 where the
+    writer puts true is corrupted too; the columns and verdicts cannot be
+    checked here, as recomputing them is what the cache saves.
     """
     try:
-        with open(path) as handle:
-            payload = _json_load(handle.read())
-        report = IntegralityReport.from_json_dict(model, payload)
-        if report.order != order or payload != report.to_json_dict():
+        with open(path, newline="") as handle:
+            text = handle.read()
+        report = IntegralityReport.from_json_dict(model, _json_load(text))
+        if report.order != order or text != report_json_text(report):
             raise ValueError(f"it is not the report of model {model.name} at order "
                              f"{order} that its own columns give")
         columns = (report.b, report.bhat, report.c, report.chat)

@@ -31,8 +31,8 @@ the alternating form holds exactly when its Lambert series is too, checked
 to the last entry, with no second exponential.  The mirror data the sides
 read was checked where it was built (:meth:`MirrorData.build`), and each
 side reverts and checks its map by the step of :mod:`mahlerq.mirror` that
-``series`` runs for zq and zQ; after the sides, the k-th roots of q/z and
-Q/z are checked by their k-th powers.
+``series`` runs for zq and zQ; last, each side checks the k-th root
+(X/z)^(1/k) = exp(e_X/k) of Conjecture 1 by its k-th power.
 
 The column's second route is the chain rule
 t d/dt log Y(z(t)) = (theta_z log Y)(z(t)) * t d/dt log z(t):
@@ -93,10 +93,15 @@ def _side(md: MirrorData, column: str, count: int) -> tuple:
     of the powers of z_X.  The direct route (theta(w) + w)/w, Y(z_X) = t*w,
     must satisfy the chain rule direct * K_X(z_X) = K_Y(z_X) to order
     ``count``; as K_X(z_X) has constant term 1, the two first differ where
-    direct and K_Y(z_X)/K_X(z_X) do.  Returns, as columns to ``count``: z in X,
-    K_Y(z_X) - 1, K_X(z_X) - 1, the checked column X d/dX log Y(z_X) - 1
-    and its plain and alternating Moebius inversions, each checked as a
-    product form of Y(z_X) (see the module docstring).
+    direct and K_Y(z_X)/K_X(z_X) do.  Last, the k-th root
+    (X/z)^(1/k) = exp(e_X/k) must give X/z back as its k-th power.
+
+    Returns the map's whole share of the report, as columns to ``count``:
+    z in X, the g0 column g0(z_X) - 1 (K_Y(z_q) on the u side, K_X(z_Q) on
+    the v side), the checked column X d/dX log Y(z_X) - 1 and its plain and
+    alternating Moebius inversions, each checked as a product form of
+    Y(z_X) (see the module docstring); then the Conjecture 1 verdict,
+    whether that k-th root is integral.
     """
     if column == "u":
         name, e_X, X, Y, K_Y = "q", md.phi, md.q, md.Q, md.g0
@@ -105,7 +110,8 @@ def _side(md: MirrorData, column: str, count: int) -> tuple:
     if X.order <= count:
         raise ValueError("mirror data order must exceed the coefficient count")
     where = f"model {md.model.name} at order {count}"
-    z_X, Y_of_z, K_Y_of_z = _reversion(e_X, X.truncate(count + 1), name, where, (Y, K_Y))
+    X = X.truncate(count + 1)
+    z_X, Y_of_z, K_Y_of_z = _reversion(e_X, X, name, where, (Y, K_Y))
     K_Y_of_z = K_Y_of_z.truncate(count)
     s = z_X.shift_down(1).truncate(count)
     K_X_of_z = s / (s.theta() + s)
@@ -130,7 +136,12 @@ def _side(md: MirrorData, column: str, count: int) -> tuple:
         raise ConsistencyError(f"{column}-series product form fails for {where}")
     if lambert_series(alt, count, True) != direct:
         raise ConsistencyError(f"{column}-series alternating product form fails for {where}")
-    return z_X.truncate(count), K_Y_of_z - 1, K_X_of_z - 1, values, plain, alt
+    k = md.model.k
+    root = (e_X.truncate(count) / k).exp()
+    if root ** k != X.shift_down(1):
+        raise ConsistencyError(f"k-th root of {name}/z fails its power check for {where}")
+    g0 = K_Y_of_z if column == "u" else K_X_of_z
+    return z_X.truncate(count), g0 - 1, values, plain, alt, root.denominator == 1
 
 
 # The columns come from integrality_report; the three functions below are not
@@ -154,12 +165,12 @@ def g0_expansions(md: MirrorData, count: int) -> tuple[Series, Series]:
 
 def u_series(md: MirrorData, count: int) -> Series:
     """The column u_1..u_count of q d/dq log Q(q) - 1; md.order must exceed count."""
-    return _side(md, "u", count)[3]
+    return _side(md, "u", count)[2]
 
 
 def v_series(md: MirrorData, count: int) -> Series:
     """The column v_1..v_count of Q d/dQ log q(Q) - 1; md.order must exceed count."""
-    return _side(md, "v", count)[3]
+    return _side(md, "v", count)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -307,11 +318,12 @@ class IntegralityReport(namedtuple(
     @classmethod
     def from_json_dict(cls, model: Model, payload: dict) -> "IntegralityReport":
         """The report of ``model`` rebuilt from ``payload``, a :meth:`to_json_dict`,
-        with b, bhat, c and chat from :func:`lambert_invert`.  Its six stored
-        columns and two verdicts cannot be checked, as recomputing them is
-        what a cache saves.  A dict comparison takes 1 for True, so each
-        verdict must be a bool."""
-        order = payload["order"]
+        with b, bhat, c and chat from :func:`lambert_invert` and its order
+        from the length of the u column; the stored order is not read.  Its
+        six stored columns and two verdicts cannot be checked, as recomputing
+        them is what a cache saves.  A verdict renders as it was read, so
+        each must be a bool: a stored 1 would render as 1 again."""
+        order = len(payload["u"])
         u, v, *columns = (_series_from_texts(["0", *payload[key]]).truncate(order)
                           for key in _STORED_COLUMNS)
         verdicts = [payload["checks"][name] for name in CHECK_NAMES[-2:]]
@@ -321,25 +333,11 @@ class IntegralityReport(namedtuple(
                    lambert_invert(v), lambert_invert(v, True), *columns, *verdicts)
 
 
-def _kth_root(series: Series, exponent: Series, k: int, label: str,
-              where: str) -> Series:
-    """(series/z)^(1/k) for series = z*exp(exponent), as exp(exponent/k),
-    checked exactly against series/z by its k-th power; ``where`` names the
-    model and order in an error."""
-    unit = series.shift_down(1)
-    root = (exponent.truncate(unit.order) / k).exp()
-    if root ** k != unit:
-        raise ConsistencyError(
-            f"k-th root of {label}/z fails its power check for {where}"
-        )
-    return root
-
-
 def integrality_report(model: Model, order: int) -> IntegralityReport:
-    """Full pipeline: mirror data, one side per map (reversion and its
-    check X(z) = t, u or v on two routes, Moebius tables, product checks),
-    k-th roots and the integrality checks.  Deterministic for a given
-    (model, order).
+    """Full pipeline: mirror data, then one side per map, which returns
+    the map's whole share of the report (reversion and its check X(z) = t,
+    u or v on two routes, Moebius tables, product checks, g0 column, k-th
+    root), and the record.  Deterministic for a given (model, order).
 
     The mirror data is built one order deeper than requested so that both
     routes of each side cover every reported coefficient.
@@ -347,13 +345,10 @@ def integrality_report(model: Model, order: int) -> IntegralityReport:
     if order < 1:
         raise ValueError("order must be at least 1")
     md = MirrorData.build(model, order + 1)
-    where = f"model {model.name} at order {order}"
-    z_in_q, g0_in_q, _, u, b, bhat = _side(md, "u", order)
-    z_in_Q, _, g0_in_Q, v, c, chat = _side(md, "v", order)
-    root_q = _kth_root(md.q, md.phi, model.k, "q", where)
-    root_Q = _kth_root(md.Q, md.f, model.k, "Q", where)
+    z_in_q, g0_in_q, u, b, bhat, root_q = _side(md, "u", order)
+    z_in_Q, g0_in_Q, v, c, chat, root_Q = _side(md, "v", order)
     return IntegralityReport(
         model, order, u, v, b, bhat, c, chat, g0_in_q, g0_in_Q, z_in_q, z_in_Q,
         proposition_qQ_integral=md.q.denominator == 1 and md.Q.denominator == 1,
-        conjecture1_root_integral=root_q.denominator == 1 and root_Q.denominator == 1,
+        conjecture1_root_integral=root_q and root_Q,
     )

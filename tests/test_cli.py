@@ -85,11 +85,17 @@ def run_cli(*argv, capsys=None):
     return code, out, err
 
 
+def as_written(payload) -> str:
+    """``payload`` in the layout the cache writer gives it, so that a damaged
+    entry differs from a sound one only by its damage."""
+    return json.dumps(payload, indent=2) + "\n"
+
+
 def with_row(entry: str, m: int, **fields) -> str:
     """The cache entry ``entry`` with ``fields`` replaced in its row ``m``."""
     payload = json.loads(entry)
     payload["rows"][m - 1].update(fields)
-    return json.dumps(payload)
+    return as_written(payload)
 
 
 class TestEnumerate:
@@ -539,41 +545,41 @@ class TestBatch:
         lambda own, other: own[:2],  # truncated: not valid JSON
         lambda own, other: "[]",  # valid JSON without the report's rows
         lambda own, other: other,  # another model's entry copied over this one
-        lambda own, other: json.dumps({**json.loads(own), "checks": []}),  # checks is a list
-        lambda own, other: json.dumps(  # every check the string "false"
+        lambda own, other: as_written({**json.loads(own), "checks": []}),  # checks is a list
+        lambda own, other: as_written(  # every check the string "false"
             {**json.loads(own), "checks": dict.fromkeys(json.loads(own)["checks"], "false")}
         ),
-        lambda own, other: json.dumps({**json.loads(own), "rows": []}),  # no rows
-        lambda own, other: json.dumps(  # an integrality flag the string "true"
+        lambda own, other: as_written({**json.loads(own), "rows": []}),  # no rows
+        lambda own, other: as_written(  # an integrality flag the string "true"
             {**json.loads(own), "rows": [
                 {**row, "b_integer": "true"} for row in json.loads(own)["rows"]
             ]}
         ),
-        lambda own, other: json.dumps(  # every entry, bhat_2 = -9/2 too, flagged integral
+        lambda own, other: as_written(  # every entry, bhat_2 = -9/2 too, flagged integral
             {**json.loads(own), "rows": [
                 {**row, **{f"{key}_integer": True for key in ("b", "bhat", "c", "chat")}}
                 for row in json.loads(own)["rows"]
             ]}
         ),
         lambda own, other: "[" * 100000 + "]" * 100000,  # too deep to read
-        lambda own, other: json.dumps({**json.loads(own), "order": 4.0}),  # a float order
-        lambda own, other: json.dumps(  # a float m
+        lambda own, other: as_written({**json.loads(own), "order": 4.0}),  # a float order
+        lambda own, other: as_written(  # a float m
             {**json.loads(own), "rows": [
                 {**row, "m": float(row["m"])} for row in json.loads(own)["rows"]
             ]}
         ),
-        lambda own, other: json.dumps(  # every check NaN
+        lambda own, other: as_written(  # every check NaN
             {**json.loads(own), "checks": dict.fromkeys(json.loads(own)["checks"], NAN)}
         ),
-        lambda own, other: json.dumps(  # a false plain product form: no report holds one
+        lambda own, other: as_written(  # a false plain product form: no report holds one
             {**json.loads(own), "checks": {**json.loads(own)["checks"], "product_plain": False}}
         ),
-        lambda own, other: json.dumps(  # a false alternating product form
+        lambda own, other: as_written(  # a false alternating product form
             {**json.loads(own), "checks": {**json.loads(own)["checks"], "product_alt": False}}
         ),
         # A check of the integrality of columns the entry holds (z in q and
         # in Q, g0 in q, g0 in Q), flipped alone, so the entry contradicts itself.
-        *[lambda own, other, check=check: json.dumps(
+        *[lambda own, other, check=check: as_written(
             {**json.loads(own), "checks": {**json.loads(own)["checks"],
                                            check: not json.loads(own)["checks"][check]}}
         ) for check in ("lagrange_integral", "g0_in_q_integral", "g0_in_Q_integral")],
@@ -581,16 +587,22 @@ class TestBatch:
         lambda own, other: with_row(own, 1, b="10"),  # b_1 changed, its flag left true
         lambda own, other: with_row(own, 1, b_div_m=False),  # a divisibility flag flipped
         # A stored verdict that equals true but is not the boolean true.
-        *[lambda own, other, value=value: json.dumps(
+        *[lambda own, other, value=value: as_written(
             {**json.loads(own), "checks": {**json.loads(own)["checks"],
                                            "proposition_qQ_integral": value}}
         ) for value in (1, "true")],
-        lambda own, other: json.dumps(  # a zero denominator
+        lambda own, other: as_written(  # a zero denominator
             {**json.loads(own), "z_in_q": ["1/0", *json.loads(own)["z_in_q"][1:]]}
         ),
         lambda own, other: mahlerq.cli.report_json_text(  # the model's entry at order 3
             mahlerq.integrality_report(mahlerq.Model.from_kvector((3, 3, 3)), 3)
         ),
+        # A derived flag or check that equals true but is not the boolean true.
+        lambda own, other: with_row(own, 1, b_integer=1),
+        lambda own, other: as_written(
+            {**json.loads(own), "checks": {**json.loads(own)["checks"], "lagrange_integral": 1}}
+        ),
+        lambda own, other: own.replace("\n", "\r\n"),  # the writer's text with CRLF line ends
     ])
     def test_corrupted_cache_entry_names_its_file(self, tmp_path, capsys, damage):
         from mahlerq import Model
@@ -608,6 +620,21 @@ class TestBatch:
         )
         assert code == 2
         assert out == ""
+        assert f"corrupted cache entry {entry}" in err
+
+    def test_boolean_order_names_its_file(self, tmp_path, capsys):
+        # "order": true equals 1, this entry's order, but the writer puts 1 there.
+        from mahlerq import Model
+        from mahlerq.cli import cache_path
+
+        cache = tmp_path / "cache"
+        run_cli("batch", "--n", "3", "--order", "1", "--cache", str(cache), capsys=capsys)
+        entry = Path(cache_path(str(cache), Model.from_kvector((3, 3, 3)), 1))
+        entry.write_text(as_written({**json.loads(entry.read_text()), "order": True}))
+        code, out, err = run_cli(
+            "batch", "--n", "3", "--order", "1", "--cache", str(cache), capsys=capsys
+        )
+        assert (code, out) == (2, "")
         assert f"corrupted cache entry {entry}" in err
 
     def test_summary_counts_fractional_models(self, tmp_path, capsys):
@@ -629,7 +656,7 @@ class TestBatch:
         # A check that the entry's columns do not give: it reads q, Q and
         # their k-th roots, which the entry does not keep.
         payload["checks"]["proposition_qQ_integral"] = False
-        entry.write_text(json.dumps(payload))
+        entry.write_text(as_written(payload))
         code, out, _ = run_cli(
             "batch", "--n", "3", "--order", "4", "--cache", str(cache), capsys=capsys
         )

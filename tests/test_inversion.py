@@ -432,8 +432,14 @@ class TestReport:
         ):
             integrality_report(M333, 6)
 
-    @pytest.mark.parametrize("call, label", [(0, "q"), (1, "Q")])
-    def test_wrong_kth_root_raises_consistency_fault(self, monkeypatch, call, label):
+    @pytest.mark.parametrize("run, call, label", [
+        pytest.param(lambda: integrality_report(M333, 6), 0, "q", id="0-q"),
+        pytest.param(lambda: integrality_report(M333, 6), 1, "Q", id="1-Q"),
+        # A side called alone checks its own root.
+        pytest.param(lambda: u_series(MirrorData.build(M333, 7), 6), 0, "q", id="u_series-q"),
+        pytest.param(lambda: v_series(MirrorData.build(M333, 7), 6), 0, "Q", id="v_series-Q"),
+    ])
+    def test_wrong_kth_root_raises_consistency_fault(self, monkeypatch, run, call, label):
         # The root is exp(exponent/k); skew its integer k-th power, the check.
         power = Series.__pow__
         integer = []
@@ -452,7 +458,7 @@ class TestReport:
             match=f"k-th root of {label}/z fails its power check for model 3,3,3 "
             "at order 6$",
         ):
-            integrality_report(M333, 6)
+            run()
 
     def test_wrong_log_tail_halts(self, monkeypatch):
         # Every later route reads h through phi; only the Frobenius identity
