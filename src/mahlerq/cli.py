@@ -33,7 +33,8 @@ CPU the process may use (:func:`_usable_cpus`), worker i the entries
 ``pending[i::workers]`` in turn.  Worker 0 is the process itself; each
 other worker is a child forked once that leaves through ``os._exit``, so
 the cache is the only result channel, and every entry, new or cached, is
-read back and rebuilt from its own columns.  Each worker stops at its own
+read back, rebuilt from its own columns and compared, byte for byte, with
+what the writer gives the rebuilt report.  Each worker stops at its own
 first failure and the others finish their shares; ``batch`` exits with
 its own code, else the first failed child's (2 if a signal killed it).
 """
