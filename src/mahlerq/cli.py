@@ -10,8 +10,12 @@ convergence.
 Every command runs in a fresh process, so the module imports only the
 standard-library modules the commands need.  ``csv`` is imported by
 :func:`_csv_text`, which writes the ``--format csv`` tables of
-``enumerate`` and ``verify``.  JSON output goes through one private writer,
-:func:`_json_text`, which prints what ``json.dumps`` prints, and ``batch``
+``enumerate`` and ``verify``.  JSON output prints what ``json.dumps``
+prints, byte for byte, without ``json``: a report through
+:func:`report_json_text`, which fills one row template per row and joins
+each column (the layout lives beside the reader's
+:meth:`~mahlerq.inversion.IntegralityReport.from_json_dict`), and every
+other value through the private writer :func:`_json_text`.  ``batch``
 reads its cache back through :func:`_json_load`, which drives the C
 scanner of ``_json`` that ``json`` itself wraps, so no command imports
 ``json`` (and with it ``re`` and ``enum``).  ``fractions`` loads ``re``,
@@ -39,15 +43,13 @@ first failure and the others finish their shares; ``batch`` exits with
 its own code, else the first failed child's (2 if a signal killed it).
 """
 
-from __future__ import annotations
-
 import io
 import os
 import sys
 from types import SimpleNamespace
 
 from . import __version__
-from .inversion import IntegralityReport, integrality_report
+from .inversion import IntegralityReport, _json_string, integrality_report
 from .mirror import (
     _SERIES_KEYS,
     ConsistencyError,
@@ -239,18 +241,6 @@ def parse_args(argv: list[str]):
 # rendering
 # ---------------------------------------------------------------------------
 
-def _json_string(text: str) -> str:
-    """``text`` as a JSON string literal, escaped as ``json.dumps`` does.
-
-    No string a command writes needs an escape, so no command imports ``json``.
-    """
-    if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
-        return f'"{text}"'
-    import json  # a string that needs escaping
-
-    return json.dumps(text)
-
-
 def _json_text(value, indent: int | None = None, level: int = 0) -> str:
     """``json.dumps(value, indent=indent)``, byte for byte, for a value built
     from dicts with str keys, lists, str, int, bool and None.
@@ -393,7 +383,9 @@ def render_report_table(report: IntegralityReport) -> str:
 
 
 def report_json_text(report: IntegralityReport) -> str:
-    return _json_text(report.to_json_dict(), 2) + "\n"
+    """The report's JSON text, which ``verify`` prints and writes and
+    ``batch`` writes and compares each cache entry with."""
+    return report._render()
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +495,7 @@ def _write_entries(pending: list[tuple[Model, str]], order: int, workers: int) -
     Each worker stops at its own first failure and the others finish their
     shares.  Returns this process's exit code if its share failed, else
     the exit code of the first child that failed, else 0.  The workers
-    write their entries through :func:`_json_text` and build no
+    write their entries through :func:`report_json_text` and build no
     ``Fraction``, so they import neither ``json`` nor ``fractions``.
     """
     cpus = _usable_cpus()
@@ -577,11 +569,12 @@ def _read_entry(path: str, model: Model, order: int) -> tuple[bool, bool]:
 
     The entry is read by :func:`_json_load`, so a float or a constant where
     an int belongs is corrupted, and so is one nested too deeply to read.
-    Its text must be :func:`report_json_text` of the report of ``model`` at
-    ``order`` that :meth:`IntegralityReport.from_json_dict` rebuilds from
-    its stored columns and verdicts, byte for byte, so a 1 where the
-    writer puts true is corrupted too; the columns and verdicts cannot be
-    checked here, as recomputing them is what the cache saves.
+    Its text must be what the writer's own render, :func:`report_json_text`,
+    gives the report of ``model`` at ``order`` that
+    :meth:`IntegralityReport.from_json_dict` rebuilds from its stored
+    columns and verdicts, byte for byte, so a 1 where the writer puts true
+    is corrupted too; the columns and verdicts cannot be checked here, as
+    recomputing them is what the cache saves.
     """
     try:
         with open(path, newline="") as handle:

@@ -52,12 +52,11 @@ q and in Q) is a field of :class:`IntegralityReport` holding a
 :class:`Series` with constant term 0 whose z^m coefficient is entry m:
 int numerators over one denominator, so the sieve, the product checks and
 the integrality verdicts run on ints, and a column is integral exactly
-when its denominator is 1.  :meth:`IntegralityReport.rows` and
-:meth:`IntegralityReport.to_json_dict` render from reduced int pairs, so
-computing and printing a report never loads ``fractions``.
+when its denominator is 1.  :meth:`IntegralityReport.rows` and the
+report's JSON text (:meth:`IntegralityReport._render`) read each row from
+one pass over reduced int pairs, so computing and printing a report never
+loads ``fractions``.
 """
-
-from __future__ import annotations
 
 from collections import namedtuple
 
@@ -253,6 +252,46 @@ CHECK_NAMES = (
 )
 # The columns a report's JSON stores, in its order; the other four are derived.
 _STORED_COLUMNS = ("u", "v", "g0_in_q", "g0_in_Q", "z_in_q", "z_in_Q")
+# The keys of a row, in its order, for an off-diagonal and for a diagonal
+# model: m, then texts, then flags, the last of them "div_n" on a diagonal model.
+_ENTRY_KEYS = ("b", "bhat", "c", "chat")
+_ROW_TEXT_KEYS = (*_ENTRY_KEYS, *(f"{key}_over_m" for key in _ENTRY_KEYS))
+_ROW_KEYS = tuple(("m", *_ROW_TEXT_KEYS, *(f"{key}_integer" for key in _ENTRY_KEYS),
+                   *(f"{key}_div_m" for key in _ENTRY_KEYS), *last)
+                  for last in ((), ("div_n",)))
+_JSON_BOOLS = ("false", "true")
+
+
+def _json_string(text: str) -> str:
+    """``text`` as a JSON string literal, escaped as ``json.dumps`` does.
+
+    No string a command writes needs an escape, so no command imports ``json``.
+    """
+    if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
+        return f'"{text}"'
+    import json  # a string that needs escaping
+
+    return json.dumps(text)
+
+
+def _json_list(items: list[str], pad: str, quote: str = "") -> str:
+    """``items``, each between two ``quote``, as ``json.dumps(..., indent=2)``
+    lays out a list whose members it indents by ``pad``: JSON texts with
+    ``quote`` empty, or strings that need no escape with ``quote`` '"'."""
+    if not items:
+        return "[]"
+    return f"[\n{pad}{quote}" + f"{quote},\n{pad}{quote}".join(items) + f"{quote}\n{pad[2:]}]"
+
+
+def _row_template(keys: tuple[str, ...]) -> str:
+    """A row with ``keys`` in a report's JSON text, as a %-format of its
+    values: m, the texts, then each flag as its JSON literal."""
+    fields = [f'"{key}": ' + ("%d" if key == "m" else '"%s"' if key in _ROW_TEXT_KEYS else "%s")
+              for key in keys]
+    return "{\n      " + ",\n      ".join(fields) + "\n    }"
+
+
+_ROW_TEMPLATES = tuple(map(_row_template, _ROW_KEYS))
 
 
 class IntegralityReport(namedtuple(
@@ -283,46 +322,66 @@ class IntegralityReport(namedtuple(
             self.g0_in_q.denominator == 1, self.g0_in_Q.denominator == 1,
             self.proposition_qQ_integral, self.conjecture1_root_integral)))
 
-    def rows(self) -> list[dict]:
-        keys = ("b", "bhat", "c", "chat")
-        columns = [_coefficient_pairs(getattr(self, key)) for key in keys]
-        out = []
-        diagonal = self.model.is_diagonal()
-        n = self.model.n
-        for m in range(1, self.order + 1):
-            vals = {key: column[m] for key, column in zip(keys, columns)}
-            row: dict = {"m": m}
-            row.update({key: _ratio_text(*x) for key, x in vals.items()})
-            for key, (num, den) in vals.items():
-                row[f"{key}_over_m"] = _ratio_text(*_reduced(num, den * m))
-            for key, (_, den) in vals.items():
-                row[f"{key}_integer"] = den == 1
-            for key, (num, den) in vals.items():
-                row[f"{key}_div_m"] = den == 1 and num % m == 0
-            if diagonal:
-                row["div_n"] = all(
-                    den == 1 and num % n == 0 for num, den in vals.values()
-                )
-            out.append(row)
-        return out
+    def _row_values(self):
+        """The values of each row m = 1..order, as (m, texts, flags) in the
+        order of its keys: the texts are b, bhat, c and chat at m and each
+        over m; the flags say whether each of the four is an integer, then
+        whether it is one divisible by m, and, for a diagonal model,
+        whether all four are integers divisible by n."""
+        columns = [_coefficient_pairs(getattr(self, key))[1:] for key in _ENTRY_KEYS]
+        n = self.model.n if self.model.is_diagonal() else 0
+        for m, pairs in enumerate(zip(*columns), start=1):
+            texts = [_ratio_text(num, den) for num, den in pairs]
+            texts += [_ratio_text(*_reduced(num, den * m)) for num, den in pairs]
+            flags = [den == 1 for _, den in pairs]
+            flags += [den == 1 and num % m == 0 for num, den in pairs]
+            if n:
+                flags.append(all(den == 1 and num % n == 0 for num, den in pairs))
+            yield m, texts, flags
 
-    def to_json_dict(self) -> dict:
-        return {
-            "model": self.model.to_json_dict(),
-            "order": self.order,
-            "rows": self.rows(),
-            **{key: _coefficient_texts(getattr(self, key))[1:] for key in _STORED_COLUMNS},
-            "checks": self.checks,
-        }
+    def rows(self) -> list[dict]:
+        """The rows of the report's JSON text, one dict per m = 1..order,
+        keyed as the text keys them (see :meth:`_row_values`)."""
+        keys = _ROW_KEYS[self.model.is_diagonal()]
+        return [dict(zip(keys, (m, *texts, *flags))) for m, texts, flags in self._row_values()]
+
+    def _render(self) -> str:
+        """The report as ``json.dumps(payload, indent=2) + "\\n"`` prints the
+        payload that :meth:`from_json_dict` reads, byte for byte: its model,
+        order, rows, six stored columns and checks.  Each row is one
+        %-format of its values, and each column one join of its texts, none
+        of which needs an escape."""
+        template = _ROW_TEMPLATES[self.model.is_diagonal()]
+        rows = [template % (m, *texts, *[_JSON_BOOLS[flag] for flag in flags])
+                for m, texts, flags in self._row_values()]
+        model = []
+        for key, value in self.model.to_json_dict().items():
+            if isinstance(value, list):
+                value = _json_list(list(map(str, value)), "      ")
+            elif isinstance(value, str):
+                value = _json_string(value)
+            elif value is None:
+                value = "null"
+            model.append(f'    "{key}": {value}')
+        checks = [f'    "{name}": {_JSON_BOOLS[ok]}' for name, ok in self.checks.items()]
+        return ",\n".join([
+            '{\n  "model": {\n' + ",\n".join(model) + "\n  }",
+            f'  "order": {self.order}',
+            '  "rows": ' + _json_list(rows, "    "),
+            *(f'  "{key}": ' + _json_list(_coefficient_texts(getattr(self, key))[1:], "    ", '"')
+              for key in _STORED_COLUMNS),
+            '  "checks": {\n' + ",\n".join(checks) + "\n  }\n}\n",
+        ])
 
     @classmethod
     def from_json_dict(cls, model: Model, payload: dict) -> "IntegralityReport":
-        """The report of ``model`` rebuilt from ``payload``, a :meth:`to_json_dict`,
-        with b, bhat, c and chat from :func:`lambert_invert` and its order
-        from the length of the u column; the stored order is not read.  Its
-        six stored columns and two verdicts cannot be checked, as recomputing
-        them is what a cache saves.  A verdict renders as it was read, so
-        each must be a bool: a stored 1 would render as 1 again."""
+        """The report of ``model`` rebuilt from ``payload``, the parsed JSON
+        text of a report (:meth:`_render`), with b, bhat, c and chat from
+        :func:`lambert_invert` and its order from the length of the u
+        column; the stored order is not read.  Its six stored columns and
+        two verdicts cannot be checked, as recomputing them is what a cache
+        saves.  A verdict renders as it was read, so each must be a bool: a
+        stored 1 would render as 1 again."""
         order = len(payload["u"])
         u, v, *columns = (_series_from_texts(["0", *payload[key]]).truncate(order)
                           for key in _STORED_COLUMNS)

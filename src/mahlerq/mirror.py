@@ -36,8 +36,6 @@ Q for zq or zQ by :func:`_reversion`, Lagrange inversion checked by
 X(z) = t, as each side of the integrality report does on its own map.
 """
 
-from __future__ import annotations
-
 import math
 from collections import Counter, namedtuple
 from collections.abc import Sequence
@@ -74,33 +72,34 @@ def alpha(model: Model, m: int) -> int:
     return value
 
 
-def period_coefficients(model: Model, order: int) -> list[int]:
+def period_coefficients(model: Model, order: int, parameters: tuple | None = None) -> list[int]:
     """alpha_0..alpha_order by alpha_j = alpha_(j-1) * C * prod(up) / prod(down), one ratio
-    over the reduced parameters (:func:`_ratio_factors`); alpha_j is an int, so each division
-    is exact."""
+    over the reduced parameters (:func:`_ratio_factors`), derived here unless the caller
+    passes them as ``parameters``; alpha_j is an int, so each division is exact."""
     if order < 0:
         raise ValueError("order must be nonnegative")
     cn, cd = _growth(model)
     value = 1
     out = [value]
-    for up, down in _ratio_factors(model, order):
+    for up, down in _ratio_factors(parameters or _parameters(model, "reduced"), order):
         value = value * cn * math.prod(up) // (cd * math.prod(down))
         out.append(value)
     return out
 
 
-def _ratio_factors(model: Model, order: int):
+def _ratio_factors(parameters: tuple, order: int):
     """For j = 1..order, the factors of alpha_j / alpha_(j-1) = C * prod(up) / prod(down):
-    up = L(j-1) + a and down = Lj - b over the reduced parameters (:func:`_parameters`),
-    equally many a side, so the powers of L cancel."""
-    L, a, b = _parameters(model, "reduced")
+    up = L(j-1) + a and down = Lj - b over the reduced ``parameters`` (L, a, b) of
+    :func:`_parameters`, equally many a side, so the powers of L cancel."""
+    L, a, b = parameters
     for j in range(1, order + 1):
         yield [L * (j - 1) + x for x in a], [L * j - x for x in b]
 
 
-def _check_periods(model: Model, g0: Series, h: Series, where: str) -> None:
+def _check_periods(model: Model, g0: Series, h: Series, where: str, parameters: tuple) -> None:
     """Halt unless g0 and h pass their second routes; ``where`` names the
-    model and order in an error.
+    model and order in an error, and ``parameters`` are the model's reduced
+    ones (:func:`_parameters`).
 
     The periods come from a running ratio of int floor divisions, which a
     wrong ratio would corrupt silently, so the last is checked against the
@@ -119,7 +118,7 @@ def _check_periods(model: Model, g0: Series, h: Series, where: str) -> None:
         raise ConsistencyError(
             f"running-ratio and closed-form periods disagree for {where}, m={N}"
         )
-    L = _parameters(model, "reduced")[0]
+    L = parameters[0]
     cn, cd = _growth(model)
     H, D = h.numerators, h.denominator
 
@@ -130,7 +129,7 @@ def _check_periods(model: Model, g0: Series, h: Series, where: str) -> None:
             value, slope = value * x, slope * x + value
         return value, slope
 
-    for m, (up, down) in enumerate(_ratio_factors(model, N), start=1):
+    for m, (up, down) in enumerate(_ratio_factors(parameters, N), start=1):
         P, dP = with_slope(down)
         R, dR = with_slope(up)
         lhs = cd * P * H[m] - cn * R * H[m - 1]
@@ -150,8 +149,8 @@ def _check_periods(model: Model, g0: Series, h: Series, where: str) -> None:
 # bench/layers.py wraps all five by module attribute.  ROADMAP item 10 moves
 # them into the tests once item 3's stage hook replaces that monkeypatching.
 
-def g0_series(model: Model, order: int) -> Series:
-    return Series._from_ints(period_coefficients(model, order))
+def g0_series(model: Model, order: int, parameters: tuple | None = None) -> Series:
+    return Series._from_ints(period_coefficients(model, order, parameters))
 
 
 def f_series(model: Model, order: int) -> Series:
@@ -189,16 +188,18 @@ def h_series(model: Model, order: int) -> Series:
     ratio r_j = C * prod(up) / prod(down) as the periods.  :func:`_log_tail` runs it
     on periods already built, so a caller that holds g0 needs no second pass.
     """
-    return _log_tail(model, g0_series(model, order).numerators)
+    parameters = _parameters(model, "reduced")
+    return _log_tail(model, g0_series(model, order, parameters).numerators, parameters)
 
 
-def _log_tail(model: Model, alphas: Sequence[int]) -> Series:
-    """:func:`h_series` on the periods alpha_0..alpha_N it is given."""
-    L = _parameters(model, "reduced")[0]
+def _log_tail(model: Model, alphas: Sequence[int], parameters: tuple) -> Series:
+    """:func:`h_series` on the periods alpha_0..alpha_N and the reduced
+    ``parameters`` (:func:`_parameters`) it is given."""
+    L = parameters[0]
     cn, cd = _growth(model)
     pairs = [(0, 1)]
     num, den = 0, 1
-    for j, (up, down) in enumerate(_ratio_factors(model, len(alphas) - 1), start=1):
+    for j, (up, down) in enumerate(_ratio_factors(parameters, len(alphas) - 1), start=1):
         tn, td = _sum_ratios([(L, q) for q in up] + [(-L, q) for q in down])
         tn, td = _reduced(alphas[j] * tn, td)
         rn, rd = num * cn * math.prod(up), den * cd * math.prod(down)
@@ -266,8 +267,8 @@ class PFOperator(namedtuple("PFOperator", "constant a b form")):
 
     __slots__ = ()
 
-    def __new__(cls, constant: Fraction, a: tuple[Fraction, ...],
-                b: tuple[Fraction, ...], form: str):
+    def __new__(cls, constant: "Fraction", a: "tuple[Fraction, ...]",
+                b: "tuple[Fraction, ...]", form: str):
         if form not in FORMS:
             raise ValueError(f"unknown operator form {form!r}")
         if form == "reduced":
@@ -359,15 +360,17 @@ class MirrorData(namedtuple("MirrorData", "model order g0 h f phi Q q")):
     @classmethod
     def build(cls, model: Model, order: int) -> "MirrorData":
         """One period pass builds g0 at ``order``; h reads its coefficients,
-        f = theta^(-1)(g0 - 1), and phi = h/g0 is divided once.  The maps read
-        their truncation to order - 1, which in reduced form equals the series
-        built at that order."""
+        f = theta^(-1)(g0 - 1), and phi = h/g0 is divided once.  The reduced
+        operator's parameters are derived once, for the periods, h and their
+        check.  The maps read their truncation to order - 1, which in reduced
+        form equals the series built at that order."""
         if order < 1:
             raise ValueError("order must be at least 1")
         where = f"model {model.name} at order {order}"
-        g0 = g0_series(model, order)
-        h = _log_tail(model, g0.numerators)
-        _check_periods(model, g0, h, where)
+        parameters = _parameters(model, "reduced")
+        g0 = g0_series(model, order, parameters)
+        h = _log_tail(model, g0.numerators, parameters)
+        _check_periods(model, g0, h, where, parameters)
         f = _theta_inverse(g0)
         phi = h / g0
         m = _first_difference(phi * g0, h, order)
@@ -409,7 +412,7 @@ def _f_split(model: Model, p: int, s: int, order: int) -> tuple[int, int, int, i
     """
     cn, cd = _growth(model)
     leaves = [_reduced(cn * p * math.prod(up), cd * s * math.prod(down))
-              for up, down in _ratio_factors(model, order)]
+              for up, down in _ratio_factors(_parameters(model, "reduced"), order)]
 
     def split(lo: int, hi: int) -> tuple[int, int, int, int]:
         if hi - lo == 1:
@@ -438,13 +441,13 @@ class MahlerMeasure(namedtuple(
     __slots__ = ()
 
     @property
-    def psi(self) -> Fraction:
+    def psi(self) -> "Fraction":
         from fractions import Fraction
 
         return Fraction(*self.psi_pair)
 
     @property
-    def z(self) -> Fraction:
+    def z(self) -> "Fraction":
         from fractions import Fraction
 
         return Fraction(*self.z_pair)

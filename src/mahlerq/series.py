@@ -38,8 +38,6 @@ symbolic ``log z`` object is ever needed (see ``pf_apply`` in
 ``tests/oracles.py``).
 """
 
-from __future__ import annotations
-
 import sys
 from collections.abc import Iterable, Sequence
 from math import gcd, lcm
@@ -94,7 +92,7 @@ def _append_quotient(values: list[int], divisor: int, value: int, den: int) -> i
     return den
 
 
-def _divide(g: Series, f: Series) -> Series:
+def _divide(g: "Series", f: "Series") -> "Series":
     """g/f by one pass of F_0*P_m = G_m - sum_(j>=1) F_j*P_(m-j).
 
     With g = G/dg and f = F/df, the running denominator starts at dg, so
@@ -111,7 +109,7 @@ def _divide(g: Series, f: Series) -> Series:
     return Series._from_ints(out, den)
 
 
-def _miller(f: Series, k: Series, order: int) -> Series:
+def _miller(f: "Series", k: "Series", order: int) -> "Series":
     """P with P_0 = 1 and theta(F*P) = K*P, by J.C.P. Miller's recurrence
     m*F_0*P_m = sum_(j=1..m) (K_j - m*F_j)*P_(m-j) (Knuth, TAOCP vol. 2, 4.7).
 
@@ -129,7 +127,7 @@ def _miller(f: Series, k: Series, order: int) -> Series:
     return Series._from_ints(out, den)
 
 
-def _compose_all(outers: Sequence[Series], inner: Series) -> list[Series]:
+def _compose_all(outers: "Sequence[Series]", inner: "Series") -> "list[Series]":
     """Each of ``outers`` composed with ``inner`` (constant term 0), as
     ``outer.compose(inner)`` gives it, from one table of the powers of
     ``inner``: compositions grouped by inner series (Brent & Kung 1978).
@@ -170,7 +168,7 @@ class Series:
 
     __slots__ = ("_num", "_den")
 
-    def __init__(self, coeffs: Iterable[int | Fraction], order: int | None = None):
+    def __init__(self, coeffs: "Iterable[int | Fraction]", order: int | None = None):
         cs = [_exact(c) for c in coeffs]
         pad = 0
         if order is not None:
@@ -217,7 +215,7 @@ class Series:
         return cls([1], order)
 
     @classmethod
-    def constant(cls, value: int | Fraction, order: int) -> "Series":
+    def constant(cls, value: "int | Fraction", order: int) -> "Series":
         return cls([value], order)
 
     @classmethod
@@ -244,13 +242,13 @@ class Series:
         return self._den
 
     @property
-    def coeffs(self) -> tuple[Fraction, ...]:
+    def coeffs(self) -> "tuple[Fraction, ...]":
         from fractions import Fraction
 
         d = self._den
         return tuple(Fraction(x, d) for x in self._num)
 
-    def coeff(self, m: int) -> Fraction:
+    def coeff(self, m: int) -> "Fraction":
         """Coefficient of ``z^m``; asking beyond the truncation order is an error."""
         if not 0 <= m <= self.order:
             raise IndexError(

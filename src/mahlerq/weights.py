@@ -7,8 +7,6 @@ direct (k; w_1..w_n) pair with sum w_i = k, which covers weighted
 hypersurfaces whose exponent vector is supplied by hand.
 """
 
-from __future__ import annotations
-
 import math
 import operator
 from collections import Counter, namedtuple
@@ -164,7 +162,7 @@ def aut_order(kv: KVector) -> int:
     return math.prod(math.factorial(c) for c in Counter(kv).values())
 
 
-def counts(sols: list[KVector]) -> tuple[int, Fraction]:
+def counts(sols: list[KVector]) -> "tuple[int, Fraction]":
     """(simple, weighted) counts of the solutions ``sols``, as listed by
     :func:`enumerate_solutions`; weighted counts each as 1/|Aut|."""
     from fractions import Fraction

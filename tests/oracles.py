@@ -157,8 +157,8 @@ def corrupt_log_tail(monkeypatch, degree: int) -> None:
     z^degree, and so phi, q and every q-side column with it."""
     exact = mirror._log_tail
 
-    def corrupted(model, alphas):
-        result = exact(model, alphas)
+    def corrupted(*args):
+        result = exact(*args)
         return result + monomial(1, degree, result.order)
 
     monkeypatch.setattr(mirror, "_log_tail", corrupted)
@@ -169,8 +169,8 @@ def corrupt_last_period(monkeypatch) -> None:
     its last entry, as a wrong running ratio would."""
     exact = mirror.period_coefficients
 
-    def off_by_one(model, order):
-        return [a + (m == order) for m, a in enumerate(exact(model, order))]
+    def off_by_one(model, order, *rest):
+        return [a + (m == order) for m, a in enumerate(exact(model, order, *rest))]
 
     monkeypatch.setattr(mirror, "period_coefficients", off_by_one)
 

@@ -45,7 +45,7 @@ def test_traced_pass_reaches_every_wrapped_layer():
     # private routine that Series.compose calls with one outer.
     for name in ("series.lagrange",
                  "inversion.product_check", "inversion.lambert_invert",
-                 "mirror.build", "mirror.periods"):
+                 "mirror.build", "mirror.periods", "cli.render"):
         assert calls[name] > 0, name
     assert tracer.max_coeff_bits > 0
     metrics = tracer.metrics()

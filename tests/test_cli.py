@@ -18,10 +18,11 @@ from hypothesis import example, given, settings, strategies as st
 import mahlerq
 from mahlerq.cli import (
     COMMANDS, DEFAULT_CACHE, _json_load, _json_text, batch_workers, main, parse_args,
-    write_atomic,
+    report_json_text, write_atomic,
 )
+from mahlerq.inversion import IntegralityReport, integrality_report
 from mahlerq.mirror import _SERIES_KEYS
-from mahlerq.weights import enumerate_solutions
+from mahlerq.weights import Model, enumerate_solutions
 from oracles import (corrupt_exponents, corrupt_g0_column, corrupt_last_period,
                      corrupt_log_tail, corrupt_mirror_map, corrupt_phi, corrupt_reversion,
                      monomial, recorded_reversions)
@@ -937,6 +938,35 @@ class TestJsonWriter:
                 _json_text([value])
 
 
+# Every n <= 3 model at orders 1-6, every n = 4 model at order 10 (the
+# diagonal ones carry div_n), weights models whose reports have fractional
+# entries and false verdicts, and a name that needs escapes.
+REPORT_CASES = [
+    *((Model.from_kvector(kv), order) for n in (2, 3) for kv in enumerate_solutions(n)
+      for order in range(1, 7)),
+    *((Model.from_kvector(kv), 10) for kv in enumerate_solutions(4)),
+    (Model.from_weights(5, (2, 2, 1)), 12),
+    (Model.from_weights(9, (4, 3, 2)), 12),
+    (Model.from_weights(7, (3, 2, 2)), 8),
+    (Model.from_kvector((3, 3, 3), name='3"3\\3 \u00e9'), 4),
+]
+
+
+class TestReportText:
+    """A report's JSON text is what json.dumps prints of its parsed self, and
+    the report that its own columns give renders to the same text."""
+
+    @pytest.mark.parametrize("model, order", REPORT_CASES,
+                             ids=[f"{model.name}@{order}" for model, order in REPORT_CASES])
+    def test_is_json_dumps_and_rebuilds_to_itself(self, model, order):
+        report = integrality_report(model, order)
+        text = report_json_text(report)
+        payload = json.loads(text)
+        assert text == json.dumps(payload, indent=2) + "\n"
+        assert report_json_text(IntegralityReport.from_json_dict(model, payload)) == text
+        assert payload["rows"] == report.rows()
+
+
 # Characters that make or break JSON syntax, and a control character, which
 # a string may not hold unescaped.
 MUTATIONS = st.sampled_from(list('{}[]",:0-1e.\\u') + ["\x01"])
@@ -1365,8 +1395,8 @@ class TestConsoleEntry:
             "import mahlerq.mirror as mirror\n"
             "from mahlerq import Series\n"
             "exact = mirror._log_tail\n"
-            "def corrupted(model, alphas):\n"
-            "    result = exact(model, alphas)\n"
+            "def corrupted(*args):\n"
+            "    result = exact(*args)\n"
             "    return result + Series([0, 0, 0, 1], result.order)\n"
             "if sys.argv[1:4] == ['verify', '--model', '3,3,3']:\n"
             "    mirror._log_tail = corrupted\n"
@@ -1393,6 +1423,7 @@ class TestConsoleEntry:
             "csv",
             "inspect",
             "ast",
+            "__future__",
         ]
         proc = subprocess.run(
             [
@@ -1410,9 +1441,9 @@ class TestConsoleEntry:
         assert proc.returncode == 0, proc.stderr
         loaded, module_count = ast.literal_eval(proc.stdout)
         assert loaded == []
-        # 47 modules on Python 3.11.7 (61 with fractions and the re, enum,
-        # decimal and numbers it loads; 69 with argparse and json as well).
-        assert module_count <= 47
+        # 46 modules on Python 3.11.7 (60 with fractions and the re, enum,
+        # decimal and numbers it loads; 68 with argparse and json as well).
+        assert module_count <= 46
 
     FRACTIONS_CHAIN = ["fractions", "decimal", "numbers", "re", "enum"]
 

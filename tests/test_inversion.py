@@ -1,5 +1,6 @@
 """Tests for the change of variables, Moebius/Lambert inversion and reports."""
 
+import json
 from collections import Counter
 from fractions import Fraction as F
 
@@ -15,6 +16,7 @@ from mahlerq import (
     lambert_series,
     product_check,
 )
+from mahlerq.cli import report_json_text
 from mahlerq.inversion import g0_expansions, u_series, v_series
 from oracles import (corrupt_exponents, corrupt_g0_column, corrupt_last_period,
                      corrupt_log_tail, corrupt_reversion, cubic_theta, eisenstein_e4,
@@ -537,7 +539,7 @@ class TestReport:
 
     def test_structure_and_schema(self):
         rep = integrality_report(M333, 6)
-        payload = rep.to_json_dict()
+        payload = json.loads(report_json_text(rep))
         assert payload["order"] == 6
         assert len(payload["rows"]) == 6
         row = payload["rows"][0]
@@ -615,13 +617,11 @@ class TestReport:
         column = getattr(rep, field)
         tampered = rep._replace(**{field: column + monomial(F(1, 2), 2, 6)})
         assert [k for k, v in tampered.checks.items() if not v] == [check]
-        assert tampered.to_json_dict()["checks"][check] is False
+        assert json.loads(report_json_text(tampered))["checks"][check] is False
 
     def test_big_integers_survive_json(self):
-        import json
-
         rep = integrality_report(Model.from_kvector((2, 3, 6)), 10)
-        payload = json.loads(json.dumps(rep.to_json_dict()))
+        payload = json.loads(report_json_text(rep))
         assert payload["rows"][9]["b"] == "-2925411405456230806590"
 
 

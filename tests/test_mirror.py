@@ -426,13 +426,28 @@ class TestMirrorData:
         calls = []
         exact = mirror.period_coefficients
 
-        def counted(model, order):
+        def counted(model, order, *rest):
             calls.append(order)
-            return exact(model, order)
+            return exact(model, order, *rest)
 
         monkeypatch.setattr(mirror, "period_coefficients", counted)
         MirrorData.build(M333, 29)
         assert calls == [29]
+
+    def test_build_derives_the_operator_parameters_once(self, monkeypatch):
+        # The periods, the log tail h and their check share one derivation.
+        import mahlerq.mirror as mirror
+
+        calls = []
+        exact = mirror._parameters
+
+        def counted(model, form):
+            calls.append(form)
+            return exact(model, form)
+
+        monkeypatch.setattr(mirror, "_parameters", counted)
+        MirrorData.build(M333, 12)
+        assert calls == ["reduced"]
 
     def test_series_lookup(self):
         md = MirrorData.build(M22, 4)
